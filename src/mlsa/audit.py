@@ -23,6 +23,7 @@ from .core import (
     MlsaOutput,
     PredictionTable,
     ToleranceGrid,
+    _ZeroOneLattice,
     loss_matrix,
     run_mlsa,
 )
@@ -159,37 +160,10 @@ def check_aggregation_stability(
     )
 
 
-def grid_growth_audit(
-    table: PredictionTable,
-    sample: LabeledSample,
-    loss: LossModel,
-    grid: ToleranceGrid,
-    c_g: float = 2.0,
-) -> GrowthAudit:
-    """Audit every grid level for bounded growth and the leave-one-out sandwich.
-
-    A level t is good when the counting-measure ratio of the full-sample sets
-    at t + gap and t - gap is at most c_g, and when for every index i the
-    leave-one-out set at t is nested between those two full-sample sets.  For
-    t - gap < 0 the lower set is taken at 0 for the ratio and the lower
-    inclusion is skipped (it is only meaningful at nonnegative tolerance; grids
-    start at the gap, so this affects off-grid probing only).
-    """
-    if c_g < 1:
-        raise ValueError("growth constant must be at least 1")
-    lm = loss_matrix(table, sample, loss)
-    totals = lm.sum(axis=0)
+def _sorted_sandwich_ok(lm, totals, levels, delta) -> np.ndarray:
+    """Per-level sandwich flags from two stable argsorts per row."""
     t_min = totals.min()
-    n = table.n_samples
-    levels = grid.levels
-    delta = grid.gap
-
-    sorted_totals = np.sort(totals)
-    size_minus = np.searchsorted(
-        sorted_totals, t_min + np.maximum(levels - delta, 0.0), side="right"
-    )
-    size_plus = np.searchsorted(sorted_totals, t_min + levels + delta, side="right")
-
+    n = lm.shape[0]
     order_full = np.argsort(totals, kind="stable")
     totals_by_full = totals[order_full]
     lower_applies = levels - delta >= -NUMERIC_TOL
@@ -212,6 +186,80 @@ def grid_growth_audit(
         upper_counts = np.searchsorted(excl[order_excl], e_min + levels, side="right")
         upper_bad = full_by_excl[upper_counts - 1] > levels + delta + NUMERIC_TOL
         sandwich_ok &= ~(lower_bad | upper_bad)
+    return sandwich_ok
+
+
+def _lattice_sandwich_ok(lm, totals, levels, delta) -> Optional[np.ndarray]:
+    """Per-level sandwich flags on the 0/1 lattice, block by block; None unless
+    ``lm`` is 0/1.
+
+    Equal to ``_sorted_sandwich_ok``: every quantity compared is an integer
+    total, and each comparison is made against the same float threshold.
+    """
+    lattice = _ZeroOneLattice(totals)
+    t_min = lattice.totals[0]
+    # lower inclusion: the full-sample set at t - gap is the groups below
+    # `below`; its largest leave-one-out total is the last group's total, less
+    # one at the rows where all of that group's columns have loss 1
+    lower_applies = levels - delta >= -NUMERIC_TOL
+    below = np.searchsorted(lattice.totals, t_min + (levels - delta), side="right")
+    last = np.maximum(below - 1, 0)
+    lower_checked = (lower_applies & (below > 0))[:, None]
+    sandwich_ok = np.ones(levels.size, dtype=bool)
+    for rows in lattice.row_blocks(lm.shape[0], levels.size):
+        loss = lattice.ones_mask(lm[rows])
+        if loss is None:
+            return None
+        ones = lattice.group_sums(loss)
+        e_min = lattice.loo_min(ones)
+        all_ones = ones[last] == lattice.sizes[last][:, None]
+        largest_loo = lattice.totals[last][:, None] - all_ones
+        lower_bad = lower_checked & (largest_loo - e_min > levels[:, None] + NUMERIC_TOL)
+        # upper inclusion: the largest full-sample total in the leave-one-out
+        # set at t is the next group's when it contributes a column, else the
+        # last group wholly within
+        within, reached = lattice.locate(e_min + levels[:, None])
+        reached = lattice.reached_sums(ones, within, reached) > 0
+        next_total = np.append(lattice.totals, np.inf)[within]
+        largest_full = np.where(reached, next_total, lattice.totals[within - 1])
+        upper_bad = largest_full - t_min > levels[:, None] + delta + NUMERIC_TOL
+        sandwich_ok &= ~(lower_bad | upper_bad).any(axis=1)
+    return sandwich_ok
+
+
+def grid_growth_audit(
+    table: PredictionTable,
+    sample: LabeledSample,
+    loss: LossModel,
+    grid: ToleranceGrid,
+    c_g: float = 2.0,
+) -> GrowthAudit:
+    """Audit every grid level for bounded growth and the leave-one-out sandwich.
+
+    A level t is good when the counting-measure ratio of the full-sample sets
+    at t + gap and t - gap is at most c_g, and when for every index i the
+    leave-one-out set at t is nested between those two full-sample sets.  For
+    t - gap < 0 the lower set is taken at 0 for the ratio and the lower
+    inclusion is skipped (it is only meaningful at nonnegative tolerance; grids
+    start at the gap, so this affects off-grid probing only).
+    """
+    if c_g < 1:
+        raise ValueError("growth constant must be at least 1")
+    lm = loss_matrix(table, sample, loss)
+    totals = lm.sum(axis=0)
+    t_min = totals.min()
+    levels = grid.levels
+    delta = grid.gap
+
+    sorted_totals = np.sort(totals)
+    size_minus = np.searchsorted(
+        sorted_totals, t_min + np.maximum(levels - delta, 0.0), side="right"
+    )
+    size_plus = np.searchsorted(sorted_totals, t_min + levels + delta, side="right")
+
+    sandwich_ok = _lattice_sandwich_ok(lm, totals, levels, delta)
+    if sandwich_ok is None:
+        sandwich_ok = _sorted_sandwich_ok(lm, totals, levels, delta)
 
     records = []
     for k in range(levels.size):

@@ -195,7 +195,10 @@ def restrict_class(
         values = _rectangle_labelings(covariates)
     else:
         raise ValueError(f"unknown class descriptor {descriptor!r}")
-    return PredictionTable(values)
+    # thresholds (distinct cut counts) and single intervals (distinct nonempty
+    # blocks plus the all-zero labeling) enumerate each labeling once already
+    distinct = descriptor in ("thresholds-1d", "intervals-1d")
+    return PredictionTable(values, keep_duplicates=distinct)
 
 
 def descriptor_vc_dimension(descriptor: str, k: Optional[int] = None) -> int:

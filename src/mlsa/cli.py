@@ -540,7 +540,7 @@ def _gen_files(config: ExperimentConfig, out: Path) -> None:
         np.savetxt(out / "design.txt", np.column_stack([X, y]), fmt=fmt)
 
 
-def _build_config(args, overrides: dict) -> tuple[ExperimentConfig, dict]:
+def _build_config(args, overrides: dict, sweep: bool = False) -> tuple[ExperimentConfig, dict]:
     params: dict = {}
     if args.config:
         params.update(parse_config_file(args.config))
@@ -558,6 +558,12 @@ def _build_config(args, overrides: dict) -> tuple[ExperimentConfig, dict]:
     if "seed" not in params:
         raise ValueError("a seed is required (flag --seed or config key); "
                          "runs never use ambient randomness")
+    listed = [k for k, v in params.items() if isinstance(v, list)]
+    if listed and not sweep:
+        raise ValueError(
+            f"config keys with several values: {', '.join(listed)}; "
+            "only `mlsa sweep` runs a grid of values"
+        )
     scalar = {k: (v[0] if isinstance(v, list) else v) for k, v in params.items()}
     return ExperimentConfig(**scalar), params
 
@@ -590,7 +596,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config, params = _build_config(args, _parse_sets(args.set))
+    config, params = _build_config(args, _parse_sets(args.set), sweep=True)
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     combos = _expand_sweep(params)

@@ -9,6 +9,15 @@ lower median of the per-level predictions together with the resulting LOO error.
 
 All operations are pure functions of their inputs with fixed reduction order,
 so identical inputs produce identical outputs.
+
+Two paths compute the per-level aggregates.  The general one sorts the
+leave-one-out totals of every row.  When the loss matrix and the table are
+both 0/1 (classification under the 0-1 loss) and the rule has a ``combine``,
+``run_mlsa`` takes the 0/1-lattice path instead: columns are grouped once by
+their integer full-sample total, and every level count and vote sum is read
+off the group sums (see ``_ZeroOneLattice``).  All those counts and sums are
+exact integers, so its results are bit-identical to the sorted path.  The
+growth audit takes the same path whenever the loss matrix is 0/1.
 """
 
 from __future__ import annotations
@@ -158,12 +167,14 @@ class ToleranceGrid:
         levels = np.asarray(self.levels, dtype=float)
         if levels.ndim != 1 or levels.size < 1:
             raise ValueError("tolerance grid must be a nonempty 1-d sequence")
+        if not np.all(np.isfinite(levels)):
+            raise ValueError("tolerances must be finite")
         if np.any(levels < 0):
             raise ValueError("tolerances must be nonnegative")
         if levels.size > 1 and np.any(np.diff(levels) <= 0):
             raise ValueError("tolerances must be strictly increasing")
-        if not self.gap > 0:
-            raise ValueError("gap must be positive")
+        if not (self.gap > 0 and math.isfinite(self.gap)):
+            raise ValueError("gap must be positive and finite")
         object.__setattr__(self, "levels", levels)
 
     @property
@@ -220,21 +231,123 @@ def loss_matrix(table: PredictionTable, sample: LabeledSample, loss: LossModel) 
             f"sample has {len(sample)} responses but table has {table.n_samples} rows"
         )
     lm = loss.evaluate(table.values, sample.responses[:, None])
-    if np.min(lm) < -NUMERIC_TOL:
-        raise LossBoundError(f"negative loss encountered: {np.min(lm)}")
+    lowest, worst = float(np.min(lm)), float(np.max(lm))
+    if not (math.isfinite(lowest) and math.isfinite(worst)):
+        raise LossBoundError("non-finite loss encountered")
+    if lowest < -NUMERIC_TOL:
+        raise LossBoundError(f"negative loss encountered: {lowest}")
     if loss.bound_is_range:
         spread = float(np.max(np.max(lm, axis=1) - np.min(lm, axis=1)))
         if spread > loss.delta_bound + NUMERIC_TOL:
             raise LossBoundError(
                 f"per-row loss spread {spread} exceeds declared bound {loss.delta_bound}"
             )
-    else:
-        worst = float(np.max(lm))
-        if worst > loss.delta_bound + NUMERIC_TOL:
-            raise LossBoundError(
-                f"loss value {worst} exceeds declared bound {loss.delta_bound}"
-            )
+    elif worst > loss.delta_bound + NUMERIC_TOL:
+        raise LossBoundError(
+            f"loss value {worst} exceeds declared bound {loss.delta_bound}"
+        )
     return lm
+
+
+class _ZeroOneLattice:
+    """Columns of a 0/1 loss matrix grouped by their integer full-sample total.
+
+    Column j's leave-one-out total at row i is ``totals[j] - lm[i, j]``: the
+    total of its group, or one less.  So the leave-one-out level set
+    ``{j : totals[j] - lm[i, j] <= x}`` holds every group with total <= x, plus
+    the columns of the next group that have loss 1 at row i when that group's
+    total is at most x + 1.  Counts and 0/1 vote sums over such sets are sums
+    of integer group sums, so they equal a sorted sweep's prefix sums exactly.
+
+    Callers work through the rows in blocks (``row_blocks``).  Group sums are
+    laid out groups x rows of a block; thresholds are levels x rows.
+    """
+
+    #: bound on the entries of one row block's masks and of their permuted
+    #: int32 copies (rows x columns)
+    BLOCK_ENTRIES = 1 << 19
+
+    def __init__(self, totals: np.ndarray) -> None:
+        self._order = np.argsort(totals, kind="stable")
+        ranked = totals[self._order]
+        self._starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
+        #: distinct full-sample totals, increasing
+        self.totals = ranked[self._starts]
+        #: number of columns in each group
+        self.sizes = np.diff(np.r_[self._starts, ranked.size])
+
+    @staticmethod
+    def ones_mask(a: np.ndarray) -> Optional[np.ndarray]:
+        """The mask ``a == 1`` when every entry of ``a`` is 0 or 1, else None."""
+        ones = a == 1.0
+        zero_one = np.count_nonzero(ones) + np.count_nonzero(a == 0.0) == a.size
+        return ones if zero_one else None
+
+    def row_blocks(self, n_rows: int, n_levels: int) -> list[slice]:
+        """Row slices that keep a block's temporaries small.
+
+        Besides ``BLOCK_ENTRIES``, the per-level arrays (levels x rows, about
+        80 bytes per entry in all) stay below the float64 loss matrix's own
+        size, so narrow tables with many levels take several blocks too.
+        """
+        m = self._order.size
+        step = max(1, min(self.BLOCK_ENTRIES // m, n_rows * m // (10 * n_levels)))
+        return [slice(lo, lo + step) for lo in range(0, n_rows, step)]
+
+    def group_sums(self, mask: np.ndarray) -> np.ndarray:
+        """Sums of a block's rows x columns bool ``mask`` over each group."""
+        return np.add.reduceat(mask.T[self._order], self._starts, axis=0, dtype=np.int32)
+
+    def loo_min(self, ones: np.ndarray) -> np.ndarray:
+        """The smallest leave-one-out total at each row, from the rows' ``ones``."""
+        return self.totals[0] - (ones[0] > 0)
+
+    def locate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Number of groups with total <= x, and whether the next group is in reach."""
+        within = np.searchsorted(self.totals, x, side="right")
+        reached = np.append(self.totals, np.inf)[within] - 1.0 <= x
+        return within, reached
+
+    @staticmethod
+    def reached_sums(edge_sums, within, reached) -> np.ndarray:
+        """Per-row ``edge_sums`` of the next group where it is in reach, else 0."""
+        padded = np.concatenate((edge_sums, np.zeros_like(edge_sums[:1])))
+        return np.where(reached, np.take_along_axis(padded, within, axis=0), 0)
+
+    @staticmethod
+    def level_sums(sums, edge_sums, within, reached) -> np.ndarray:
+        """Per-row sums over the level sets located by ``locate``.
+
+        ``sums`` are group sums of some weight, ``edge_sums`` the group sums of
+        that weight over the loss-1 columns only.
+        """
+        prefix = np.cumsum(sums, axis=0)
+        prefix = np.concatenate((np.zeros_like(prefix[:1]), prefix))
+        return np.take_along_axis(prefix, within, axis=0) + _ZeroOneLattice.reached_sums(
+            edge_sums, within, reached
+        )
+
+
+def _lattice_per_level(lm, totals, values, levels, combine) -> Optional[np.ndarray]:
+    """``run_mlsa``'s per-level aggregates, block by block on the 0/1 lattice.
+
+    None unless ``lm`` and ``values`` are both 0/1.
+    """
+    lattice = _ZeroOneLattice(totals)
+    per_level = np.empty((levels.size, lm.shape[0]))
+    for rows in lattice.row_blocks(lm.shape[0], levels.size):
+        loss = lattice.ones_mask(lm[rows])
+        votes = None if loss is None else lattice.ones_mask(values[rows])
+        if votes is None:
+            return None
+        ones = lattice.group_sums(loss)
+        located = lattice.locate(lattice.loo_min(ones) + levels[:, None])
+        counts = lattice.level_sums(lattice.sizes[:, None], ones, *located)
+        sums = lattice.level_sums(
+            lattice.group_sums(votes), lattice.group_sums(votes & loss), *located
+        )
+        per_level[:, rows] = combine(counts, sums.astype(float))
+    return per_level
 
 
 def _column_losses(
@@ -328,20 +441,24 @@ def run_mlsa(
     levels = grid.levels
     n = table.n_samples
     n_levels = levels.size
-    per_level = np.empty((n_levels, n))
-    for i in range(n):
-        excl = totals - lm[i]
-        thresholds = excl.min() + levels
-        if agg.combine is not None:
-            order = np.argsort(excl, kind="stable")
-            sorted_losses = excl[order]
-            prefix = np.concatenate(([0.0], np.cumsum(table.values[i, order])))
-            counts = np.searchsorted(sorted_losses, thresholds, side="right")
-            per_level[:, i] = agg.combine(counts, prefix[counts])
-        else:
-            for k in range(n_levels):
-                selected = np.flatnonzero(excl <= thresholds[k])
-                per_level[k, i] = agg(selected, table, i)
+    per_level = None
+    if agg.combine is not None:
+        per_level = _lattice_per_level(lm, totals, table.values, levels, agg.combine)
+    if per_level is None:
+        per_level = np.empty((n_levels, n))
+        for i in range(n):
+            excl = totals - lm[i]
+            thresholds = excl.min() + levels
+            if agg.combine is not None:
+                order = np.argsort(excl, kind="stable")
+                sorted_losses = excl[order]
+                prefix = np.concatenate(([0.0], np.cumsum(table.values[i, order])))
+                counts = np.searchsorted(sorted_losses, thresholds, side="right")
+                per_level[:, i] = agg.combine(counts, prefix[counts])
+            else:
+                for k in range(n_levels):
+                    selected = np.flatnonzero(excl <= thresholds[k])
+                    per_level[k, i] = agg(selected, table, i)
     medians = np.sort(per_level, axis=0)[(n_levels + 1) // 2 - 1].copy()
     err = float(np.mean(loss.evaluate(medians, sample.responses)))
     return MlsaOutput(per_level=per_level, medians=medians, loo_error=err, grid=grid)

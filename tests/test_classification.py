@@ -18,7 +18,7 @@ from mlsa.classification import (
     verify_classification_bound,
     zero_one_loss,
 )
-from mlsa.core import LabeledSample, PredictionTable, run_mlsa
+from mlsa.core import LabeledSample, PredictionTable, _dedupe_columns, run_mlsa
 from mlsa.generators import make_classification_instance
 
 
@@ -162,6 +162,14 @@ def test_explicit_table_passthrough_is_identity():
     values = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
     table = restrict_class("explicit-table", None, table=values)
     assert np.array_equal(table.values, values)  # duplicates kept
+
+
+@pytest.mark.parametrize("descriptor", ["thresholds-1d", "intervals-1d"])
+@pytest.mark.parametrize("n", [1, 2, 5, 17, 40])
+def test_distinct_by_construction_families_need_no_dedup(descriptor, n):
+    x = np.random.default_rng(n).permutation(n).astype(float)
+    values = restrict_class(descriptor, x).values
+    assert np.array_equal(values, _dedupe_columns(values))
 
 
 def test_restriction_rejects_tied_covariates():

@@ -231,6 +231,17 @@ def test_cli_run_accepts_config_file(tmp_path):
     assert (out / "results.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "audit", "gen"])
+def test_cli_single_run_commands_refuse_value_lists(tmp_path, capsys, command):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("task = classification\nn = 20, 30\nseed = 5\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "several values: n;" in err and "sweep" in err
+    assert not out.exists()
+
+
 def test_cli_missing_seed_is_an_error(tmp_path, capsys):
     code = main(["run", "--task", "vaw", "--out", str(tmp_path / "x")])
     assert code == 2

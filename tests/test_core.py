@@ -15,6 +15,7 @@ from mlsa.core import (
     empirical_loss,
     level_set,
     loo_error,
+    loss_matrix,
     lower_median,
     run_mlsa,
 )
@@ -58,6 +59,28 @@ def test_grid_validation():
         ToleranceGrid(levels=np.array([1.0, 1.0]), gap=1.0)
     with pytest.raises(ValueError):
         ToleranceGrid(levels=np.array([-1.0]), gap=1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_grid_rejects_non_finite_levels(bad):
+    with pytest.raises(ValueError, match="finite"):
+        ToleranceGrid(levels=np.array([1.0, bad]), gap=1.0)
+    with pytest.raises(ValueError, match="finite"):
+        ToleranceGrid(levels=np.array([1.0]), gap=bad)
+
+
+def test_nan_table_entry_is_rejected_not_averaged():
+    # absolute loss maps a NaN prediction to a NaN loss, which passes both
+    # bound comparisons; it must be refused instead of yielding LOO = nan
+    values = np.array([[0.2, np.nan], [0.4, 0.6], [1.0, 0.0]])
+    table = PredictionTable(values, keep_duplicates=True)
+    sample = LabeledSample([0.0, 1.0, 0.5])
+    loss = builtin_losses()["absolute"]
+    with pytest.raises(LossBoundError, match="non-finite"):
+        loss_matrix(table, sample, loss)
+    grid = ToleranceGrid(levels=np.array([1.0, 2.0]), gap=1.0)
+    with pytest.raises(LossBoundError):
+        run_mlsa(table, sample, loss, grid, MEAN_AGGREGATE)
     with pytest.raises(ValueError):
         ToleranceGrid(levels=np.array([1.0]), gap=0.0)
     grid = ToleranceGrid(levels=np.array([1.0, 2.0]), gap=1.0)
@@ -271,8 +294,8 @@ def test_run_mlsa_generic_path_equals_fast_path():
     )
     fast = run_mlsa(table, sample, loss, grid, MAJORITY_VOTE)
     slow = run_mlsa(table, sample, loss, grid, no_fast)
-    assert np.allclose(fast.per_level, slow.per_level)
-    assert np.allclose(fast.medians, slow.medians)
+    assert np.array_equal(fast.per_level, slow.per_level)
+    assert np.array_equal(fast.medians, slow.medians)
 
 
 def test_run_mlsa_realizable_zero_level_sets_are_consistent():

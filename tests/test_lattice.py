@@ -1,0 +1,143 @@
+"""The 0/1-lattice path of run_mlsa and the growth audit against the sorted path.
+
+When the loss matrix (and, for run_mlsa, the table) is 0/1, both functions
+read every count and vote sum off column groups of equal full-sample total.
+The sorted per-row sweep they use for every other input is the reference:
+patching the lattice's 0/1 test to refuse every input forces it on the
+same inputs, and the outputs must agree byte for byte.
+"""
+
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mlsa.audit import grid_growth_audit
+from mlsa.classification import MAJORITY_VOTE, classification_grid, zero_one_loss
+from mlsa.core import (
+    LabeledSample,
+    PredictionTable,
+    ToleranceGrid,
+    _ZeroOneLattice,
+    loss_matrix,
+    run_mlsa,
+)
+from mlsa.generators import make_classification_instance
+from mlsa.regression import MEAN_AGGREGATE, builtin_losses
+
+
+def sorted_path():
+    """Refuse every input as non-0/1, so both functions take the sorted path."""
+    return mock.patch.object(_ZeroOneLattice, "ones_mask", return_value=None)
+
+
+def assert_paths_agree(values, labels, levels, audit_gap=1.0, loss=None, agg=MAJORITY_VOTE):
+    """Compare both paths; the audit also runs at ``audit_gap``, where a gap
+    below the loss bound lets the sandwich fail."""
+    loss = loss if loss is not None else zero_one_loss()
+    table = PredictionTable(np.asarray(values, dtype=float), keep_duplicates=True)
+    sample = LabeledSample(np.asarray(labels, dtype=float))
+    grid = ToleranceGrid(levels=np.asarray(levels, dtype=float), gap=loss.delta_bound)
+    audit_grid = ToleranceGrid(levels=grid.levels, gap=audit_gap)
+    assert _ZeroOneLattice.ones_mask(loss_matrix(table, sample, loss)) is not None
+    assert _ZeroOneLattice.ones_mask(table.values) is not None
+    fast = run_mlsa(table, sample, loss, grid, agg)
+    fast_audits = [grid_growth_audit(table, sample, loss, g) for g in (grid, audit_grid)]
+    with sorted_path():
+        ref = run_mlsa(table, sample, loss, grid, agg)
+        ref_audits = [grid_growth_audit(table, sample, loss, g) for g in (grid, audit_grid)]
+    assert fast.per_level.tobytes() == ref.per_level.tobytes()
+    assert fast.medians.tobytes() == ref.medians.tobytes()
+    assert fast.loo_error == ref.loo_error
+    assert fast_audits == ref_audits
+    return fast_audits
+
+
+@st.composite
+def zero_one_problems(draw):
+    n = draw(st.integers(1, 9))
+    m = draw(st.integers(1, 10))
+    bits = draw(st.lists(st.booleans(), min_size=n * m, max_size=n * m))
+    values = np.array(bits, dtype=float).reshape(n, m)
+    # duplicated columns stay: the lattice must count multiplicity
+    copies = draw(st.lists(st.integers(0, m - 1), max_size=5))
+    values = np.concatenate([values, values[:, copies]], axis=1)
+    labels = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=float)
+    if draw(st.booleans()):
+        labels = values[:, 0].copy()  # column 0 is perfect: realizable
+    raw = draw(
+        st.lists(
+            st.floats(0.0, 2.0 * n + 3.0, allow_nan=False), min_size=1, max_size=8, unique=True
+        )
+    )
+    levels = sorted(raw)
+    if draw(st.booleans()):
+        levels.append(max(levels[-1], n) + draw(st.sampled_from([0.5, 1.0, 7.0, 1e300])))
+    return values, labels, levels, draw(st.sampled_from([0.25, 0.5, 1.0, 1.5]))
+
+
+@settings(deadline=None, max_examples=200)
+@given(problem=zero_one_problems(), block=st.sampled_from([1, 7, 1 << 19]))
+def test_lattice_matches_sorted_path_on_random_tables(problem, block):
+    # small blocks split the rows into many row blocks
+    with mock.patch.object(_ZeroOneLattice, "BLOCK_ENTRIES", block):
+        assert_paths_agree(*problem)
+
+
+@settings(deadline=None, max_examples=60)
+@given(problem=zero_one_problems())
+def test_lattice_matches_sorted_path_for_averaging(problem):
+    assert_paths_agree(*problem, loss=builtin_losses()["absolute"], agg=MEAN_AGGREGATE)
+
+
+def test_lattice_single_hypothesis():
+    rng = np.random.default_rng(2)
+    values = rng.integers(0, 2, size=(7, 1))
+    assert_paths_agree(values, rng.integers(0, 2, size=7), [0.0, 1.0, 2.5, 9.0])
+
+
+def test_lattice_all_zero_loss_row():
+    rng = np.random.default_rng(3)
+    values = rng.integers(0, 2, size=(8, 6)).astype(float)
+    labels = values[:, 4].copy()
+    values[2] = labels[2]  # every hypothesis is right at row 2
+    assert_paths_agree(values, labels, [0.5, 1.0, 1.5, 3.25])
+
+
+def test_lattice_non_integer_levels_and_levels_above_n():
+    rng = np.random.default_rng(4)
+    values = rng.integers(0, 2, size=(6, 9))
+    labels = rng.integers(0, 2, size=6)
+    levels = [0.25, 0.75, 1.5, 5.99, 6.0, 6.5, 40.0, 1e300]
+    assert_paths_agree(values, labels, levels, audit_gap=0.5)
+
+
+def test_lattice_audit_reports_sandwich_failures():
+    # with a gap below the loss bound both inclusions can fail; the paths
+    # must agree on which levels do
+    rng = np.random.default_rng(7)
+    values = rng.integers(0, 2, size=(9, 30))
+    labels = rng.integers(0, 2, size=9)
+    _, narrow = assert_paths_agree(values, labels, np.arange(0.0, 6.0), audit_gap=0.5)
+    assert not all(rec.sandwich_ok for rec in narrow.levels)
+
+
+def test_audit_lattice_with_real_valued_table():
+    # 0-1 losses of real-valued predictions: the audit takes the lattice path
+    # (run_mlsa does not, its votes are not 0/1)
+    rng = np.random.default_rng(5)
+    values = rng.choice([0.0, 0.5, 1.0], size=(7, 8))
+    sample = LabeledSample(rng.integers(0, 2, size=7).astype(float))
+    table = PredictionTable(values, keep_duplicates=True)
+    grid = ToleranceGrid(levels=np.arange(0.0, 6.0) * 0.75, gap=0.5)
+    fast = grid_growth_audit(table, sample, zero_one_loss(), grid)
+    with sorted_path():
+        assert fast == grid_growth_audit(table, sample, zero_one_loss(), grid)
+
+
+def test_lattice_matches_sorted_path_at_benchmark_size():
+    inst = make_classification_instance("intervals-1d", 60, 0.1, np.random.default_rng(6))
+    assert_paths_agree(
+        inst.table.values, inst.sample.responses, classification_grid(2, 60).levels
+    )
