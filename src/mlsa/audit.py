@@ -23,6 +23,7 @@ from .core import (
     MlsaOutput,
     PredictionTable,
     ToleranceGrid,
+    _loo_level_sets,
     _ZeroOneLattice,
     loss_matrix,
     run_mlsa,
@@ -33,6 +34,7 @@ __all__ = [
     "LevelAudit",
     "GrowthAudit",
     "BoundCertificate",
+    "GridMismatchError",
     "GridMajorityError",
     "LevelNotGoodError",
     "GeneralizationReport",
@@ -50,6 +52,10 @@ class GridMajorityError(ValueError):
 
 class LevelNotGoodError(ValueError):
     """A single-level certificate was requested at a level failing the growth audit."""
+
+
+class GridMismatchError(ValueError):
+    """The output was not produced with the grid the certificate assumes."""
 
 
 @dataclass(frozen=True)
@@ -110,6 +116,12 @@ class BoundCertificate:
         return self.slack >= -self.tolerance
 
 
+def _check_grid(grid: ToleranceGrid, expected: ToleranceGrid, what: str) -> None:
+    """Raise ``GridMismatchError`` unless ``grid`` is exactly ``expected``."""
+    if grid.gap != expected.gap or not np.array_equal(grid.levels, expected.levels):
+        raise GridMismatchError(f"output grid does not match the {what}")
+
+
 def check_aggregation_stability(
     agg: AggregationRule,
     loss: LossModel,
@@ -160,41 +172,37 @@ def check_aggregation_stability(
     )
 
 
-def _sorted_sandwich_ok(lm, totals, levels, delta) -> np.ndarray:
-    """Per-level sandwich flags from two stable argsorts per row."""
-    t_min = totals.min()
-    n = lm.shape[0]
-    order_full = np.argsort(totals, kind="stable")
-    totals_by_full = totals[order_full]
-    lower_applies = levels - delta >= -NUMERIC_TOL
-    lower_counts = np.searchsorted(totals_by_full, t_min + (levels - delta), side="right")
+def _sandwich_violations(lm, totals, levels, delta, ref_full, refs=None) -> np.ndarray:
+    """Per level, the number of rows where the lower inclusion fails plus the
+    number where the upper one fails.
 
-    sandwich_ok = np.ones(levels.size, dtype=bool)
-    for i in range(n):
-        excl = totals - lm[i]
-        e_min = excl.min()
-        # lower inclusion: everything within t - gap on the full sample stays
-        # within t once row i is removed
-        excess_by_full = np.maximum.accumulate((excl - e_min)[order_full])
-        checkable = lower_applies & (lower_counts > 0)
-        idx = np.clip(lower_counts - 1, 0, excess_by_full.size - 1)
-        lower_bad = checkable & (excess_by_full[idx] > levels + NUMERIC_TOL)
-        # upper inclusion: everything within t on the reduced sample stays
-        # within t + gap on the full sample
-        order_excl = np.argsort(excl, kind="stable")
-        full_by_excl = np.maximum.accumulate((totals - t_min)[order_excl])
-        upper_counts = np.searchsorted(excl[order_excl], e_min + levels, side="right")
-        upper_bad = full_by_excl[upper_counts - 1] > levels + delta + NUMERIC_TOL
-        sandwich_ok &= ~(lower_bad | upper_bad)
-    return sandwich_ok
+    The full-sample set at t holds the columns with ``totals <= ref_full + t``,
+    row i's leave-one-out set those of ``_loo_level_sets`` with references
+    ``refs``.  Lower: every column in the full-sample set at t - delta has
+    ``excl - ref <= t``, checked only where t - delta >= 0.  Upper: every
+    column in the leave-one-out set at t has ``totals - ref_full <= t + delta``.
+    """
+    order_full = np.argsort(totals, kind="stable")
+    above_ref = totals - ref_full
+    below = np.searchsorted(totals[order_full], ref_full + (levels - delta), side="right")
+    checkable = (levels - delta >= -NUMERIC_TOL) & (below > 0)
+    last_below = np.maximum(below - 1, 0)
+    bad = np.zeros(levels.size, dtype=np.intp)
+    for excl, ref, order, counts in _loo_level_sets(lm, totals, levels, refs):
+        largest_loo = np.maximum.accumulate((excl - ref)[order_full])[last_below]
+        bad += checkable & (largest_loo > levels + NUMERIC_TOL)
+        largest_full = np.maximum.accumulate(above_ref[order])[np.maximum(counts - 1, 0)]
+        bad += (counts > 0) & (largest_full > levels + delta + NUMERIC_TOL)
+    return bad
 
 
 def _lattice_sandwich_ok(lm, totals, levels, delta) -> Optional[np.ndarray]:
     """Per-level sandwich flags on the 0/1 lattice, block by block; None unless
     ``lm`` is 0/1.
 
-    Equal to ``_sorted_sandwich_ok``: every quantity compared is an integer
-    total, and each comparison is made against the same float threshold.
+    Equal to ``_sandwich_violations`` finding no violation: every quantity
+    compared is an integer total, and each comparison is made against the same
+    float threshold.
     """
     lattice = _ZeroOneLattice(totals)
     t_min = lattice.totals[0]
@@ -259,7 +267,7 @@ def grid_growth_audit(
 
     sandwich_ok = _lattice_sandwich_ok(lm, totals, levels, delta)
     if sandwich_ok is None:
-        sandwich_ok = _sorted_sandwich_ok(lm, totals, levels, delta)
+        sandwich_ok = _sandwich_violations(lm, totals, levels, delta, t_min) == 0
 
     records = []
     for k in range(levels.size):
@@ -281,11 +289,6 @@ def grid_growth_audit(
     )
 
 
-def _audit_one_level(table, sample, loss, t, delta, c_g) -> LevelAudit:
-    grid = ToleranceGrid(levels=np.array([t], dtype=float), gap=delta)
-    return grid_growth_audit(table, sample, loss, grid, c_g=c_g).levels[0]
-
-
 def verify_single_level(
     table: PredictionTable,
     sample: LabeledSample,
@@ -297,28 +300,23 @@ def verify_single_level(
 ) -> BoundCertificate:
     """Certify the single-level aggregate bound at a good level t.
 
-    lhs is the mean loss of the per-index aggregates of the leave-one-out level
-    sets at t; rhs is (c_g / n) * (best empirical loss + t + delta).  Levels
-    failing the growth audit are rejected as a precondition violation rather
-    than reported as a bound failure.
+    lhs is the LOO error of ``run_mlsa`` on the one-level grid {t}: the mean
+    loss of the per-index aggregates of the leave-one-out level sets at t.
+    rhs is (c_g / n) * (best empirical loss + t + delta).  Levels failing the
+    growth audit are rejected as a precondition violation rather than reported
+    as a bound failure.
     """
-    record = _audit_one_level(table, sample, loss, t, delta, c_g)
+    grid = ToleranceGrid(levels=np.array([t], dtype=float), gap=delta)
+    record = grid_growth_audit(table, sample, loss, grid, c_g=c_g).levels[0]
     if not record.good:
         raise LevelNotGoodError(
             f"level t={t} fails the growth audit "
             f"(ratio={record.ratio:.6g}, sandwich_ok={record.sandwich_ok})"
         )
-    lm = loss_matrix(table, sample, loss)
-    totals = lm.sum(axis=0)
+    run_grid = ToleranceGrid(levels=grid.levels, gap=loss.delta_bound)
+    lhs = run_mlsa(table, sample, loss, run_grid, agg).loo_error
+    erm = float(loss_matrix(table, sample, loss).sum(axis=0).min())
     n = table.n_samples
-    losses = np.empty(n)
-    for i in range(n):
-        excl = totals - lm[i]
-        selected = np.flatnonzero(excl <= excl.min() + t)
-        prediction = agg(selected, table, i)
-        losses[i] = loss.evaluate(prediction, sample.responses[i])
-    erm = float(totals.min())
-    lhs = float(losses.mean())
     rhs = c_g / n * (erm + t + delta)
     return BoundCertificate(
         name="single-level-aggregate-bound",

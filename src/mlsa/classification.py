@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .audit import BoundCertificate
+from .audit import BoundCertificate, GridMismatchError, _check_grid
 from .core import (
     AggregationRule,
     LabeledSample,
@@ -42,10 +42,6 @@ __all__ = [
 #: Column-count cap for labeling enumeration; geometric families with many
 #: realizable labelings are meant for desk-scale instances.
 MAX_ENUMERATED_COLUMNS = 2_000_000
-
-
-class GridMismatchError(ValueError):
-    """The output was not produced with the grid the certificate assumes."""
 
 
 def zero_one_loss() -> LossModel:
@@ -220,13 +216,7 @@ def verify_classification_bound(
     n: int,
 ) -> BoundCertificate:
     """Certify LOO <= (8/n) * best loss + (200/n) * d ln n for a finished run."""
-    expected = classification_grid(d, n)
-    if output.grid.gap != expected.gap or not np.array_equal(
-        output.grid.levels, expected.levels
-    ):
-        raise GridMismatchError(
-            "output grid does not match the classification grid for these (d, n)"
-        )
+    _check_grid(output.grid, classification_grid(d, n), "classification grid for these (d, n)")
     loss = zero_one_loss()
     erm = float(loss_matrix(table, sample, loss).sum(axis=0).min())
     rhs = 8.0 * erm / n + 200.0 * d * math.log(n) / n

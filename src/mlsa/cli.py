@@ -457,10 +457,12 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def write_report(path: Path, config: ExperimentConfig, results, timings: dict) -> None:
+def write_report(path: Path, config: ExperimentConfig, results, timings: dict, errors=()) -> None:
     lines = ["[config]"]
     for f in fields(ExperimentConfig):
         lines.append(f"{f.name} = {_format_value(getattr(config, f.name))}")
+    if errors:
+        lines += ["", "[errors]"] + [f"{job} = {error}" for job, error in errors]
     for res in results:
         lines.append("")
         lines.append(f"[run {res.instance_id}]")
@@ -609,19 +611,26 @@ def _cmd_sweep(args) -> int:
 
     def _work(job):
         index, cfg = job
-        return run_experiment(cfg, instance_index=index)
+        try:
+            return run_experiment(cfg, instance_index=index)
+        except Exception as exc:  # one job's error must not lose the others' rows
+            return f"{cfg.task}-{index:04d}", f"{type(exc).__name__}: {exc}"
 
     if config.threads > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(_work, jobs))
+            outcomes = list(pool.map(_work, jobs))
     else:
-        results = [_work(job) for job in jobs]
+        outcomes = [_work(job) for job in jobs]
     elapsed = time.perf_counter() - t0
-    write_report(out / "report.txt", config, results, {"total_s": elapsed})
+    results = [o for o in outcomes if isinstance(o, InstanceResult)]
+    errors = [o for o in outcomes if not isinstance(o, InstanceResult)]
+    write_report(out / "report.txt", config, results, {"total_s": elapsed}, errors)
     write_csv(out / "results.csv", results)
     failed = sum(not r.passed for r in results)
-    print(f"{len(results)} runs, {failed} failed, {elapsed:.2f}s")
-    return 1 if failed else 0
+    print(f"{len(results)} runs, {failed} failed, {len(errors)} errors, {elapsed:.2f}s")
+    for job, error in errors:
+        print(f"error {job}: {error}", file=sys.stderr)
+    return 1 if failed or errors else 0
 
 
 def _cmd_report(args) -> int:

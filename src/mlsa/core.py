@@ -11,13 +11,14 @@ All operations are pure functions of their inputs with fixed reduction order,
 so identical inputs produce identical outputs.
 
 Two paths compute the per-level aggregates.  The general one sorts the
-leave-one-out totals of every row.  When the loss matrix and the table are
-both 0/1 (classification under the 0-1 loss) and the rule has a ``combine``,
-``run_mlsa`` takes the 0/1-lattice path instead: columns are grouped once by
-their integer full-sample total, and every level count and vote sum is read
-off the group sums (see ``_ZeroOneLattice``).  All those counts and sums are
-exact integers, so its results are bit-identical to the sorted path.  The
-growth audit takes the same path whenever the loss matrix is 0/1.
+leave-one-out totals of every row (``_loo_level_sets``, shared with the
+logistic Monte Carlo pool and both sandwich audits).  When the loss matrix
+and the table are both 0/1 and the rule has a ``combine``, ``run_mlsa`` takes
+the 0/1-lattice path instead: columns are grouped once by their integer
+full-sample total, and every level count and vote sum is read off the group
+sums (see ``_ZeroOneLattice``).  All those counts and sums are exact integers,
+so its results are bit-identical to the sorted path.  The growth audit takes
+the same path whenever the loss matrix is 0/1.
 """
 
 from __future__ import annotations
@@ -84,6 +85,8 @@ class PredictionTable:
             raise ValueError(f"prediction table must be 2-d, got shape {values.shape}")
         if values.shape[0] < 1 or values.shape[1] < 1:
             raise ValueError("prediction table needs at least one row and one column")
+        if not np.isfinite(values).all():
+            raise ValueError("prediction table values must be finite")
         if not self.keep_duplicates:
             values = _dedupe_columns(values)
         object.__setattr__(self, "values", values)
@@ -107,6 +110,8 @@ class LabeledSample:
         responses = np.asarray(self.responses, dtype=float)
         if responses.ndim != 1 or responses.size < 1:
             raise ValueError("responses must be a nonempty 1-d sequence")
+        if not np.isfinite(responses).all():
+            raise ValueError("responses must be finite")
         object.__setattr__(self, "responses", responses)
 
     def __len__(self) -> int:
@@ -350,6 +355,34 @@ def _lattice_per_level(lm, totals, values, levels, combine) -> Optional[np.ndarr
     return per_level
 
 
+def _loo_level_sets(lm, totals, levels, refs=None):
+    """The leave-one-out level sets of every row, as prefixes of one sort.
+
+    Yields, for each row i, the leave-one-out totals ``excl = totals - lm[i]``,
+    the reference ``ref`` (the smallest of them, or ``refs[i]`` when given),
+    their stable argsort ``order``, and per level t the ``counts`` of columns
+    with ``excl <= ref + t``: the level set at t is ``order[:count]``.  ``lm``
+    is a loss matrix or a list of its rows.
+    """
+    for i in range(len(lm)):
+        excl = totals - lm[i]
+        order = np.argsort(excl, kind="stable")
+        ranked = excl[order]
+        ref = ranked[0] if refs is None else refs[i]
+        yield excl, ref, order, np.searchsorted(ranked, ref + levels, side="right")
+
+
+def _loo_level_sums(lm, totals, values, levels, refs=None):
+    """Sizes of ``_loo_level_sets`` and the sums of ``values[i]`` over them,
+    levels x rows."""
+    counts = np.empty((levels.size, len(lm)), dtype=np.intp)
+    sums = np.empty(counts.shape)
+    for i, (_, _, order, row_counts) in enumerate(_loo_level_sets(lm, totals, levels, refs)):
+        counts[:, i] = row_counts
+        sums[:, i] = np.concatenate(([0.0], np.cumsum(values[i][order])))[row_counts]
+    return counts, sums
+
+
 def _column_losses(
     table: PredictionTable,
     sample: LabeledSample,
@@ -439,27 +472,15 @@ def run_mlsa(
     lm = loss_matrix(table, sample, loss)
     totals = lm.sum(axis=0)
     levels = grid.levels
-    n = table.n_samples
-    n_levels = levels.size
-    per_level = None
-    if agg.combine is not None:
+    if agg.combine is None:
+        per_level = np.empty((levels.size, table.n_samples))
+        for i, (_, _, order, counts) in enumerate(_loo_level_sets(lm, totals, levels)):
+            per_level[:, i] = [agg(np.sort(order[:c]), table, i) for c in counts]
+    else:
         per_level = _lattice_per_level(lm, totals, table.values, levels, agg.combine)
-    if per_level is None:
-        per_level = np.empty((n_levels, n))
-        for i in range(n):
-            excl = totals - lm[i]
-            thresholds = excl.min() + levels
-            if agg.combine is not None:
-                order = np.argsort(excl, kind="stable")
-                sorted_losses = excl[order]
-                prefix = np.concatenate(([0.0], np.cumsum(table.values[i, order])))
-                counts = np.searchsorted(sorted_losses, thresholds, side="right")
-                per_level[:, i] = agg.combine(counts, prefix[counts])
-            else:
-                for k in range(n_levels):
-                    selected = np.flatnonzero(excl <= thresholds[k])
-                    per_level[k, i] = agg(selected, table, i)
-    medians = np.sort(per_level, axis=0)[(n_levels + 1) // 2 - 1].copy()
+        if per_level is None:
+            per_level = agg.combine(*_loo_level_sums(lm, totals, table.values, levels))
+    medians = np.sort(per_level, axis=0)[(levels.size + 1) // 2 - 1].copy()
     err = float(np.mean(loss.evaluate(medians, sample.responses)))
     return MlsaOutput(per_level=per_level, medians=medians, loo_error=err, grid=grid)
 

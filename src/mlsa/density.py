@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audit import BoundCertificate
-from .classification import GridMismatchError
+from .audit import BoundCertificate, _check_grid
 from .core import (
     LabeledSample,
     LossModel,
@@ -185,12 +184,7 @@ def verify_density_bound(
         rhs = 8.0 * erm / n
     else:
         expected = density_grid(dclass.log_ratio_bound, size)
-        if not math.isclose(output.grid.gap, expected.gap) or not np.allclose(
-            output.grid.levels, expected.levels
-        ):
-            raise GridMismatchError(
-                "output grid does not match the density grid for this class"
-            )
+        _check_grid(output.grid, expected, "density grid for this class")
         rhs = 8.0 * erm / n + 104.0 * dclass.log_ratio_bound * math.log(size) / n
     return BoundCertificate(
         name="density-oracle-bound",

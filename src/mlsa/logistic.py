@@ -22,9 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .audit import BoundCertificate
-from .classification import GridMismatchError
-from .core import NUMERIC_TOL, MlsaOutput, ToleranceGrid
+from .audit import BoundCertificate, _check_grid, _sandwich_violations
+from .core import NUMERIC_TOL, MlsaOutput, ToleranceGrid, _loo_level_sums
 
 __all__ = [
     "LogisticProblem",
@@ -410,6 +409,16 @@ def logistic_grid(geometry: LogisticGeometry, problem: LogisticProblem) -> Toler
     return ToleranceGrid(levels=levels, gap=geometry.delta)
 
 
+def _member_rows(workspace: McWorkspace, pool: np.ndarray) -> list:
+    """Per index i, the H_A members' entries of a (k, n) pool array.
+
+    A list of rows rather than one restricted (n, members) copy: freeing a
+    copy of that size (29 MB at k = 2e5, n = 50) raises glibc's adaptive mmap
+    threshold, and the heap then kept 7 MB more at peak over repeated runs.
+    """
+    return [pool[workspace.member, i] for i in range(pool.shape[1])]
+
+
 @dataclass(frozen=True)
 class LogisticRun:
     """A finished run plus everything needed to audit it."""
@@ -440,29 +449,23 @@ def run_mlsa_logistic(
     geometry = build_geometry(problem, tol=erm_tol)
     workspace = build_workspace(geometry, problem, mc, erm_tol=erm_tol)
     grid = logistic_grid(geometry, problem)
-    n = problem.n
-    n_levels = len(grid)
-    member_idx = np.flatnonzero(workspace.member)
-    per_level = np.empty((n_levels, n))
-    for i in range(n):
-        excl = (workspace.totals - workspace.losses[:, i])[member_idx]
-        order = np.argsort(excl, kind="stable")
-        sorted_losses = excl[order]
-        prefix = np.concatenate(
-            ([0.0], np.cumsum(workspace.sig[member_idx, i][order]))
+    counts, sums = _loo_level_sums(
+        _member_rows(workspace, workspace.losses),
+        workspace.totals[workspace.member],
+        _member_rows(workspace, workspace.sig),
+        grid.levels,
+        workspace.ref_excl,
+    )
+    short = counts < mc.min_accepted
+    if short.any():
+        i, bad = np.argwhere(short.T)[0]
+        raise InsufficientAcceptanceError(
+            f"only {counts[bad, i]} of {workspace.k} samples accepted at "
+            f"t={grid.levels[bad]:.6g}, i={i} (need {mc.min_accepted}); "
+            "increase samples_per_level"
         )
-        counts = np.searchsorted(
-            sorted_losses, workspace.ref_excl[i] + grid.levels, side="right"
-        )
-        if counts.min() < mc.min_accepted:
-            bad = int(np.argmax(counts < mc.min_accepted))
-            raise InsufficientAcceptanceError(
-                f"only {counts[bad]} of {workspace.k} samples accepted at "
-                f"t={grid.levels[bad]:.6g}, i={i} (need {mc.min_accepted}); "
-                "increase samples_per_level"
-            )
-        per_level[:, i] = prefix[counts] / counts
-    medians = np.sort(per_level, axis=0)[(n_levels + 1) // 2 - 1].copy()
+    per_level = sums / counts
+    medians = np.sort(per_level, axis=0)[(len(grid) + 1) // 2 - 1].copy()
     loo = float(np.mean(-np.log(medians)))
     output = MlsaOutput(per_level=per_level, medians=medians, loo_error=loo, grid=grid)
     return LogisticRun(
@@ -486,32 +489,17 @@ def crn_sandwich_report(run: LogisticRun) -> SandwichReport:
     For every index i and grid tolerance t, each sample accepted by the
     full-sample level at t - delta must be accepted by the leave-one-out level
     at t, and each sample that level accepts must be accepted by the
-    full-sample level at t + delta.
+    full-sample level at t + delta.  Levels are thresholds on the member
+    draws' losses as in ``run_mlsa_logistic``: ``totals <= ref_full + t`` on
+    the full sample, ``excl <= ref_excl[i] + t`` without index i.
     """
     ws = run.workspace
     grid = run.output.grid
-    delta = grid.gap
-    levels = grid.levels
-    member_idx = np.flatnonzero(ws.member)
-    full = (ws.totals - ws.ref_full)[member_idx]
-    violations = 0
-    for i in range(run.problem.n):
-        excl = (ws.totals - ws.losses[:, i])[member_idx] - ws.ref_excl[i]
-        order_full = np.argsort(full, kind="stable")
-        excl_by_full = np.maximum.accumulate(excl[order_full])
-        counts_low = np.searchsorted(full[order_full], levels - delta, side="right")
-        have = counts_low > 0
-        idx = np.clip(counts_low - 1, 0, excl_by_full.size - 1)
-        violations += int(np.sum(have & (excl_by_full[idx] > levels + NUMERIC_TOL)))
-        order_excl = np.argsort(excl, kind="stable")
-        full_by_excl = np.maximum.accumulate(full[order_excl])
-        counts_up = np.searchsorted(excl[order_excl], levels, side="right")
-        have_up = counts_up > 0
-        idx_up = np.clip(counts_up - 1, 0, full_by_excl.size - 1)
-        violations += int(
-            np.sum(have_up & (full_by_excl[idx_up] > levels + delta + NUMERIC_TOL))
-        )
-    return SandwichReport(cells=2 * run.problem.n * levels.size, violations=violations)
+    bad = _sandwich_violations(
+        _member_rows(ws, ws.losses), ws.totals[ws.member], grid.levels, grid.gap, ws.ref_full,
+        ws.ref_excl,
+    )
+    return SandwichReport(cells=2 * run.problem.n * len(grid), violations=int(bad.sum()))
 
 
 @dataclass(frozen=True)
@@ -638,10 +626,7 @@ def verify_logistic_bound(
     inflated by ``mc_slack`` (relative) to absorb Monte-Carlo noise in lhs.
     """
     expected = logistic_grid(geometry, problem)
-    if not math.isclose(output.grid.gap, expected.gap) or not np.allclose(
-        output.grid.levels, expected.levels
-    ):
-        raise GridMismatchError("output grid does not match the logistic grid")
+    _check_grid(output.grid, expected, "logistic grid")
     n, d = problem.n, problem.d
     erm = float(per_sample_losses(problem, geometry.theta_star[None, :]).sum())
     log_term = math.log(max(8.0, 2.0 * n * problem.r * problem.R))

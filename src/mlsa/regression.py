@@ -14,8 +14,7 @@ import math
 
 import numpy as np
 
-from .audit import BoundCertificate
-from .classification import GridMismatchError
+from .audit import BoundCertificate, _check_grid
 from .core import (
     AggregationRule,
     LabeledSample,
@@ -101,13 +100,7 @@ def verify_regression_bound(
 ) -> BoundCertificate:
     """Certify LOO <= (8/n) * best loss + (104/n) * M ln |H| for a finished run."""
     m = table.n_hypotheses
-    expected = regression_grid(M, m)
-    if not math.isclose(output.grid.gap, expected.gap) or not np.allclose(
-        output.grid.levels, expected.levels
-    ):
-        raise GridMismatchError(
-            "output grid does not match the regression grid for this (M, |H|)"
-        )
+    _check_grid(output.grid, regression_grid(M, m), "regression grid for this (M, |H|)")
     n = table.n_samples
     erm = float(loss_matrix(table, sample, loss).sum(axis=0).min())
     rhs = 8.0 * erm / n + 104.0 * M * math.log(m) / n

@@ -212,6 +212,22 @@ def test_cli_sweep_cartesian_and_thread_determinism(tmp_path):
     assert len(serial.splitlines()) == 1 + 4  # header + 2x2 combos
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_cli_sweep_keeps_finished_rows_when_a_job_raises(tmp_path, capsys, threads):
+    # the n=2 job raises (the classification grid needs n >= 3); the n=20 job
+    # must still reach results.csv, and the error the report
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("task = classification\nn = 2, 20\nseed = 3\n")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--threads", threads]) == 1
+    rows = (out / "results.csv").read_text().splitlines()
+    assert len(rows) == 2 and rows[1].startswith("classification-0001,20,")
+    report = (out / "report.txt").read_text()
+    assert "[errors]\nclassification-0000 = ValueError: classification grid needs n >= 3" in report
+    assert "[run classification-0001]" in report
+    assert "classification-0000" in capsys.readouterr().err
+
+
 def test_cli_report_aggregates(tmp_path, capsys):
     out = tmp_path / "r0"
     main(["run", "--task", "classification", "--seed", "2", "--out", str(out),

@@ -73,18 +73,43 @@ def test_nan_table_entry_is_rejected_not_averaged():
     # absolute loss maps a NaN prediction to a NaN loss, which passes both
     # bound comparisons; it must be refused instead of yielding LOO = nan
     values = np.array([[0.2, np.nan], [0.4, 0.6], [1.0, 0.0]])
-    table = PredictionTable(values, keep_duplicates=True)
+    with pytest.raises(ValueError, match="finite"):
+        PredictionTable(values, keep_duplicates=True)
+    # finite predictions with a non-finite loss reach loss_matrix's own check
+    table = PredictionTable(np.nan_to_num(values), keep_duplicates=True)
     sample = LabeledSample([0.0, 1.0, 0.5])
-    loss = builtin_losses()["absolute"]
-    with pytest.raises(LossBoundError, match="non-finite"):
-        loss_matrix(table, sample, loss)
-    grid = ToleranceGrid(levels=np.array([1.0, 2.0]), gap=1.0)
-    with pytest.raises(LossBoundError):
-        run_mlsa(table, sample, loss, grid, MEAN_AGGREGATE)
+    log_gap = LossModel(
+        pointwise=lambda p, y: np.log(np.abs(p - y)), delta_bound=1.0, monotonicity="in_distance"
+    )
+    with np.errstate(divide="ignore"):
+        with pytest.raises(LossBoundError, match="non-finite"):
+            loss_matrix(table, sample, log_gap)
+        grid = ToleranceGrid(levels=np.array([1.0, 2.0]), gap=1.0)
+        with pytest.raises(LossBoundError):
+            run_mlsa(table, sample, log_gap, grid, MEAN_AGGREGATE)
     with pytest.raises(ValueError):
         ToleranceGrid(levels=np.array([1.0]), gap=0.0)
     grid = ToleranceGrid(levels=np.array([1.0, 2.0]), gap=1.0)
     assert grid.t_max == 2.0 and len(grid) == 2
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_is_rejected_where_it_enters(bad):
+    with pytest.raises(ValueError, match="finite"):
+        PredictionTable(np.array([[0.0, 1.0], [bad, 0.0]]))
+    with pytest.raises(ValueError, match="finite"):
+        LabeledSample([bad, 1.0, 0.0])
+
+
+def test_nan_response_never_reaches_the_zero_one_loss():
+    # (pred != nan) is a finite loss of 1, so loss_matrix cannot see this NaN;
+    # it used to give loo_error 1/3
+    values = np.array([[0.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
+    table = PredictionTable(values, keep_duplicates=True)
+    with pytest.raises(ValueError, match="responses must be finite"):
+        sample = LabeledSample([np.nan, 1.0, 0.0])
+        grid = ToleranceGrid(levels=np.array([1.0]), gap=1.0)
+        run_mlsa(table, sample, zero_one_loss(), grid, MAJORITY_VOTE)
 
 
 def test_loss_bound_is_audited():

@@ -1,5 +1,6 @@
 """Density task: log-ratio bounds, smoothing, grids, certificates."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from mlsa.audit import check_aggregation_stability, grid_growth_audit
 from mlsa.classification import GridMismatchError
-from mlsa.core import level_set
+from mlsa.core import ToleranceGrid, level_set
 from mlsa.density import (
     DensityClass,
     density_grid,
@@ -185,6 +186,15 @@ def test_density_bound_grid_mismatch():
     other = make_density_instance(4, 8, 30, np.random.default_rng(3))
     with pytest.raises(GridMismatchError):
         verify_density_bound(output, other.dclass, other.observations)
+
+
+def test_density_bound_grid_length_mismatch():
+    inst = make_density_instance(4, 8, 30, np.random.default_rng(2))
+    output = mlsa_for_density(inst.dclass, inst.observations)
+    grid = output.grid
+    short = dataclasses.replace(output, grid=ToleranceGrid(grid.levels[:3], gap=grid.gap))
+    with pytest.raises(GridMismatchError, match="density grid"):
+        verify_density_bound(short, inst.dclass, inst.observations)
 
 
 def test_smoothed_pipeline_certificates():

@@ -1,11 +1,13 @@
 """Logistic task: constrained ERM, ellipsoid geometry, MC level sets, bounds."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from mlsa.classification import GridMismatchError
+from mlsa.audit import GridMismatchError
+from mlsa.core import ToleranceGrid
 from mlsa.generators import make_logistic_problem
 from mlsa.logistic import (
     ErmConvergenceError,
@@ -531,6 +533,15 @@ def test_logistic_bound_grid_mismatch():
     other = make_logistic_problem(30, 2, 1.0, 1.0, rng)
     with pytest.raises(GridMismatchError):
         verify_logistic_bound(run.output, build_geometry(other), other)
+
+
+def test_logistic_bound_grid_length_mismatch():
+    problem = make_logistic_problem(12, 2, 1.0, 1.0, np.random.default_rng(42))
+    run = run_mlsa_logistic(problem, McConfig(samples_per_level=4000, seed=43))
+    grid = run.output.grid
+    short = dataclasses.replace(run.output, grid=ToleranceGrid(grid.levels[:3], gap=grid.gap))
+    with pytest.raises(GridMismatchError, match="logistic grid"):
+        verify_logistic_bound(short, run.geometry, problem)
 
 
 def test_logistic_bound_scaling_rerun_keeps_verdict():

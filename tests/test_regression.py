@@ -1,11 +1,13 @@
 """Regression task: averaging, grids, loss catalog, certificate."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from mlsa.audit import check_aggregation_stability, grid_growth_audit
 from mlsa.classification import GridMismatchError
-from mlsa.core import LabeledSample, PredictionTable, run_mlsa
+from mlsa.core import LabeledSample, PredictionTable, ToleranceGrid, run_mlsa
 from mlsa.generators import make_regression_instance
 from mlsa.regression import (
     MEAN_AGGREGATE,
@@ -164,3 +166,15 @@ def test_regression_bound_grid_mismatch():
     output = run_mlsa(inst.table, inst.sample, loss, grid, MEAN_AGGREGATE)
     with pytest.raises(GridMismatchError):
         verify_regression_bound(output, inst.table, inst.sample, loss, 1.0)
+
+
+def test_regression_bound_grid_length_mismatch():
+    # a shorter grid used to reach np.allclose and fail with a broadcast error
+    rng = np.random.default_rng(5)
+    inst = make_regression_instance(20, 8, 0.1, rng)
+    loss = scale_loss("squared", 0.5)
+    grid = regression_grid(0.5, 8)
+    output = run_mlsa(inst.table, inst.sample, loss, grid, MEAN_AGGREGATE)
+    short = dataclasses.replace(output, grid=ToleranceGrid(grid.levels[:3], gap=grid.gap))
+    with pytest.raises(GridMismatchError, match="regression grid"):
+        verify_regression_bound(short, inst.table, inst.sample, loss, 0.5)
