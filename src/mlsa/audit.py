@@ -10,6 +10,7 @@ exactly in real arithmetic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -98,7 +99,8 @@ class GrowthAudit:
 class BoundCertificate:
     """Realized error against a bound value, with the bound's constituents.
 
-    The certificate passes when slack = rhs - lhs >= -tolerance.
+    The certificate passes when lhs and rhs are finite and slack = rhs - lhs
+    >= -tolerance; ``reason`` says which of these fails.
     """
 
     name: str
@@ -112,8 +114,19 @@ class BoundCertificate:
         return self.rhs - self.lhs
 
     @property
+    def reason(self) -> Optional[str]:
+        """Why the certificate fails, or None when it passes."""
+        for side in ("lhs", "rhs"):
+            value = getattr(self, side)
+            if not math.isfinite(value):
+                return f"{side} = {value!r} is not finite"
+        if self.slack < -self.tolerance:
+            return f"slack = {self.slack!r} is below -{self.tolerance!r}"
+        return None
+
+    @property
     def passed(self) -> bool:
-        return self.slack >= -self.tolerance
+        return self.reason is None
 
 
 def _check_grid(grid: ToleranceGrid, expected: ToleranceGrid, what: str) -> None:

@@ -31,7 +31,6 @@ from .core import (
 __all__ = [
     "zero_one_loss",
     "MAJORITY_VOTE",
-    "majority_vote",
     "classification_grid",
     "restrict_class",
     "sauer_bound",
@@ -51,15 +50,6 @@ def zero_one_loss() -> LossModel:
         monotonicity="in_distance",
         name="zero_one",
     )
-
-
-def majority_vote(indices, table: PredictionTable, i: int) -> float:
-    """Majority label of the selected hypotheses at row i; ties go to 1."""
-    indices = np.asarray(indices, dtype=int)
-    if indices.size == 0:
-        raise ValueError("majority vote over an empty set")
-    votes = table.values[i, indices]
-    return 1.0 if 2.0 * votes.sum() - votes.size >= 0 else 0.0
 
 
 MAJORITY_VOTE = AggregationRule(

@@ -18,6 +18,13 @@ parallel executions produce identical results.  The flat CSV written next to
 each report has the stable schema
 ``instance_id,n,d,loo,erm_per_n,bound,slack,rho_hat`` across all tasks;
 task-specific detail lives in the structured report only.
+
+``run``, ``audit`` and ``sweep`` share one job loop: every instance is a job,
+``--threads`` sets the number of workers, and a job that raises is listed in
+the report's ``[errors]`` section and on stderr while the other jobs' rows are
+still written.  Exit codes: 0 when every certificate passes, 1 when one fails
+or a job raised, 2 on a configuration error (an unknown key, a value list
+outside ``sweep``, a missing task or seed).
 """
 
 from __future__ import annotations
@@ -25,11 +32,12 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import hashlib
+import math
 import sys
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -44,7 +52,6 @@ from .core import ToleranceGrid, run_mlsa
 
 __all__ = ["ExperimentConfig", "run_experiment", "derive_seed", "main"]
 
-TASKS = ("classification", "regression", "density", "logistic", "vaw")
 CSV_HEADER = "instance_id,n,d,loo,erm_per_n,bound,slack,rho_hat"
 
 
@@ -81,7 +88,7 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         if self.task not in TASKS:
-            raise ValueError(f"unknown task {self.task!r}; choose from {TASKS}")
+            raise ValueError(f"unknown task {self.task!r}; choose from {tuple(TASKS)}")
         if self.instances < 1:
             raise ValueError("instances must be positive")
 
@@ -94,6 +101,7 @@ class ExperimentConfig:
         )
 
 
+_KNOWN_KEYS = frozenset(f.name for f in fields(ExperimentConfig))
 _INT_FIELDS = {
     "seed", "n", "d", "class_size", "space_size", "k_intervals",
     "mc_samples", "min_accepted", "grid_levels", "instances", "threads",
@@ -101,7 +109,10 @@ _INT_FIELDS = {
 _FLOAT_FIELDS = {"M", "r", "R", "eps", "noise", "svd_tol"}
 
 
-def _parse_scalar(key: str, raw: str):
+def _parse_scalar(key: str, raw: str, where: str):
+    """One value of a config key; ``where`` names its source in the error."""
+    if key not in _KNOWN_KEYS:
+        raise ValueError(f"{where}: unknown config key {key!r}")
     raw = raw.strip()
     if key in _INT_FIELDS:
         return int(raw)
@@ -114,7 +125,6 @@ def _parse_scalar(key: str, raw: str):
 
 def parse_config_file(path) -> dict:
     """Read ``key = value`` lines; comma-separated values become lists."""
-    known = {f.name for f in fields(ExperimentConfig)}
     out: dict = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -123,14 +133,8 @@ def parse_config_file(path) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         key, raw = (part.strip() for part in line.split("=", 1))
-        if key not in known:
-            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        if "," in raw and key not in ("out", "generator", "loss", "task"):
-            out[key] = [_parse_scalar(key, v) for v in raw.split(",")]
-        elif "," in raw:
-            out[key] = [v.strip() for v in raw.split(",")]
-        else:
-            out[key] = _parse_scalar(key, raw)
+        values = [_parse_scalar(key, v, f"{path}:{lineno}") for v in raw.split(",")]
+        out[key] = values if len(values) > 1 else values[0]
     return out
 
 
@@ -167,187 +171,117 @@ class InstanceResult:
         )
 
 
-def _grid_override(grid: ToleranceGrid, levels: int) -> ToleranceGrid:
-    return ToleranceGrid(levels=grid.gap * np.arange(1, levels + 1, dtype=float), gap=grid.gap)
+def _grid(config: ExperimentConfig, grid: ToleranceGrid) -> ToleranceGrid:
+    """The task's grid, or its first ``grid_levels`` multiples of the gap."""
+    if config.grid_levels <= 0:
+        return grid
+    levels = grid.gap * np.arange(1, config.grid_levels + 1, dtype=float)
+    return ToleranceGrid(levels=levels, gap=grid.gap)
 
 
-def _run_classification(config: ExperimentConfig, seed: int, instance_id: str, deep_audit: bool) -> InstanceResult:
-    rng = np.random.default_rng(derive_seed(seed, "generate"))
-    inst = gen_mod.make_classification_instance(
-        config.descriptor, config.n, config.noise, rng, k=config.k_intervals
-    )
+def _fields(config, d, loo, erm, headline, certs, rho, sections) -> dict:
+    """``InstanceResult`` fields whose CSV bound and slack are ``headline``'s."""
+    return dict(n=config.n, d=d, loo=loo, erm_per_n=erm / config.n, bound=headline.rhs,
+                slack=headline.slack, rho_hat=rho, certificates=certs, sections=sections)
+
+
+def _finite_class(output, table, sample, loss, rule, seed: int, deep_audit: bool):
+    """Growth audit, ERM total and grid-majority certificate of a finite class.
+
+    With ``deep_audit`` the aggregation rule's stability is checked as well.
+    Returns the certificate, the ERM total, the good fraction of the growth
+    audit and the ``growth-audit`` report section.
+    """
+    growth = audit_mod.grid_growth_audit(table, sample, loss, output.grid)
+    erm = float(cls_mod.loss_matrix(table, sample, loss).sum(axis=0).min())
+    cert = audit_mod.verify_grid_majority_bound(output, growth, erm)
+    if deep_audit:
+        agg = audit_mod.check_aggregation_stability(
+            rule, loss, table, sample, seed=derive_seed(seed, "agg-check")
+        )
+        if not agg.passed:
+            raise RuntimeError(f"aggregation check failed: {agg.first_violation}")
+    section = {
+        "good_fraction": growth.good_fraction,
+        "delta": growth.delta,
+        "c_g": growth.c_g,
+        "levels": len(growth.levels),
+    }
+    return cert, erm, growth.good_fraction, section
+
+
+def _certify_classification(config: ExperimentConfig, inst, seed: int, deep_audit: bool) -> dict:
     d = cls_mod.descriptor_vc_dimension(config.descriptor, config.k_intervals)
     loss = cls_mod.zero_one_loss()
-    grid = cls_mod.classification_grid(d, config.n)
-    overridden = config.grid_levels > 0
-    if overridden:
-        grid = _grid_override(grid, config.grid_levels)
+    grid = _grid(config, cls_mod.classification_grid(d, config.n))
     output = run_mlsa(inst.table, inst.sample, loss, grid, cls_mod.MAJORITY_VOTE)
-    growth = audit_mod.grid_growth_audit(inst.table, inst.sample, loss, grid)
-    erm = float(cls_mod.loss_matrix(inst.table, inst.sample, loss).sum(axis=0).min())
-    certs = [audit_mod.verify_grid_majority_bound(output, growth, erm)]
-    if not overridden:
+    cert, erm, rho, growth = _finite_class(
+        output, inst.table, inst.sample, loss, cls_mod.MAJORITY_VOTE, seed, deep_audit
+    )
+    certs = [cert]
+    if config.grid_levels <= 0:
         certs.append(
             cls_mod.verify_classification_bound(output, inst.table, inst.sample, d, config.n)
         )
-    if deep_audit:
-        agg = audit_mod.check_aggregation_stability(
-            cls_mod.MAJORITY_VOTE, loss, inst.table, inst.sample,
-            seed=derive_seed(seed, "agg-check"),
-        )
-        if not agg.passed:
-            raise RuntimeError(f"aggregation check failed: {agg.first_violation}")
-    headline = certs[-1]
-    return InstanceResult(
-        instance_id=instance_id,
-        n=config.n,
-        d=d,
-        loo=output.loo_error,
-        erm_per_n=erm / config.n,
-        bound=headline.rhs,
-        slack=headline.slack,
-        rho_hat=growth.good_fraction,
-        certificates=certs,
-        sections={
-            "instance": {
-                "class_size": inst.table.n_hypotheses,
-                "flip_fraction": inst.flip_fraction,
-                "descriptor": config.descriptor,
-            },
-            "growth-audit": {
-                "good_fraction": growth.good_fraction,
-                "delta": growth.delta,
-                "c_g": growth.c_g,
-                "levels": len(growth.levels),
-            },
-        },
-    )
+    instance = {
+        "class_size": inst.table.n_hypotheses,
+        "flip_fraction": inst.flip_fraction,
+        "descriptor": config.descriptor,
+    }
+    return _fields(config, d, output.loo_error, erm, certs[-1], certs, rho,
+                   {"instance": instance, "growth-audit": growth})
 
 
-def _run_regression(config: ExperimentConfig, seed: int, instance_id: str, deep_audit: bool) -> InstanceResult:
-    rng = np.random.default_rng(derive_seed(seed, "generate"))
-    inst = gen_mod.make_regression_instance(config.n, config.class_size, config.noise, rng)
+def _certify_regression(config: ExperimentConfig, inst, seed: int, deep_audit: bool) -> dict:
     loss = reg_mod.scale_loss(config.loss, config.M)
-    grid = reg_mod.regression_grid(config.M, config.class_size)
-    overridden = config.grid_levels > 0
-    if overridden:
-        grid = _grid_override(grid, config.grid_levels)
+    grid = _grid(config, reg_mod.regression_grid(config.M, config.class_size))
     output = run_mlsa(inst.table, inst.sample, loss, grid, reg_mod.MEAN_AGGREGATE)
-    growth = audit_mod.grid_growth_audit(inst.table, inst.sample, loss, grid)
-    erm = float(cls_mod.loss_matrix(inst.table, inst.sample, loss).sum(axis=0).min())
-    certs = [audit_mod.verify_grid_majority_bound(output, growth, erm)]
-    if not overridden:
+    cert, erm, rho, growth = _finite_class(
+        output, inst.table, inst.sample, loss, reg_mod.MEAN_AGGREGATE, seed, deep_audit
+    )
+    certs = [cert]
+    if config.grid_levels <= 0:
         certs.append(
             reg_mod.verify_regression_bound(output, inst.table, inst.sample, loss, config.M)
         )
-    if deep_audit:
-        agg = audit_mod.check_aggregation_stability(
-            reg_mod.MEAN_AGGREGATE, loss, inst.table, inst.sample,
-            seed=derive_seed(seed, "agg-check"),
-        )
-        if not agg.passed:
-            raise RuntimeError(f"aggregation check failed: {agg.first_violation}")
-    headline = certs[-1]
-    return InstanceResult(
-        instance_id=instance_id,
-        n=config.n,
-        d=0,
-        loo=output.loo_error,
-        erm_per_n=erm / config.n,
-        bound=headline.rhs,
-        slack=headline.slack,
-        rho_hat=growth.good_fraction,
-        certificates=certs,
-        sections={
-            "instance": {"class_size": config.class_size, "loss": loss.name},
-            "growth-audit": {
-                "good_fraction": growth.good_fraction,
-                "delta": growth.delta,
-                "c_g": growth.c_g,
-                "levels": len(growth.levels),
-            },
-        },
-    )
+    instance = {"class_size": config.class_size, "loss": loss.name}
+    return _fields(config, 0, output.loo_error, erm, certs[-1], certs, rho,
+                   {"instance": instance, "growth-audit": growth})
 
 
-def _run_density(config: ExperimentConfig, seed: int, instance_id: str, deep_audit: bool) -> InstanceResult:
-    rng = np.random.default_rng(derive_seed(seed, "generate"))
-    inst = gen_mod.make_density_instance(
-        config.class_size, config.space_size, config.n, rng
-    )
-    eps = config.eps
-    if eps == -1.0:
-        eps = 1.0 / config.n
-    certs = []
-    sections: dict = {
-        "instance": {
-            "class_size": config.class_size,
-            "space_size": config.space_size,
-            "log_ratio_bound": inst.dclass.log_ratio_bound,
-        }
+def _certify_density(config: ExperimentConfig, inst, seed: int, deep_audit: bool) -> dict:
+    eps = 1.0 / config.n if config.eps == -1.0 else config.eps
+    instance = {
+        "class_size": config.class_size,
+        "space_size": config.space_size,
+        "log_ratio_bound": inst.dclass.log_ratio_bound,
     }
     if eps > 0:
-        smoothed = den_mod.smooth_class(inst.dclass, eps)
-        output = den_mod.mlsa_for_density(smoothed, inst.observations)
-        certs.append(
-            den_mod.smoothing_inflation(inst.dclass, smoothed, inst.observations, eps)
-        )
-        certs.append(
-            den_mod.verify_smoothed_density(output, inst.dclass, inst.observations, eps)
-        )
-        working = smoothed
-        sections["instance"]["eps"] = eps
-        sections["instance"]["smoothed_log_ratio_bound"] = smoothed.log_ratio_bound
+        working = den_mod.smooth_class(inst.dclass, eps)
+        output = den_mod.mlsa_for_density(working, inst.observations)
+        certs = [
+            den_mod.smoothing_inflation(inst.dclass, working, inst.observations, eps),
+            den_mod.verify_smoothed_density(output, inst.dclass, inst.observations, eps),
+        ]
+        instance.update(eps=eps, smoothed_log_ratio_bound=working.log_ratio_bound)
     else:
-        output = den_mod.mlsa_for_density(inst.dclass, inst.observations)
-        certs.append(den_mod.verify_density_bound(output, inst.dclass, inst.observations))
         working = inst.dclass
-    table, loss, sample = den_mod.log_loss_table(working, inst.observations)
+        output = den_mod.mlsa_for_density(working, inst.observations)
+        certs = [den_mod.verify_density_bound(output, working, inst.observations)]
+    headline = certs[-1]
+    sections = {"instance": instance}
     rho = None
     if working.n_densities >= 2:
-        growth = audit_mod.grid_growth_audit(table, sample, loss, output.grid)
-        rho = growth.good_fraction
-        sections["growth-audit"] = {
-            "good_fraction": growth.good_fraction,
-            "delta": growth.delta,
-            "c_g": growth.c_g,
-            "levels": len(growth.levels),
-        }
-        certs.append(
-            audit_mod.verify_grid_majority_bound(
-                output,
-                growth,
-                float(cls_mod.loss_matrix(table, sample, loss).sum(axis=0).min()),
-            )
+        table, loss, sample = den_mod.log_loss_table(working, inst.observations)
+        cert, _, rho, sections["growth-audit"] = _finite_class(
+            output, table, sample, loss, reg_mod.MEAN_AGGREGATE, seed, deep_audit
         )
-    if deep_audit and working.n_densities >= 2:
-        agg = audit_mod.check_aggregation_stability(
-            reg_mod.MEAN_AGGREGATE, loss, table, sample,
-            seed=derive_seed(seed, "agg-check"),
-        )
-        if not agg.passed:
-            raise RuntimeError(f"aggregation check failed: {agg.first_violation}")
-    headline = certs[1] if eps > 0 else certs[0]
+        certs.append(cert)
     erm = den_mod._erm_loss(working, np.asarray(inst.observations))
-    return InstanceResult(
-        instance_id=instance_id,
-        n=config.n,
-        d=0,
-        loo=output.loo_error,
-        erm_per_n=erm / config.n,
-        bound=headline.rhs,
-        slack=headline.slack,
-        rho_hat=rho,
-        certificates=certs,
-        sections=sections,
-    )
+    return _fields(config, 0, output.loo_error, erm, headline, certs, rho, sections)
 
 
-def _run_logistic(config: ExperimentConfig, seed: int, instance_id: str, deep_audit: bool) -> InstanceResult:
-    rng = np.random.default_rng(derive_seed(seed, "generate"))
-    problem = gen_mod.make_logistic_problem(
-        config.n, config.d, config.r, config.R, rng, noise=config.noise
-    )
+def _certify_logistic(config: ExperimentConfig, problem, seed: int, deep_audit: bool) -> dict:
     mc = log_mod.McConfig(
         samples_per_level=config.mc_samples,
         seed=derive_seed(seed, "mc"),
@@ -356,7 +290,6 @@ def _run_logistic(config: ExperimentConfig, seed: int, instance_id: str, deep_au
     run = log_mod.run_mlsa_logistic(problem, mc)
     cert = log_mod.verify_logistic_bound(run.output, run.geometry, problem)
     sandwich = log_mod.crn_sandwich_report(run)
-    certs = [cert]
     sections = {
         "geometry": log_mod.geometry_report(run.geometry, problem),
         "crn-sandwich": {"cells": sandwich.cells, "violations": sandwich.violations},
@@ -381,70 +314,103 @@ def _run_logistic(config: ExperimentConfig, seed: int, instance_id: str, deep_au
         }
         if not (containment.passed and volume.passed and sandwich.passed):
             raise RuntimeError("logistic geometry audit failed; see report sections")
-    erm = cert.components["erm_loss"]
-    return InstanceResult(
-        instance_id=instance_id,
-        n=config.n,
-        d=config.d,
-        loo=run.output.loo_error,
-        erm_per_n=erm / config.n,
-        bound=cert.rhs,
-        slack=cert.slack,
-        rho_hat=None,
-        certificates=certs,
-        sections=sections,
-    )
+    return _fields(config, config.d, run.output.loo_error, cert.components["erm_loss"],
+                   cert, [cert], None, sections)
 
 
-def _run_vaw(config: ExperimentConfig, seed: int, instance_id: str, deep_audit: bool) -> InstanceResult:
-    rng = np.random.default_rng(derive_seed(seed, "generate"))
-    X, y = gen_mod.make_linear_instance(
-        config.n, config.d, rng, rank_deficient=config.noise > 0
-    )
+def _certify_vaw(config: ExperimentConfig, design, seed: int, deep_audit: bool) -> dict:
+    X, y = design
     svd_tol = config.svd_tol if config.svd_tol > 0 else None
     result = lin_mod.fit_transductive_vaw(X, y, svd_tol=svd_tol)
     cert = lin_mod.vaw_certificate(result)
-    sections = {
-        "instance": {"rank": result.rank, "m_sq": result.m_sq},
-    }
+    sections = {"instance": {"rank": result.rank, "m_sq": result.m_sq}}
     if deep_audit:
         pinv = lin_mod.verify_pinv_identity(X, svd_tol=svd_tol)
-        sections["pinv-identity"] = {
-            "max_abs_diff": pinv.max_abs_diff,
-            "passed": pinv.passed,
-        }
+        sections["pinv-identity"] = {"max_abs_diff": pinv.max_abs_diff, "passed": pinv.passed}
         if not pinv.passed:
             raise RuntimeError("pseudoinverse identity check failed")
-    return InstanceResult(
-        instance_id=instance_id,
-        n=config.n,
-        d=config.d,
-        loo=result.loo_sq_sum / config.n,
-        erm_per_n=result.fit_sq_sum / config.n,
-        bound=cert.rhs / config.n,
-        slack=(cert.rhs - cert.lhs) / config.n,
-        rho_hat=None,
-        certificates=[cert],
-        sections=sections,
-    )
+    n = config.n
+    return dict(n=n, d=config.d, loo=result.loo_sq_sum / n, erm_per_n=result.fit_sq_sum / n,
+                bound=cert.rhs / n, slack=cert.slack / n, rho_hat=None,
+                certificates=[cert], sections=sections)
 
 
-_RUNNERS = {
-    "classification": _run_classification,
-    "regression": _run_regression,
-    "density": _run_density,
-    "logistic": _run_logistic,
-    "vaw": _run_vaw,
+@dataclass(frozen=True)
+class Task:
+    """The three steps of a task family, shared by every command but ``report``.
+
+    ``generate(config, rng)`` draws an instance; ``files(instance)`` lists the
+    ``(filename, array, fmt)`` triples ``mlsa gen`` writes; ``certify(config,
+    instance, seed, deep_audit)`` runs the pipeline and returns the
+    ``InstanceResult`` fields other than ``instance_id``.
+    """
+
+    generate: Callable
+    files: Callable
+    certify: Callable
+
+
+#: ``savetxt`` format that writes every float64 so that it reads back exactly.
+_REAL = "%.17g"
+
+#: Task name -> its steps, in the order ``--task`` lists them.
+TASKS = {
+    "classification": Task(
+        generate=lambda c, rng: gen_mod.make_classification_instance(
+            c.descriptor, c.n, c.noise, rng, k=c.k_intervals
+        ),
+        files=lambda inst: [("covariates.txt", inst.covariates, _REAL),
+                            ("labels.txt", inst.sample.responses, _REAL),
+                            ("table.txt", inst.table.values, _REAL)],
+        certify=_certify_classification,
+    ),
+    "regression": Task(
+        generate=lambda c, rng: gen_mod.make_regression_instance(c.n, c.class_size, c.noise, rng),
+        files=lambda inst: [("table.txt", inst.table.values, _REAL),
+                            ("responses.txt", inst.sample.responses, _REAL)],
+        certify=_certify_regression,
+    ),
+    "density": Task(
+        generate=lambda c, rng: gen_mod.make_density_instance(
+            c.class_size, c.space_size, c.n, rng
+        ),
+        files=lambda inst: [("densities.txt", inst.dclass.probs, _REAL),
+                            ("observations.txt", inst.observations, "%d")],
+        certify=_certify_density,
+    ),
+    "logistic": Task(
+        generate=lambda c, rng: gen_mod.make_logistic_problem(
+            c.n, c.d, c.r, c.R, rng, noise=c.noise
+        ),
+        files=lambda p: [("problem.txt", np.column_stack([p.covariates, p.labels]), _REAL)],
+        certify=_certify_logistic,
+    ),
+    "vaw": Task(
+        generate=lambda c, rng: gen_mod.make_linear_instance(
+            c.n, c.d, rng, rank_deficient=c.noise > 0
+        ),
+        files=lambda design: [("design.txt", np.column_stack(design), _REAL)],
+        certify=_certify_vaw,
+    ),
 }
+
+
+def _generate(config: ExperimentConfig, instance_index: int):
+    """The instance's derived seed and the instance drawn from it."""
+    seed = derive_seed(config.seed, config.task, instance_index)
+    rng = np.random.default_rng(derive_seed(seed, "generate"))
+    return seed, TASKS[config.task].generate(config, rng)
 
 
 def run_experiment(
     config: ExperimentConfig, instance_index: int = 0, deep_audit: bool = False
 ) -> InstanceResult:
     """Generate one instance from the derived seed and run its full pipeline."""
-    seed = derive_seed(config.seed, config.task, instance_index)
-    instance_id = f"{config.task}-{instance_index:04d}"
-    return _RUNNERS[config.task](config, seed, instance_id, deep_audit)
+    seed, instance = _generate(config, instance_index)
+    return InstanceResult(
+        instance_id=f"{config.task}-{instance_index:04d}",
+        **TASKS[config.task].certify(config, instance, seed, deep_audit),
+    )
 
 
 def _format_value(value) -> str:
@@ -479,6 +445,8 @@ def write_report(path: Path, config: ExperimentConfig, results, timings: dict, e
             lines.append(f"rhs = {repr(cert.rhs)}")
             lines.append(f"slack = {repr(cert.slack)}")
             lines.append(f"passed = {cert.passed}")
+            if not cert.passed:
+                lines.append(f"reason = {cert.reason}")
             for key, value in cert.components.items():
                 lines.append(f"{key} = {_format_value(value)}")
     lines.append("")
@@ -500,46 +468,6 @@ def _expand_sweep(params: dict) -> list[dict]:
         options = value if isinstance(value, list) else [value]
         combos = [dict(combo, **{key: option}) for combo in combos for option in options]
     return combos
-
-
-def _gen_files(config: ExperimentConfig, out: Path) -> None:
-    seed = derive_seed(config.seed, config.task, 0)
-    rng = np.random.default_rng(derive_seed(seed, "generate"))
-    fmt = "%.17g"
-    if config.task == "classification":
-        inst = gen_mod.make_classification_instance(
-            config.descriptor, config.n, config.noise, rng, k=config.k_intervals
-        )
-        np.savetxt(out / "covariates.txt", np.atleast_2d(inst.covariates).T
-                   if inst.covariates.ndim == 1 else inst.covariates, fmt=fmt)
-        np.savetxt(out / "labels.txt", inst.sample.responses, fmt=fmt)
-        np.savetxt(out / "table.txt", inst.table.values, fmt=fmt)
-    elif config.task == "regression":
-        inst = gen_mod.make_regression_instance(
-            config.n, config.class_size, config.noise, rng
-        )
-        np.savetxt(out / "table.txt", inst.table.values, fmt=fmt)
-        np.savetxt(out / "responses.txt", inst.sample.responses, fmt=fmt)
-    elif config.task == "density":
-        inst = gen_mod.make_density_instance(
-            config.class_size, config.space_size, config.n, rng
-        )
-        np.savetxt(out / "densities.txt", inst.dclass.probs, fmt=fmt)
-        np.savetxt(out / "observations.txt", inst.observations, fmt="%d")
-    elif config.task == "logistic":
-        problem = gen_mod.make_logistic_problem(
-            config.n, config.d, config.r, config.R, rng, noise=config.noise
-        )
-        np.savetxt(
-            out / "problem.txt",
-            np.column_stack([problem.covariates, problem.labels]),
-            fmt=fmt,
-        )
-    else:
-        X, y = gen_mod.make_linear_instance(
-            config.n, config.d, rng, rank_deficient=config.noise > 0
-        )
-        np.savetxt(out / "design.txt", np.column_stack([X, y]), fmt=fmt)
 
 
 def _build_config(args, overrides: dict, sweep: bool = False) -> tuple[ExperimentConfig, dict]:
@@ -570,49 +498,35 @@ def _build_config(args, overrides: dict, sweep: bool = False) -> tuple[Experimen
     return ExperimentConfig(**scalar), params
 
 
-def _cmd_run(args, deep_audit: bool) -> int:
-    config, _ = _build_config(args, _parse_sets(args.set))
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
-    t0 = time.perf_counter()
-    results = []
-    for idx in range(config.instances):
-        results.append(run_experiment(config, idx, deep_audit=deep_audit))
-    elapsed = time.perf_counter() - t0
-    write_report(out / "report.txt", config, results, {"total_s": elapsed})
-    write_csv(out / "results.csv", results)
-    failed = [r for r in results if not r.passed]
-    for res in results:
-        status = "PASS" if res.passed else "FAIL"
-        print(f"{status} {res.instance_id} loo={res.loo:.6g} slack={res.slack:.6g}")
-    return 1 if failed else 0
-
-
 def _cmd_gen(args) -> int:
     config, _ = _build_config(args, _parse_sets(args.set))
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
-    _gen_files(config, out)
+    _, instance = _generate(config, 0)
+    for name, array, fmt in TASKS[config.task].files(instance):
+        np.savetxt(out / name, array, fmt=fmt)
     print(f"instance files written to {out}")
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    config, params = _build_config(args, _parse_sets(args.set), sweep=True)
+def _cmd_run(args) -> int:
+    """``run``, ``audit`` and ``sweep``: one job per instance of every combo.
+
+    ``run`` and ``audit`` are the one-combo case; ``audit`` adds the deep
+    checks.  A job that raises is reported, and the others' rows still written.
+    """
+    config, params = _build_config(args, _parse_sets(args.set), sweep=args.command == "sweep")
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
-    combos = _expand_sweep(params)
-    jobs = []
-    for combo in combos:
-        combo_config = ExperimentConfig(**{k: v for k, v in combo.items()})
-        for _ in range(combo_config.instances):
-            jobs.append((len(jobs), combo_config))
+    combos = [ExperimentConfig(**combo) for combo in _expand_sweep(params)]
+    jobs = list(enumerate(cfg for cfg in combos for _ in range(cfg.instances)))
+    deep_audit = args.command == "audit"
     t0 = time.perf_counter()
 
     def _work(job):
         index, cfg = job
         try:
-            return run_experiment(cfg, instance_index=index)
+            return run_experiment(cfg, instance_index=index, deep_audit=deep_audit)
         except Exception as exc:  # one job's error must not lose the others' rows
             return f"{cfg.task}-{index:04d}", f"{type(exc).__name__}: {exc}"
 
@@ -627,6 +541,9 @@ def _cmd_sweep(args) -> int:
     write_report(out / "report.txt", config, results, {"total_s": elapsed}, errors)
     write_csv(out / "results.csv", results)
     failed = sum(not r.passed for r in results)
+    for res in results:
+        status = "PASS" if res.passed else "FAIL"
+        print(f"{status} {res.instance_id} loo={res.loo:.6g} slack={res.slack:.6g}")
     print(f"{len(results)} runs, {failed} failed, {len(errors)} errors, {elapsed:.2f}s")
     for job, error in errors:
         print(f"error {job}: {error}", file=sys.stderr)
@@ -651,7 +568,7 @@ def _cmd_report(args) -> int:
         loos = [float(r[3]) for r in entries]
         slacks = [float(r[6]) for r in entries]
         rhos = [float(r[7]) for r in entries if r[7]]
-        fails = sum(s < -1e-9 for s in slacks)
+        fails = sum(not (math.isfinite(s) and s >= -1e-9) for s in slacks)
         failures += fails
         rho_txt = f"{min(rhos):9.4f}" if rhos else "        -"
         lines.append(
@@ -670,7 +587,7 @@ def _parse_sets(pairs) -> dict:
         if "=" not in pair:
             raise ValueError(f"--set expects key=value, got {pair!r}")
         key, raw = pair.split("=", 1)
-        overrides[key.strip()] = _parse_scalar(key.strip(), raw)
+        overrides[key.strip()] = _parse_scalar(key.strip(), raw, "--set")
     return overrides
 
 
@@ -702,13 +619,9 @@ def main(argv=None) -> int:
     try:
         if args.command == "gen":
             return _cmd_gen(args)
-        if args.command == "run":
-            return _cmd_run(args, deep_audit=False)
-        if args.command == "audit":
-            return _cmd_run(args, deep_audit=True)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        return _cmd_report(args)
+        if args.command == "report":
+            return _cmd_report(args)
+        return _cmd_run(args)
     except (ValueError, RuntimeError, IndexError) as exc:
         print(f"error ({args.command}): {exc}", file=sys.stderr)
         return 2

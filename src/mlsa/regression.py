@@ -27,20 +27,11 @@ from .core import (
 
 __all__ = [
     "MEAN_AGGREGATE",
-    "average_aggregate",
     "regression_grid",
     "builtin_losses",
     "scale_loss",
     "verify_regression_bound",
 ]
-
-
-def average_aggregate(indices, table: PredictionTable, i: int) -> float:
-    """Arithmetic mean of the selected hypotheses' predictions at row i."""
-    indices = np.asarray(indices, dtype=int)
-    if indices.size == 0:
-        raise ValueError("cannot average an empty set")
-    return float(table.values[i, indices].mean())
 
 
 MEAN_AGGREGATE = AggregationRule(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mlsa.audit import (
+    BoundCertificate,
     GridMajorityError,
     GrowthAudit,
     LevelAudit,
@@ -238,6 +239,28 @@ def test_grid_majority_failure_detected():
     output = run_mlsa(inst.table, inst.sample, zero_one_loss(), grid, MAJORITY_VOTE)
     with pytest.raises(GridMajorityError):
         verify_grid_majority_bound(output, _fake_audit(0.5), erm=0.0, grid=grid)
+
+
+@pytest.mark.parametrize(
+    "lhs,rhs,why",
+    [
+        (0.5, math.inf, "rhs = inf is not finite"),
+        (-math.inf, 1.0, "lhs = -inf is not finite"),
+        (math.nan, 1.0, "lhs = nan is not finite"),
+        (0.5, math.nan, "rhs = nan is not finite"),
+    ],
+)
+def test_certificate_with_non_finite_side_fails_and_says_why(lhs, rhs, why):
+    cert = BoundCertificate(name="c", lhs=lhs, rhs=rhs)
+    assert not cert.passed
+    assert cert.reason == why
+
+
+def test_certificate_reason_names_the_slack_shortfall():
+    assert BoundCertificate(name="c", lhs=0.5, rhs=1.0).reason is None
+    assert BoundCertificate(name="c", lhs=1.0, rhs=1.0 - 1e-12).passed  # within tolerance
+    cert = BoundCertificate(name="c", lhs=1.0, rhs=0.5)
+    assert not cert.passed and cert.reason == "slack = -0.5 is below -1e-09"
 
 
 def test_grid_majority_nominal_bound_holds_for_averaging_tasks():

@@ -5,12 +5,16 @@ import math
 import numpy as np
 import pytest
 
+from mlsa.audit import BoundCertificate
 from mlsa.cli import (
+    CSV_HEADER,
     ExperimentConfig,
+    InstanceResult,
     derive_seed,
     main,
     parse_config_file,
     run_experiment,
+    write_report,
 )
 from mlsa.classification import zero_one_loss
 from mlsa.core import empirical_loss
@@ -280,3 +284,82 @@ def test_cli_gen_writes_matrices(tmp_path):
     data = np.loadtxt(out / "problem.txt")
     assert data.shape == (12, 3)
     assert set(np.unique(data[:, -1])) <= {-1.0, 1.0}
+
+
+@pytest.mark.parametrize(
+    "task,extra,shapes",
+    [
+        ("classification", ["n=12", "d=2"],
+         {"covariates.txt": (12,), "labels.txt": (12,), "table.txt": (12, None)}),
+        ("regression", ["n=12", "class_size=5"], {"table.txt": (12, 5), "responses.txt": (12,)}),
+        ("density", ["n=12", "class_size=4", "space_size=6"],
+         {"densities.txt": (4, 6), "observations.txt": (12,)}),
+        ("logistic", ["n=12", "d=2"], {"problem.txt": (12, 3)}),
+        ("vaw", ["n=12", "d=3"], {"design.txt": (12, 4)}),
+    ],
+)
+def test_cli_gen_writes_each_tasks_files(tmp_path, task, extra, shapes):
+    out = tmp_path / task
+    assert main(["gen", "--task", task, "--seed", "2", "--out", str(out), "--set", *extra]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(shapes)
+    for name, shape in shapes.items():
+        data = np.loadtxt(out / name)
+        assert data.ndim == len(shape)
+        assert all(want is None or got == want for got, want in zip(data.shape, shape))
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_cli_run_matches_one_combo_sweep(tmp_path, threads):
+    keys = ["n=20", "class_size=6", "instances=3"]
+    common = ["--task", "regression", "--seed", "4", "--threads", threads, "--set", *keys]
+    run_out, sweep_out = tmp_path / "run", tmp_path / "sweep"
+    assert main(["run", "--out", str(run_out), *common]) == 0
+    assert main(["sweep", "--out", str(sweep_out), *common]) == 0
+    run_csv = (run_out / "results.csv").read_bytes()
+    assert run_csv == (sweep_out / "results.csv").read_bytes()
+    assert len(run_csv.splitlines()) == 1 + 3
+
+
+def test_cli_run_keeps_finished_instances_when_one_raises(tmp_path, capsys):
+    # instance 1 draws too few Monte Carlo acceptances and raises; 0, 2 and 3 pass
+    out = tmp_path / "out"
+    assert main(["run", "--task", "logistic", "--seed", "1", "--out", str(out),
+                 "--set", "n=8", "mc_samples=300", "instances=4"]) == 1
+    rows = (out / "results.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == [
+        "logistic-0000", "logistic-0002", "logistic-0003"
+    ]
+    report = (out / "report.txt").read_text()
+    assert "[errors]\nlogistic-0001 = InsufficientAcceptanceError: " in report
+    assert "error logistic-0001: InsufficientAcceptanceError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "audit", "gen", "sweep"])
+def test_cli_unknown_set_key_is_a_config_error(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert main([command, "--task", "vaw", "--seed", "1", "--out", str(out),
+                 "--set", "foo=1"]) == 2
+    assert "--set: unknown config key 'foo'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_report_gives_the_reason_of_a_failed_certificate_only(tmp_path):
+    ok = BoundCertificate(name="ok", lhs=0.1, rhs=0.2)
+    bad = BoundCertificate(name="bad", lhs=0.1, rhs=math.inf)
+    result = InstanceResult("vaw-0000", 5, 1, 0.1, 0.0, 0.2, 0.1, None, certificates=[ok, bad])
+    path = tmp_path / "report.txt"
+    write_report(path, ExperimentConfig(task="vaw", seed=1), [result], {"total_s": 0.0})
+    text = path.read_text()
+    assert text.count("reason = ") == 1
+    assert ("[run vaw-0000 / certificate bad]\nlhs = 0.1\nrhs = inf\nslack = inf\n"
+            "passed = False\nreason = rhs = inf is not finite\n") in text
+
+
+@pytest.mark.parametrize("slack", ["nan", "inf", "-inf"])
+def test_cli_report_counts_non_finite_slack_as_failure(tmp_path, capsys, slack):
+    csv = tmp_path / "results.csv"
+    csv.write_text(f"{CSV_HEADER}\nvaw-0000,5,1,0.1,0.0,0.2,{slack},\n"
+                   "vaw-0001,5,1,0.1,0.0,0.2,0.1,\n")
+    assert main(["report", str(csv)]) == 1
+    row = capsys.readouterr().out.splitlines()[1].split()
+    assert row[:3] == ["vaw", "2", "1"]

@@ -11,7 +11,6 @@ from mlsa.core import LabeledSample, PredictionTable, ToleranceGrid, run_mlsa
 from mlsa.generators import make_regression_instance
 from mlsa.regression import (
     MEAN_AGGREGATE,
-    average_aggregate,
     builtin_losses,
     regression_grid,
     scale_loss,
@@ -24,12 +23,12 @@ from mlsa.regression import (
 
 def test_average_single_value():
     table = PredictionTable(np.array([[1.0]]), keep_duplicates=True)
-    assert average_aggregate([0], table, 0) == 1.0
+    assert MEAN_AGGREGATE([0], table, 0) == 1.0
 
 
 def test_average_two_values():
     table = PredictionTable(np.array([[0.0, 1.0]]), keep_duplicates=True)
-    assert average_aggregate([0, 1], table, 0) == 0.5
+    assert MEAN_AGGREGATE([0, 1], table, 0) == 0.5
 
 
 def test_average_matches_bruteforce_mean():
@@ -37,14 +36,13 @@ def test_average_matches_bruteforce_mean():
     table = PredictionTable(rng.random((3, 7)), keep_duplicates=True)
     subset = [0, 2, 3, 4, 5, 6]
     expected = sum(table.values[1, j] for j in subset) / len(subset)
-    assert average_aggregate(subset, table, 1) == pytest.approx(expected)
     assert MEAN_AGGREGATE(subset, table, 1) == pytest.approx(expected)
 
 
 def test_average_empty_set_rejected():
     table = PredictionTable(np.array([[1.0]]), keep_duplicates=True)
     with pytest.raises(ValueError):
-        average_aggregate([], table, 0)
+        MEAN_AGGREGATE([], table, 0)
 
 
 # ----------------------------------------------------------------------- grid
