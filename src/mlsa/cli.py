@@ -500,6 +500,11 @@ def _build_config(args, overrides: dict, sweep: bool = False) -> tuple[Experimen
 
 def _cmd_gen(args) -> int:
     config, _ = _build_config(args, _parse_sets(args.set))
+    if config.instances != 1:
+        raise ValueError(
+            f"instances = {config.instances}: `mlsa gen` writes one instance; "
+            "drop the key or set it to 1"
+        )
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     _, instance = _generate(config, 0)
@@ -570,9 +575,11 @@ def _cmd_report(args) -> int:
         rhos = [float(r[7]) for r in entries if r[7]]
         fails = sum(not (math.isfinite(s) and s >= -1e-9) for s in slacks)
         failures += fails
-        rho_txt = f"{min(rhos):9.4f}" if rhos else "        -"
+        # np.max/np.min propagate a NaN from any row; Python's max/min skip it
+        rho_txt = f"{np.min(rhos):9.4f}" if rhos else "        -"
         lines.append(
-            f"{task:<16}{len(entries):>6}{fails:>6}{max(loos):>12.5f}{min(slacks):>12.5f}{rho_txt}"
+            f"{task:<16}{len(entries):>6}{fails:>6}{np.max(loos):>12.5f}"
+            f"{np.min(slacks):>12.5f}{rho_txt}"
         )
     text = "\n".join(lines) + "\n"
     if args.out:

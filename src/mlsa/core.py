@@ -147,18 +147,18 @@ class LossModel:
             raise ValueError("delta_bound must be nonnegative")
 
     def evaluate(self, predictions, responses) -> np.ndarray:
-        """Vectorized loss evaluation with an elementwise fallback."""
+        """Losses over the broadcast shape of the inputs; ``pointwise`` must
+        be vectorized and return that shape."""
         predictions = np.asarray(predictions, dtype=float)
         responses = np.asarray(responses, dtype=float)
         shape = np.broadcast_shapes(predictions.shape, responses.shape)
-        try:
-            out = np.asarray(self.pointwise(predictions, responses), dtype=float)
-            if out.shape == shape:
-                return out
-        except (TypeError, ValueError):
-            pass
-        fn = np.vectorize(self.pointwise, otypes=[float])
-        return fn(predictions, responses)
+        out = np.asarray(self.pointwise(predictions, responses), dtype=float)
+        if out.shape != shape:
+            raise ValueError(
+                f"loss {self.name or 'pointwise'!r} returned shape {out.shape}, "
+                f"expected the broadcast shape {shape}"
+            )
+        return out
 
 
 @dataclass(frozen=True)
@@ -362,7 +362,8 @@ def _loo_level_sets(lm, totals, levels, refs=None):
     the reference ``ref`` (the smallest of them, or ``refs[i]`` when given),
     their stable argsort ``order``, and per level t the ``counts`` of columns
     with ``excl <= ref + t``: the level set at t is ``order[:count]``.  ``lm``
-    is a loss matrix or a list of its rows.
+    is a rows x columns loss matrix; the logistic pool passes the transposed
+    view of its (members, n) table.
     """
     for i in range(len(lm)):
         excl = totals - lm[i]

@@ -35,7 +35,6 @@ __all__ = [
     "ErmConvergenceError",
     "fit_erm",
     "build_geometry",
-    "membership_HA",
     "min_ball_distance_sq",
     "sample_muB",
     "estimate_level",
@@ -108,7 +107,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def per_sample_losses(problem: LogisticProblem, thetas: np.ndarray) -> np.ndarray:
-    """-log sigmoid(y_i x_i' theta_s) for every (sample s, index i); shape (k, n)."""
+    """-log sigmoid(y_i x_i' theta_s) for every (sample s, index i); shape (rows, n)."""
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     z = (thetas @ problem.covariates.T) * problem.labels[None, :]
     return np.logaddexp(0.0, -z)
@@ -237,24 +236,22 @@ def min_ball_distance_sq(
     return out
 
 
-def membership_HA(
-    geometry: LogisticGeometry, problem: LogisticProblem, theta: np.ndarray
-) -> bool:
-    """Whether theta lies within squared A-distance rR of the parameter ball."""
-    dist_sq = min_ball_distance_sq(geometry, problem.r, np.atleast_2d(theta))[0]
-    return bool(dist_sq <= problem.r * problem.R + 1e-12)
+def _ellipsoid_draws(
+    geometry: LogisticGeometry, k: int, radius: float, rng: np.random.Generator
+) -> np.ndarray:
+    """k uniform draws from {theta : |A^{1/2} theta| <= radius}."""
+    d = geometry.eigvals.size
+    g = rng.standard_normal((k, d))
+    g /= np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 1e-300)
+    radii = rng.random(k) ** (1.0 / d)
+    return (g * radii[:, None] * radius) @ geometry.A_half_inv
 
 
 def sample_muB(geometry: LogisticGeometry, k: int, seed: int) -> np.ndarray:
     """k uniform draws from the reference ellipsoid B."""
     if k < 1:
         raise ValueError("sample count must be positive")
-    rng = np.random.default_rng(seed)
-    d = geometry.eigvals.size
-    g = rng.standard_normal((k, d))
-    g /= np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 1e-300)
-    radii = rng.random(k) ** (1.0 / d)
-    return (g * radii[:, None] * geometry.R_B) @ geometry.A_half_inv
+    return _ellipsoid_draws(geometry, k, geometry.R_B, np.random.default_rng(seed))
 
 
 @dataclass(frozen=True)
@@ -276,16 +273,18 @@ class McConfig:
 class McWorkspace:
     """Common-random-number sample pool shared by every (tolerance, index) cell.
 
-    Reference losses come from the best of all fitted minimizers (full-sample
-    and every leave-one-out fit evaluated on each objective), so that solver
+    Of the k draws from mu_B only the H_A members enter a level set, so the
+    loss tables hold one row per member draw, in draw order.  Reference losses
+    come from the best of all fitted minimizers (full-sample and every
+    leave-one-out fit evaluated on each objective), so that solver
     suboptimality can never break the nestedness of accepted sets.
     """
 
     thetas: np.ndarray  # (k, d)
     member: np.ndarray  # (k,) bool, H_A membership
-    losses: np.ndarray  # (k, n) per-point losses
-    totals: np.ndarray  # (k,) full-sample losses
-    sig: np.ndarray  # (k, n) predicted probabilities of the observed labels
+    losses: np.ndarray  # (members, n) per-point losses of the member draws
+    totals: np.ndarray  # (members,) their full-sample losses
+    sig: np.ndarray  # (members, n) their probabilities of the observed labels
     theta_star_minus: np.ndarray  # (n, d)
     ref_full: float
     ref_excl: np.ndarray  # (n,)
@@ -310,7 +309,7 @@ def build_workspace(
     member = min_ball_distance_sq(geometry, problem.r, thetas) <= (
         problem.r * problem.R + 1e-12
     )
-    z = (thetas @ problem.covariates.T) * problem.labels[None, :]
+    z = (thetas[member] @ problem.covariates.T) * problem.labels[None, :]
     losses = np.logaddexp(0.0, -z)
     sig = _sigmoid(z)
     totals = losses.sum(axis=1)
@@ -371,7 +370,7 @@ def estimate_level(
             raise IndexError(f"exclude index {exclude} out of range [0, {problem.n})")
         ref = float(workspace.ref_excl[exclude])
         sample_losses = workspace.totals - workspace.losses[:, exclude]
-    accepted_mask = workspace.member & (sample_losses <= ref + t)
+    accepted_mask = sample_losses <= ref + t
     count = int(accepted_mask.sum())
     if count < mc.min_accepted:
         raise InsufficientAcceptanceError(
@@ -387,7 +386,7 @@ def estimate_level(
         stderr=stderr,
         count=count,
         samples=workspace.k,
-        accepted=workspace.thetas[accepted_mask],
+        accepted=workspace.thetas[workspace.member][accepted_mask],
     )
 
 
@@ -407,16 +406,6 @@ def logistic_grid(geometry: LogisticGeometry, problem: LogisticProblem) -> Toler
     )
     levels = geometry.delta * np.arange(1, count + 1, dtype=float)
     return ToleranceGrid(levels=levels, gap=geometry.delta)
-
-
-def _member_rows(workspace: McWorkspace, pool: np.ndarray) -> list:
-    """Per index i, the H_A members' entries of a (k, n) pool array.
-
-    A list of rows rather than one restricted (n, members) copy: freeing a
-    copy of that size (29 MB at k = 2e5, n = 50) raises glibc's adaptive mmap
-    threshold, and the heap then kept 7 MB more at peak over repeated runs.
-    """
-    return [pool[workspace.member, i] for i in range(pool.shape[1])]
 
 
 @dataclass(frozen=True)
@@ -450,11 +439,7 @@ def run_mlsa_logistic(
     workspace = build_workspace(geometry, problem, mc, erm_tol=erm_tol)
     grid = logistic_grid(geometry, problem)
     counts, sums = _loo_level_sums(
-        _member_rows(workspace, workspace.losses),
-        workspace.totals[workspace.member],
-        _member_rows(workspace, workspace.sig),
-        grid.levels,
-        workspace.ref_excl,
+        workspace.losses.T, workspace.totals, workspace.sig.T, grid.levels, workspace.ref_excl
     )
     short = counts < mc.min_accepted
     if short.any():
@@ -496,8 +481,7 @@ def crn_sandwich_report(run: LogisticRun) -> SandwichReport:
     ws = run.workspace
     grid = run.output.grid
     bad = _sandwich_violations(
-        _member_rows(ws, ws.losses), ws.totals[ws.member], grid.levels, grid.gap, ws.ref_full,
-        ws.ref_excl,
+        ws.losses.T, ws.totals, grid.levels, grid.gap, ws.ref_full, ws.ref_excl
     )
     return SandwichReport(cells=2 * run.problem.n * len(grid), violations=int(bad.sum()))
 
@@ -538,14 +522,8 @@ def verify_ellipsoid_containment(
     """
     rng = np.random.default_rng(mc.seed if seed is None else seed)
     k = mc.samples_per_level
-    d = problem.d
     rR = problem.r * problem.R
-    g = rng.standard_normal((k, d))
-    g /= np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 1e-300)
-    radii = rng.random(k) ** (1.0 / d)
-    thetas = geometry.theta_star + (
-        (g * radii[:, None] * math.sqrt(rR)) @ geometry.A_half_inv
-    )
+    thetas = geometry.theta_star + _ellipsoid_draws(geometry, k, math.sqrt(rR), rng)
     grad_norm = float(np.linalg.norm(geometry.grad_star))
     interior = grad_norm <= _GRAD_VACUOUS
     if interior:
@@ -595,8 +573,8 @@ def verify_volume_lower_bound(
     rR = problem.r * problem.R
     ref = float(per_sample_losses(problem, geometry.theta_star[None, :]).sum())
     member = min_ball_distance_sq(geometry, problem.r, thetas) <= rR + 1e-12
-    accepted = member & (per_sample_losses(problem, thetas).sum(axis=1) <= ref + rR)
-    count = int(accepted.sum())
+    totals = per_sample_losses(problem, thetas[member]).sum(axis=1)
+    count = int(np.sum(totals <= ref + rR))
     if count < mc.min_accepted:
         raise InsufficientAcceptanceError(
             f"only {count} of {mc.samples_per_level} samples hit the level set at rR; "

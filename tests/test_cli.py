@@ -363,3 +363,23 @@ def test_cli_report_counts_non_finite_slack_as_failure(tmp_path, capsys, slack):
     assert main(["report", str(csv)]) == 1
     row = capsys.readouterr().out.splitlines()[1].split()
     assert row[:3] == ["vaw", "2", "1"]
+
+
+def test_cli_report_shows_a_nan_from_a_later_row(tmp_path, capsys):
+    csv = tmp_path / "results.csv"
+    csv.write_text(f"{CSV_HEADER}\nvaw-0000,5,1,0.1,0.0,0.2,0.1,\n"
+                   "vaw-0001,5,1,nan,0.0,0.2,nan,\n")
+    assert main(["report", str(csv)]) == 1
+    row = capsys.readouterr().out.splitlines()[1].split()
+    assert row == ["vaw", "2", "1", "nan", "nan", "-"]
+
+
+def test_cli_gen_refuses_several_instances(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["gen", "--task", "vaw", "--seed", "1", "--out", str(out),
+                 "--set", "n=5", "instances=3"]) == 2
+    assert "instances = 3" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["gen", "--task", "vaw", "--seed", "1", "--out", str(out),
+                 "--set", "n=5", "instances=1"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["design.txt"]

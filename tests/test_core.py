@@ -124,6 +124,20 @@ def test_loss_bound_is_audited():
         )
 
 
+def test_loss_returning_a_scalar_is_rejected_not_vectorized():
+    # a pointwise must be vectorized: a scalar result is an error, not re-run elementwise
+    flat = LossModel(
+        pointwise=lambda p, y: 0.5, delta_bound=1.0, monotonicity="in_distance", name="flat"
+    )
+    with pytest.raises(ValueError, match=r"'flat' returned shape \(\), expected .* \(3, 2\)"):
+        flat.evaluate(np.zeros((3, 2)), np.zeros((3, 1)))
+    table = PredictionTable(np.array([[0.0, 1.0], [1.0, 0.5]]), keep_duplicates=True)
+    grid = ToleranceGrid(levels=np.array([1.0]), gap=1.0)
+    with pytest.raises(ValueError, match="broadcast shape"):
+        run_mlsa(table, LabeledSample([0.0, 1.0]), flat, grid, MEAN_AGGREGATE)
+    assert float(flat.evaluate(0.0, 1.0)) == 0.5  # scalar inputs, scalar shape
+
+
 # ------------------------------------------------------------- empirical_loss
 
 

@@ -23,7 +23,6 @@ from mlsa.logistic import (
     geometry_report,
     load_logistic_problem,
     logistic_grid,
-    membership_HA,
     min_ball_distance_sq,
     per_sample_losses,
     run_mlsa_logistic,
@@ -163,7 +162,6 @@ def test_erm_beats_random_feasible_probes():
 def test_membership_inside_ball_is_free():
     problem = identity_problem()
     geo = build_geometry(problem)
-    assert membership_HA(geo, problem, np.array([0.3, -0.4]))
     assert min_ball_distance_sq(geo, 1.0, np.array([[0.3, -0.4]]))[0] == 0.0
 
 
@@ -176,8 +174,16 @@ def test_membership_isotropic_closed_form():
     norms = np.linalg.norm(thetas, axis=1)
     closed = np.maximum(norms - 1.0, 0.0) ** 2
     assert np.allclose(dist, closed, atol=1e-9)
-    for theta, d2 in zip(thetas, dist):
-        assert membership_HA(geo, problem, theta) == (d2 <= 1.0 + 1e-12)
+    # the workspace's H_A mask is the rule dist <= rR + 1e-12 on its draws
+    ws = build_workspace(geo, problem, McConfig(samples_per_level=2000, seed=6))
+    dist = min_ball_distance_sq(geo, 1.0, ws.thetas)
+    assert ws.member.shape == (ws.k,) and ws.member.dtype == bool
+    assert np.array_equal(ws.member, dist <= 1.0 + 1e-12)
+    assert 0 < ws.member.sum() < ws.k
+    # and H_A is the disc of radius 2 here, away from its boundary
+    norms = np.linalg.norm(ws.thetas, axis=1)
+    clear = np.abs(norms - 2.0) > 1e-6
+    assert np.array_equal(ws.member[clear], norms[clear] < 2.0)
 
 
 def test_membership_matches_grid_projection_oracle():
@@ -425,13 +431,13 @@ def test_crn_sandwich_agrees_with_naive_set_inclusion():
     levels = run.output.grid.levels
     delta = run.output.grid.gap
     naive_violations = 0
-    member = np.flatnonzero(ws.member)
+    member = np.flatnonzero(ws.member)  # the draw index of each pool row
     for i in range(problem.n):
         excl = ws.totals - ws.losses[:, i]
         for t in levels:
-            lower = set(member[(ws.totals - ws.ref_full)[member] <= t - delta].tolist())
-            inner = set(member[(excl - ws.ref_excl[i])[member] <= t].tolist())
-            upper = set(member[(ws.totals - ws.ref_full)[member] <= t + delta].tolist())
+            lower = set(member[ws.totals - ws.ref_full <= t - delta].tolist())
+            inner = set(member[excl - ws.ref_excl[i] <= t].tolist())
+            upper = set(member[ws.totals - ws.ref_full <= t + delta].tolist())
             naive_violations += int(not lower <= inner) + int(not inner <= upper)
     report = crn_sandwich_report(run)
     assert naive_violations == 0
@@ -461,8 +467,23 @@ def test_member_losses_bounded_by_delta():
     geo = build_geometry(problem)
     mc = McConfig(samples_per_level=20_000, seed=32)
     ws = build_workspace(geo, problem, mc)
-    member_losses = ws.losses[ws.member]
-    assert float(member_losses.max()) <= geo.delta + 1e-9
+    assert float(ws.losses.max()) <= geo.delta + 1e-9
+
+
+def test_workspace_holds_member_draws_only():
+    rng = np.random.default_rng(34)
+    problem = make_logistic_problem(9, 2, 1.0, 1.0, rng)
+    geo = build_geometry(problem)
+    ws = build_workspace(geo, problem, McConfig(samples_per_level=3000, seed=35))
+    members = int(ws.member.sum())
+    assert 0 < members < ws.k == 3000
+    assert ws.losses.shape == ws.sig.shape == (members, problem.n)
+    assert ws.totals.shape == (members,)
+    expected = per_sample_losses(problem, ws.thetas[ws.member])
+    assert np.array_equal(ws.losses, expected)
+    assert np.array_equal(ws.totals, expected.sum(axis=1))
+    # sigmoid(z) = exp(-log(1 + exp(-z)))
+    assert np.allclose(ws.sig, np.exp(-expected), rtol=1e-12, atol=0.0)
 
 
 def test_probabilities_strictly_inside_unit_interval():

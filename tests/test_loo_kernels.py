@@ -79,11 +79,10 @@ def test_growth_audit_sandwich_matches_brute_force_inclusion(problem, gap):
 def naive_crn_violations(run):
     ws = run.workspace
     grid = run.output.grid
-    member = ws.member
-    totals = ws.totals[member]
+    totals = ws.totals  # one entry per H_A member draw
     count = 0
     for i in range(run.problem.n):
-        excl = totals - ws.losses[member, i]
+        excl = totals - ws.losses[:, i]
         for t in grid.levels:
             lower = totals <= ws.ref_full + (t - grid.gap)
             inner = excl <= ws.ref_excl[i] + t
