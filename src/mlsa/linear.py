@@ -57,6 +57,8 @@ def fit_transductive_vaw(
         raise ValueError("X must be a nonempty n x d matrix")
     if y.shape != (X.shape[0],):
         raise ValueError("y must have one entry per row of X")
+    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
+        raise ValueError("X and y must be finite")
     n, d = X.shape
     if svd_tol is None:
         svd_tol = _default_svd_tol(n, d)

@@ -7,6 +7,14 @@ the ball is at most rR, where A is the empirical second-moment matrix; their
 size is measured by the uniform distribution mu_B on the reference ellipsoid
 B = {theta : |A^{1/2} theta| <= R_B} with R_B = sqrt(n) rR + 2 sqrt(rR).
 
+H_A membership is decided by two closed-form bounds on the squared
+A-distance, lambda_min (|theta| - r)^2 below and the radial projection's
+(1 - r/|theta|)^2 theta'A theta above; only draws whose bounds fall within a
+narrow band around the threshold go to the bisection of
+``min_ball_distance_sq``, which stays the exact arbiter, so the mask equals
+bisecting every draw.  The member draws' loss tables are filled in fixed
+blocks of rows.
+
 Measure and aggregate estimates use plain rejection sampling from mu_B with
 common random numbers across every (tolerance, index) cell, which makes the
 accepted sets exactly nested and lets monotonicity and sandwich checks run
@@ -76,8 +84,12 @@ class LogisticProblem:
             raise ValueError("covariates must form a nonempty n x d matrix")
         if y.shape != (x.shape[0],):
             raise ValueError("labels must be one per covariate row")
+        if not np.all(np.isfinite(x)):
+            raise ValueError("covariates must be finite")
         if not np.all(np.isin(y, (-1.0, 1.0))):
             raise ValueError("labels must lie in {-1, +1}")
+        if not (math.isfinite(self.r) and math.isfinite(self.R)):
+            raise ValueError("radii r and R must be finite")
         if not (self.r > 0 and self.R > 0):
             raise ValueError("radii r and R must be positive")
         norms = np.linalg.norm(x, axis=1)
@@ -97,8 +109,8 @@ class LogisticProblem:
         return self.covariates.shape[1]
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
+def _sigmoid(z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    out = np.empty_like(z) if out is None else out
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
     ez = np.exp(z[~pos])
@@ -211,7 +223,9 @@ def min_ball_distance_sq(
 
     Points inside the ball are at distance zero; otherwise the constrained
     projection is found by bisection on the Lagrange multiplier of the norm
-    constraint in the eigenbasis of A.
+    constraint in the eigenbasis of A.  This is the exact arbiter of H_A
+    membership: ``_in_HA`` settles most draws by closed-form bounds on this
+    distance and sends only the draws those bounds leave undecided here.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     norms = np.linalg.norm(thetas, axis=1)
@@ -234,6 +248,67 @@ def min_ball_distance_sq(
     scaled = lam[:, None] * coords / (a + lam[:, None])
     out[outside] = (a * scaled**2).sum(axis=1)
     return out
+
+
+# Half-width of the undecided band, relative to the threshold.  Outside the
+# ball the bisection above returns the exact distance D up to rounding: after
+# 100 halvings its multiplier sits within an ulp of the root, and the norm
+# constraint it solves cancels |theta| against r, which scales an ulp by at
+# most |theta| / (|theta| - r).  Near the threshold D ~ rR, and
+# D <= lambda_max (|theta| - r)^2 with lambda_max <= n R^2, so that factor is
+# at most 1 + sqrt(n r R): below 10 at n = 50, rR = 1, and below 1e5 while
+# n r R < 1e10.  The bisection's value and each computed bound therefore sit
+# within about 1e-11 relative of their exact values, far inside this margin,
+# so a draw whose bound clears thr by the margin gets the same verdict from
+# the bisection.  When A is isotropic the upper bound equals D, and only the
+# margin keeps boundary draws on the bisection.
+_BAND_REL = 1e-9
+
+# Member draws per block when the (members, n) loss tables are filled, so that
+# z and the ufunc temporaries never exceed one block.
+_CHUNK_ROWS = 4096
+
+
+def _distance_bounds(
+    geometry: LogisticGeometry, r: float, thetas: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form (lower, upper) bounds on ``min_ball_distance_sq`` outside the ball.
+
+    lambda_min (|theta| - r)^2 <= D <= (1 - r/|theta|)^2 theta'A theta; the
+    right side is the distance to the radial projection onto the sphere.
+    """
+    norms = np.linalg.norm(thetas, axis=1)
+    excess = norms - r
+    upper = (excess / norms) ** 2 * ((thetas @ geometry.A) * thetas).sum(axis=1)
+    return geometry.lambda_min * excess**2, upper
+
+
+def _in_HA(
+    geometry: LogisticGeometry, r: float, thetas: np.ndarray, thr: float
+) -> np.ndarray:
+    """H_A membership, ``min_ball_distance_sq(geometry, r, thetas) <= thr``.
+
+    A draw inside the ball is a member.  Outside it, a draw whose upper bound
+    is at most thr less the margin is a member, one whose lower bound exceeds
+    thr plus the margin is not, and only the draws left in between go to the
+    bisection, whose verdict is final.
+    """
+    outside = np.flatnonzero(np.linalg.norm(thetas, axis=1) > r)
+    member = np.ones(thetas.shape[0], dtype=bool)
+    lower, upper = _distance_bounds(geometry, r, thetas[outside])
+    margin = _BAND_REL * thr
+    member[outside] = upper <= thr - margin
+    band = outside[(upper > thr - margin) & (lower <= thr + margin)]
+    member[band] = min_ball_distance_sq(geometry, r, thetas[band]) <= thr
+    return member
+
+
+def _member_chunks(thetas: np.ndarray, member: np.ndarray):
+    """(slice of member rows, their draws) for each block of _CHUNK_ROWS members."""
+    rows = np.flatnonzero(member)
+    for start in range(0, rows.size, _CHUNK_ROWS):
+        block = slice(start, min(start + _CHUNK_ROWS, rows.size))
+        yield block, thetas[rows[block]]
 
 
 def _ellipsoid_draws(
@@ -306,12 +381,13 @@ def build_workspace(
             [fit_erm(problem, exclude=i, tol=erm_tol) for i in range(problem.n)]
         )
     thetas = sample_muB(geometry, mc.samples_per_level, mc.seed)
-    member = min_ball_distance_sq(geometry, problem.r, thetas) <= (
-        problem.r * problem.R + 1e-12
-    )
-    z = (thetas[member] @ problem.covariates.T) * problem.labels[None, :]
-    losses = np.logaddexp(0.0, -z)
-    sig = _sigmoid(z)
+    member = _in_HA(geometry, problem.r, thetas, problem.r * problem.R + 1e-12)
+    losses = np.empty((int(member.sum()), problem.n))
+    sig = np.empty_like(losses)
+    for block, chunk in _member_chunks(thetas, member):
+        z = (chunk @ problem.covariates.T) * problem.labels[None, :]
+        np.logaddexp(0.0, -z, out=losses[block])
+        _sigmoid(z, out=sig[block])
     totals = losses.sum(axis=1)
     candidates = np.vstack([geometry.theta_star[None, :], theta_star_minus])
     cand_losses = per_sample_losses(problem, candidates)
@@ -535,7 +611,7 @@ def verify_ellipsoid_containment(
     ref = float(per_sample_losses(problem, geometry.theta_star[None, :]).sum())
     totals = per_sample_losses(problem, thetas[half]).sum(axis=1)
     level_ok = totals <= ref + rR + NUMERIC_TOL
-    member_ok = min_ball_distance_sq(geometry, problem.r, thetas[half]) <= rR + 1e-9
+    member_ok = _in_HA(geometry, problem.r, thetas[half], rR + 1e-9)
     violations = int(np.sum(~(level_ok & member_ok)))
     return ContainmentReport(
         samples=k,
@@ -572,8 +648,10 @@ def verify_volume_lower_bound(
     thetas = sample_muB(geometry, mc.samples_per_level, mc.seed if seed is None else seed)
     rR = problem.r * problem.R
     ref = float(per_sample_losses(problem, geometry.theta_star[None, :]).sum())
-    member = min_ball_distance_sq(geometry, problem.r, thetas) <= rR + 1e-12
-    totals = per_sample_losses(problem, thetas[member]).sum(axis=1)
+    member = _in_HA(geometry, problem.r, thetas, rR + 1e-12)
+    totals = np.empty(int(member.sum()))
+    for block, chunk in _member_chunks(thetas, member):
+        totals[block] = per_sample_losses(problem, chunk).sum(axis=1)
     count = int(np.sum(totals <= ref + rR))
     if count < mc.min_accepted:
         raise InsufficientAcceptanceError(

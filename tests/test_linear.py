@@ -117,6 +117,15 @@ def test_input_validation():
         fit_transductive_vaw(np.zeros(3), np.zeros(3))
 
 
+@pytest.mark.parametrize("where", ["X", "y"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_input_rejected(where, value):
+    X, y = np.eye(3), np.ones(3)
+    (X if where == "X" else y)[1] = value
+    with pytest.raises(ValueError, match="must be finite"):
+        fit_transductive_vaw(X, y)
+
+
 def test_load_design_roundtrip(tmp_path):
     rng = np.random.default_rng(7)
     X, y = make_linear_instance(8, 3, rng)

@@ -5,13 +5,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mlsa.logistic as logistic_module
 from mlsa.audit import GridMismatchError
 from mlsa.core import ToleranceGrid
 from mlsa.generators import make_logistic_problem
 from mlsa.logistic import (
     ErmConvergenceError,
     InsufficientAcceptanceError,
+    LogisticGeometry,
     LogisticProblem,
     McConfig,
     aggregate_prob,
@@ -123,6 +127,21 @@ def test_problem_validation():
         LogisticProblem(2.0 * np.eye(2), np.array([1.0, -1.0]), r=1.0, R=1.0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_problem_rejects_non_finite_covariate(value):
+    covariates = 0.5 * np.eye(2)
+    covariates[1, 0] = value
+    with pytest.raises(ValueError, match="covariates must be finite"):
+        LogisticProblem(covariates, np.array([1.0, -1.0]), r=1.0, R=1.0)
+
+
+@pytest.mark.parametrize("radii", [(np.inf, 1.0), (1.0, np.inf), (np.nan, 1.0)])
+def test_problem_rejects_non_finite_radius(radii):
+    r, R = radii
+    with pytest.raises(ValueError, match="must be finite"):
+        LogisticProblem(0.5 * np.eye(2), np.array([1.0, -1.0]), r=r, R=R)
+
+
 def test_geometry_rejects_degenerate_second_moment():
     problem = LogisticProblem(
         covariates=np.array([[1.0, 0.0], [0.5, 0.0]]),
@@ -204,6 +223,103 @@ def test_membership_matches_grid_projection_oracle():
         exact = float(min_ball_distance_sq(geo, 1.0, theta[None, :])[0])
         assert exact <= grid_min + 1e-9
         assert grid_min <= exact + 0.05  # grid resolution slack
+
+
+def spectral_geometry(eigvals, seed):
+    """A geometry over A = V diag(eigvals) V' for a random rotation V.
+
+    Membership reads only A, its eigendecomposition and lambda_min; the other
+    fields are placeholders.
+    """
+    d = len(eigvals)
+    V, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))
+    a = np.asarray(eigvals, dtype=float)
+    A = (V * a) @ V.T
+    return LogisticGeometry(
+        A=A,
+        eigvals=a,
+        eigvecs=V,
+        lambda_min=float(a[0]),
+        A_half=(V * np.sqrt(a)) @ V.T,
+        A_half_inv=(V / np.sqrt(a)) @ V.T,
+        theta_star=np.zeros(d),
+        grad_star=np.zeros(d),
+        R_B=1.0,
+        delta=1.0,
+    )
+
+
+def draws_near_level(geo, r, thr, rng, count):
+    """Draws on random rays whose distance D sits within 1e-15..1e-6 relative of thr.
+
+    Each ray's crossing scale is found by bisection on D along the ray, then
+    nudged by a relative step of either sign (or kept exactly).
+    """
+    d = geo.eigvals.size
+    u = rng.standard_normal((count, d))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    lo = np.full(count, r)
+    hi = np.full(count, r + 2.0 * math.sqrt(thr / geo.lambda_min))
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        above = min_ball_distance_sq(geo, r, u * mid[:, None]) > thr
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)
+    steps = rng.choice([-1.0, 0.0, 1.0], count) * 10.0 ** rng.uniform(-15, -6, count)
+    return np.vstack([u * lo[:, None], u * (hi * (1.0 + steps))[:, None]])
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    d=st.sampled_from([1, 2, 3]),
+    log_cond=st.one_of(st.just(0.0), st.floats(0.0, 6.0)),
+    scale=st.floats(0.05, 50.0),
+    r=st.floats(0.1, 3.0),
+    R=st.floats(0.1, 3.0),
+    eps=st.sampled_from([1e-12, 1e-9]),
+    seed=st.integers(0, 10_000),
+)
+def test_membership_screen_matches_bisection(d, log_cond, scale, r, R, eps, seed):
+    rng = np.random.default_rng(seed)
+    eigvals = np.sort(scale * 10.0 ** (log_cond * rng.random(d)))
+    eigvals[0], eigvals[-1] = scale, scale * 10.0**log_cond
+    geo = spectral_geometry(eigvals, seed)
+    thr = r * R + eps
+    reach = r + 3.0 * math.sqrt(thr / geo.lambda_min)
+    thetas = np.vstack(
+        [
+            draws_near_level(geo, r, thr, rng, 128),
+            rng.uniform(-reach, reach, size=(256, d)),
+        ]
+    )
+    exact = min_ball_distance_sq(geo, r, thetas)
+    assert np.array_equal(logistic_module._in_HA(geo, r, thetas, thr), exact <= thr)
+    # outside the ball the closed-form bounds bracket the bisection, up to
+    # rounding well inside the band the screen leaves to the bisection
+    outside = np.linalg.norm(thetas, axis=1) > r
+    lower, upper = logistic_module._distance_bounds(geo, r, thetas[outside])
+    slack = 0.1 * logistic_module._BAND_REL * np.maximum(exact[outside], thr)
+    assert np.all(lower <= exact[outside] + slack)
+    assert np.all(exact[outside] <= upper + slack)
+
+
+def test_membership_screen_sends_only_the_band_to_bisection(monkeypatch):
+    rng = np.random.default_rng(60)
+    problem = make_logistic_problem(50, 2, 1.0, 1.0, rng)
+    geo = build_geometry(problem)
+    thetas = sample_muB(geo, 20_000, seed=61)
+    thr = problem.r * problem.R + 1e-12
+    expected = min_ball_distance_sq(geo, problem.r, thetas) <= thr
+    rows = []
+
+    def counting(geometry, r, band):
+        rows.append(len(band))
+        return min_ball_distance_sq(geometry, r, band)
+
+    monkeypatch.setattr(logistic_module, "min_ball_distance_sq", counting)
+    assert np.array_equal(logistic_module._in_HA(geo, problem.r, thetas, thr), expected)
+    outside = int(np.sum(np.linalg.norm(thetas, axis=1) > problem.r))
+    assert len(rows) == 1 and rows[0] < 0.05 * outside
 
 
 # ------------------------------------------------------------------- sampling
@@ -474,16 +590,31 @@ def test_workspace_holds_member_draws_only():
     rng = np.random.default_rng(34)
     problem = make_logistic_problem(9, 2, 1.0, 1.0, rng)
     geo = build_geometry(problem)
-    ws = build_workspace(geo, problem, McConfig(samples_per_level=3000, seed=35))
+    ws = build_workspace(geo, problem, McConfig(samples_per_level=20_000, seed=35))
     members = int(ws.member.sum())
-    assert 0 < members < ws.k == 3000
+    assert 0 < members < ws.k == 20_000
+    # the tables are filled in blocks: cover a block boundary and a short last block
+    chunk = logistic_module._CHUNK_ROWS
+    assert members > chunk and members % chunk != 0
     assert ws.losses.shape == ws.sig.shape == (members, problem.n)
     assert ws.totals.shape == (members,)
     expected = per_sample_losses(problem, ws.thetas[ws.member])
-    assert np.array_equal(ws.losses, expected)
-    assert np.array_equal(ws.totals, expected.sum(axis=1))
+    assert ws.losses.tobytes() == expected.tobytes()
+    assert ws.totals.tobytes() == expected.sum(axis=1).tobytes()
+    z = (ws.thetas[ws.member] @ problem.covariates.T) * problem.labels[None, :]
+    assert ws.sig.tobytes() == logistic_module._sigmoid(z).tobytes()
     # sigmoid(z) = exp(-log(1 + exp(-z)))
     assert np.allclose(ws.sig, np.exp(-expected), rtol=1e-12, atol=0.0)
+
+
+def test_workspace_with_no_member_draws():
+    rng = np.random.default_rng(5)
+    problem = make_logistic_problem(20, 8, 0.1, 0.1, rng)
+    geo = build_geometry(problem)
+    ws = build_workspace(geo, problem, McConfig(samples_per_level=100, seed=1))
+    assert not ws.member.any() and ws.k == 100
+    assert ws.losses.shape == ws.sig.shape == (0, problem.n)
+    assert ws.totals.shape == (0,)
 
 
 def test_probabilities_strictly_inside_unit_interval():
