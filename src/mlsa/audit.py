@@ -209,9 +209,9 @@ def _sandwich_violations(lm, totals, levels, delta, ref_full, refs=None) -> np.n
     return bad
 
 
-def _lattice_sandwich_ok(lm, totals, levels, delta) -> Optional[np.ndarray]:
-    """Per-level sandwich flags on the 0/1 lattice, block by block; None unless
-    ``lm`` is 0/1.
+def _lattice_sandwich_ok(lm, totals, levels, delta) -> np.ndarray:
+    """Per-level sandwich flags on the 0/1 lattice, block by block, from a
+    bool loss matrix ``lm``.
 
     Equal to ``_sandwich_violations`` finding no violation: every quantity
     compared is an integer total, and each comparison is made against the same
@@ -228,10 +228,7 @@ def _lattice_sandwich_ok(lm, totals, levels, delta) -> Optional[np.ndarray]:
     lower_checked = (lower_applies & (below > 0))[:, None]
     sandwich_ok = np.ones(levels.size, dtype=bool)
     for rows in lattice.row_blocks(lm.shape[0], levels.size):
-        loss = lattice.ones_mask(lm[rows])
-        if loss is None:
-            return None
-        ones = lattice.group_sums(loss)
+        ones = lattice.group_sums(lm[rows])
         e_min = lattice.loo_min(ones)
         all_ones = ones[last] == lattice.sizes[last][:, None]
         largest_loo = lattice.totals[last][:, None] - all_ones
@@ -278,8 +275,9 @@ def grid_growth_audit(
     )
     size_plus = np.searchsorted(sorted_totals, t_min + levels + delta, side="right")
 
-    sandwich_ok = _lattice_sandwich_ok(lm, totals, levels, delta)
-    if sandwich_ok is None:
+    if lm.dtype == bool:
+        sandwich_ok = _lattice_sandwich_ok(lm, totals, levels, delta)
+    else:
         sandwich_ok = _sandwich_violations(lm, totals, levels, delta, t_min) == 0
 
     records = []

@@ -45,7 +45,7 @@ MAX_ENUMERATED_COLUMNS = 2_000_000
 
 def zero_one_loss() -> LossModel:
     return LossModel(
-        pointwise=lambda pred, resp: (pred != resp).astype(float),
+        pointwise=lambda pred, resp: pred != resp,
         delta_bound=1.0,
         monotonicity="in_distance",
         name="zero_one",
@@ -95,7 +95,7 @@ def _threshold_labelings(x: np.ndarray) -> np.ndarray:
     ranks[order] = np.arange(x.size)
     # labeling p assigns 1 to the p largest points
     cuts = np.arange(x.size + 1)
-    return (ranks[:, None] >= (x.size - cuts)[None, :]).astype(float)
+    return ranks[:, None] >= (x.size - cuts)[None, :]
 
 
 def _union_of_intervals_labelings(x: np.ndarray, k: int) -> np.ndarray:
@@ -114,13 +114,13 @@ def _union_of_intervals_labelings(x: np.ndarray, k: int) -> np.ndarray:
     # fencepost pairs (a, b) mark a block of ones covering sorted positions a..b-1
     starts, ends = np.triu_indices(n + 1, k=1)
     single = (ranks[None, :] >= starts[:, None]) & (ranks[None, :] < ends[:, None])
-    columns = [np.zeros((1, n)), single.astype(float)]
+    columns = [np.zeros((1, n), dtype=bool), single]
     for j in range(2, k + 1):
         block = []
         for cuts in combinations(range(n + 1), 2 * j):
-            lab = np.zeros(n)
+            lab = np.zeros(n, dtype=bool)
             for a, b in zip(cuts[::2], cuts[1::2]):
-                lab[(ranks >= a) & (ranks < b)] = 1.0
+                lab[(ranks >= a) & (ranks < b)] = True
             block.append(lab)
         columns.append(np.array(block))
     return np.vstack(columns).T
@@ -142,10 +142,10 @@ def _rectangle_labelings(points: np.ndarray) -> np.ndarray:
     y_masks = np.array(
         [(pts[:, 1] >= lo) & (pts[:, 1] <= hi) for lo, hi in y_ranges]
     )
-    columns = [np.zeros(n)]
+    columns = [np.zeros(n, dtype=bool)]
     for lo, hi in x_ranges:
         x_mask = (pts[:, 0] >= lo) & (pts[:, 0] <= hi)
-        columns.append((y_masks & x_mask[None, :]).T.astype(float))
+        columns.append((y_masks & x_mask[None, :]).T)
     return np.column_stack([columns[0][:, None]] + columns[1:])
 
 
@@ -165,7 +165,7 @@ def restrict_class(
     if descriptor == "explicit-table":
         if table is None:
             raise ValueError("explicit-table descriptor needs the table argument")
-        return PredictionTable(np.asarray(table, dtype=float), keep_duplicates=True)
+        return PredictionTable(table, keep_duplicates=True)
     if descriptor == "thresholds-1d":
         x = _require_distinct_1d(covariates)
         values = _threshold_labelings(x)

@@ -10,15 +10,16 @@ lower median of the per-level predictions together with the resulting LOO error.
 All operations are pure functions of their inputs with fixed reduction order,
 so identical inputs produce identical outputs.
 
-Two paths compute the per-level aggregates.  The general one sorts the
-leave-one-out totals of every row (``_loo_level_sets``, shared with the
-logistic Monte Carlo pool and both sandwich audits).  When the loss matrix
-and the table are both 0/1 and the rule has a ``combine``, ``run_mlsa`` takes
-the 0/1-lattice path instead: columns are grouped once by their integer
-full-sample total, and every level count and vote sum is read off the group
-sums (see ``_ZeroOneLattice``).  All those counts and sums are exact integers,
-so its results are bit-identical to the sorted path.  The growth audit takes
-the same path whenever the loss matrix is 0/1.
+0/1 data is bool (``PredictionTable`` and the 0-1 loss keep it so), and the
+path that computes the per-level aggregates is read off the dtypes.  The
+general one sorts the leave-one-out totals of every row (``_loo_level_sets``,
+shared with the logistic Monte Carlo pool and both sandwich audits).  When the
+loss matrix and the table are both bool and the rule has a ``combine``,
+``run_mlsa`` takes the 0/1-lattice path instead: columns are grouped once by
+their integer full-sample total, and every level count and vote sum is read
+off the group sums (see ``_ZeroOneLattice``).  Those are exact integers, so
+the results are bit-identical to the sorted path's.  The growth audit takes
+the same path whenever the loss matrix is bool.
 """
 
 from __future__ import annotations
@@ -57,12 +58,9 @@ class LossBoundError(ValueError):
 
 def _dedupe_columns(values: np.ndarray) -> np.ndarray:
     """Drop duplicate columns, keeping the first occurrence of each labeling."""
-    if values.size and np.all((values == 0.0) | (values == 1.0)):
-        # binary labelings pack to bytes, much cheaper to compare
-        packed = np.packbits(values.T.astype(bool), axis=1)
-        _, first = np.unique(packed, axis=0, return_index=True)
-    else:
-        _, first = np.unique(values.T, axis=0, return_index=True)
+    # bool labelings pack to bytes, much cheaper to compare
+    columns = np.packbits(values.T, axis=1) if values.dtype == bool else values.T
+    _, first = np.unique(columns, axis=0, return_index=True)
     return values[:, np.sort(first)]
 
 
@@ -73,20 +71,26 @@ class PredictionTable:
     ``values[i, j]`` is the prediction of hypothesis j at covariate i.  Columns
     are deduplicated by default because a restricted class is a set of labelings
     and the counting measure must not double-count; pass ``keep_duplicates=True``
-    for user-supplied classes where multiplicity is intentional.
+    for user-supplied classes where multiplicity is intentional.  ``values``
+    is bool when every entry is 0 or 1 (a bool table is kept as given), else
+    float64.
     """
 
     values: np.ndarray
     keep_duplicates: bool = False
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
+        values = np.asarray(self.values)
+        if values.dtype != bool:
+            values = np.asarray(values, dtype=float)
+            if not np.isfinite(values).all():
+                raise ValueError("prediction table values must be finite")
+            if np.all((values == 0.0) | (values == 1.0)):
+                values = values == 1.0
         if values.ndim != 2:
             raise ValueError(f"prediction table must be 2-d, got shape {values.shape}")
         if values.shape[0] < 1 or values.shape[1] < 1:
             raise ValueError("prediction table needs at least one row and one column")
-        if not np.isfinite(values).all():
-            raise ValueError("prediction table values must be finite")
         if not self.keep_duplicates:
             values = _dedupe_columns(values)
         object.__setattr__(self, "values", values)
@@ -148,11 +152,16 @@ class LossModel:
 
     def evaluate(self, predictions, responses) -> np.ndarray:
         """Losses over the broadcast shape of the inputs; ``pointwise`` must
-        be vectorized and return that shape."""
-        predictions = np.asarray(predictions, dtype=float)
+        be vectorized and return that shape.  Bool predictions and a bool
+        result stay bool; all else is float64."""
+        predictions = np.asarray(predictions)
+        if predictions.dtype != bool:
+            predictions = np.asarray(predictions, dtype=float)
         responses = np.asarray(responses, dtype=float)
         shape = np.broadcast_shapes(predictions.shape, responses.shape)
-        out = np.asarray(self.pointwise(predictions, responses), dtype=float)
+        out = np.asarray(self.pointwise(predictions, responses))
+        if out.dtype != bool:
+            out = np.asarray(out, dtype=float)
         if out.shape != shape:
             raise ValueError(
                 f"loss {self.name or 'pointwise'!r} returned shape {out.shape}, "
@@ -242,7 +251,7 @@ def loss_matrix(table: PredictionTable, sample: LabeledSample, loss: LossModel) 
     if lowest < -NUMERIC_TOL:
         raise LossBoundError(f"negative loss encountered: {lowest}")
     if loss.bound_is_range:
-        spread = float(np.max(np.max(lm, axis=1) - np.min(lm, axis=1)))
+        spread = float(np.max(np.subtract(lm.max(axis=1), lm.min(axis=1), dtype=float)))
         if spread > loss.delta_bound + NUMERIC_TOL:
             raise LossBoundError(
                 f"per-row loss spread {spread} exceeds declared bound {loss.delta_bound}"
@@ -255,7 +264,7 @@ def loss_matrix(table: PredictionTable, sample: LabeledSample, loss: LossModel) 
 
 
 class _ZeroOneLattice:
-    """Columns of a 0/1 loss matrix grouped by their integer full-sample total.
+    """Columns of a bool loss matrix grouped by their integer full-sample total.
 
     Column j's leave-one-out total at row i is ``totals[j] - lm[i, j]``: the
     total of its group, or one less.  So the leave-one-out level set
@@ -271,6 +280,9 @@ class _ZeroOneLattice:
     #: bound on the entries of one row block's masks and of their permuted
     #: int32 copies (rows x columns)
     BLOCK_ENTRIES = 1 << 19
+    #: bound on the entries of one row block's per-level arrays (levels x
+    #: rows, about 80 bytes per entry in all, so about 0.65 MB)
+    LEVEL_ENTRIES = 1 << 13
 
     def __init__(self, totals: np.ndarray) -> None:
         self._order = np.argsort(totals, kind="stable")
@@ -281,22 +293,12 @@ class _ZeroOneLattice:
         #: number of columns in each group
         self.sizes = np.diff(np.r_[self._starts, ranked.size])
 
-    @staticmethod
-    def ones_mask(a: np.ndarray) -> Optional[np.ndarray]:
-        """The mask ``a == 1`` when every entry of ``a`` is 0 or 1, else None."""
-        ones = a == 1.0
-        zero_one = np.count_nonzero(ones) + np.count_nonzero(a == 0.0) == a.size
-        return ones if zero_one else None
-
     def row_blocks(self, n_rows: int, n_levels: int) -> list[slice]:
-        """Row slices that keep a block's temporaries small.
-
-        Besides ``BLOCK_ENTRIES``, the per-level arrays (levels x rows, about
-        80 bytes per entry in all) stay below the float64 loss matrix's own
-        size, so narrow tables with many levels take several blocks too.
-        """
+        """Row slices that keep a block's temporaries small: at most
+        ``BLOCK_ENTRIES`` rows x columns and ``LEVEL_ENTRIES`` levels x rows,
+        and at least one row."""
         m = self._order.size
-        step = max(1, min(self.BLOCK_ENTRIES // m, n_rows * m // (10 * n_levels)))
+        step = max(1, min(self.BLOCK_ENTRIES // m, self.LEVEL_ENTRIES // n_levels))
         return [slice(lo, lo + step) for lo in range(0, n_rows, step)]
 
     def group_sums(self, mask: np.ndarray) -> np.ndarray:
@@ -333,18 +335,13 @@ class _ZeroOneLattice:
         )
 
 
-def _lattice_per_level(lm, totals, values, levels, combine) -> Optional[np.ndarray]:
-    """``run_mlsa``'s per-level aggregates, block by block on the 0/1 lattice.
-
-    None unless ``lm`` and ``values`` are both 0/1.
-    """
+def _lattice_per_level(lm, totals, values, levels, combine) -> np.ndarray:
+    """``run_mlsa``'s per-level aggregates, block by block on the 0/1 lattice,
+    from a bool loss matrix ``lm`` and a bool table ``values``."""
     lattice = _ZeroOneLattice(totals)
     per_level = np.empty((levels.size, lm.shape[0]))
     for rows in lattice.row_blocks(lm.shape[0], levels.size):
-        loss = lattice.ones_mask(lm[rows])
-        votes = None if loss is None else lattice.ones_mask(values[rows])
-        if votes is None:
-            return None
+        loss, votes = lm[rows], values[rows]
         ones = lattice.group_sums(loss)
         located = lattice.locate(lattice.loo_min(ones) + levels[:, None])
         counts = lattice.level_sums(lattice.sizes[:, None], ones, *located)
@@ -477,10 +474,10 @@ def run_mlsa(
         per_level = np.empty((levels.size, table.n_samples))
         for i, (_, _, order, counts) in enumerate(_loo_level_sets(lm, totals, levels)):
             per_level[:, i] = [agg(np.sort(order[:c]), table, i) for c in counts]
-    else:
+    elif lm.dtype == bool and table.values.dtype == bool:
         per_level = _lattice_per_level(lm, totals, table.values, levels, agg.combine)
-        if per_level is None:
-            per_level = agg.combine(*_loo_level_sums(lm, totals, table.values, levels))
+    else:
+        per_level = agg.combine(*_loo_level_sums(lm, totals, table.values, levels))
     medians = np.sort(per_level, axis=0)[(levels.size + 1) // 2 - 1].copy()
     err = float(np.mean(loss.evaluate(medians, sample.responses)))
     return MlsaOutput(per_level=per_level, medians=medians, loo_error=err, grid=grid)

@@ -55,6 +55,9 @@ class DensityClass:
         probs = np.asarray(self.probs, dtype=float)
         if probs.ndim != 2 or probs.shape[0] < 1 or probs.shape[1] < 1:
             raise ValueError("density class must be a nonempty 2-d matrix")
+        # NaN would pass both checks below: nan < 0 and |nan - 1| > tol are False
+        if not np.isfinite(probs).all():
+            raise ValueError("probabilities must be finite")
         if np.any(probs < 0):
             raise ValueError("probabilities must be nonnegative")
         sums = probs.sum(axis=1)

@@ -382,8 +382,12 @@ def build_workspace(
         )
     thetas = sample_muB(geometry, mc.samples_per_level, mc.seed)
     member = _in_HA(geometry, problem.r, thetas, problem.r * problem.R + 1e-12)
-    losses = np.empty((int(member.sum()), problem.n))
-    sig = np.empty_like(losses)
+    # Both tables share one allocation.  At pool sizes where memory matters it
+    # is past malloc's largest mmap threshold (32 MiB), so it is always mapped
+    # on its own and unmapped when the workspace is dropped.  Two tables just
+    # under that threshold would go to the heap or to mmap depending on what
+    # earlier pools had freed, and the peak resident memory with them.
+    losses, sig = np.empty((2, int(member.sum()), problem.n))
     for block, chunk in _member_chunks(thetas, member):
         z = (chunk @ problem.covariates.T) * problem.labels[None, :]
         np.logaddexp(0.0, -z, out=losses[block])

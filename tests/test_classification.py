@@ -155,6 +155,26 @@ def test_explicit_table_passthrough_is_identity():
     assert np.array_equal(table.values, values)  # duplicates kept
 
 
+@pytest.mark.parametrize(
+    "descriptor,covariates",
+    [
+        ("thresholds-1d", np.random.default_rng(8).random(9)),
+        ("intervals-1d", np.random.default_rng(8).random(9)),
+        ("unions-of-k-intervals", np.random.default_rng(8).random(9)),
+        ("axis-rectangles-2d", np.random.default_rng(8).random((6, 2))),
+    ],
+)
+def test_geometric_families_restrict_to_bool_tables(descriptor, covariates):
+    assert restrict_class(descriptor, covariates, k=2).values.dtype == bool
+
+
+def test_explicit_float_zero_one_table_is_stored_as_bool():
+    values = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
+    table = restrict_class("explicit-table", None, table=values)
+    assert table.values.dtype == bool
+    assert np.array_equal(table.values, values == 1.0)
+
+
 @pytest.mark.parametrize("descriptor", ["thresholds-1d", "intervals-1d"])
 @pytest.mark.parametrize("n", [1, 2, 5, 17, 40])
 def test_distinct_by_construction_families_need_no_dedup(descriptor, n):

@@ -10,6 +10,7 @@ from mlsa.cli import (
     CSV_HEADER,
     ExperimentConfig,
     InstanceResult,
+    _generate,
     derive_seed,
     main,
     parse_config_file,
@@ -306,6 +307,18 @@ def test_cli_gen_writes_each_tasks_files(tmp_path, task, extra, shapes):
         data = np.loadtxt(out / name)
         assert data.ndim == len(shape)
         assert all(want is None or got == want for got, want in zip(data.shape, shape))
+
+
+def test_cli_gen_writes_bool_table_as_its_float_twin(tmp_path):
+    # the classification table is bool in memory; its file is the float one's
+    out = tmp_path / "cls"
+    assert main(["gen", "--task", "classification", "--seed", "5", "--out", str(out),
+                 "--set", "n=15", "d=2"]) == 0
+    _, inst = _generate(ExperimentConfig(task="classification", seed=5, n=15, d=2), 0)
+    assert inst.table.values.dtype == bool
+    twin = tmp_path / "twin.txt"
+    np.savetxt(twin, inst.table.values.astype(float), fmt="%.17g")
+    assert (out / "table.txt").read_bytes() == twin.read_bytes()
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

@@ -1,5 +1,7 @@
 """Core engine: losses, level sets, medians, and the full aggregation loop."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,6 +49,59 @@ def test_table_dedupes_columns_by_default():
 def test_table_keeps_duplicates_on_request():
     values = np.array([[0, 1, 0], [1, 0, 1]], dtype=float)
     assert PredictionTable(values, keep_duplicates=True).n_hypotheses == 3
+
+
+def test_zero_one_tables_are_stored_as_bool():
+    bits = np.array([[0, 1, 1], [1, 0, 1]])
+    for values in (bits, bits.astype(float), bits == 1):
+        table = PredictionTable(values, keep_duplicates=True)
+        assert table.values.dtype == bool
+        assert np.array_equal(table.values, bits)
+
+
+def test_table_with_other_values_stays_float():
+    values = np.array([[0.0, 0.5, 1.0], [1.0, 0.0, 0.5]])
+    table = PredictionTable(values, keep_duplicates=True)
+    assert table.values.dtype == np.float64
+    assert np.array_equal(table.values, values)
+
+
+def test_zero_one_loss_matrix_is_bool():
+    table, sample, loss = make_zero_one_instance(np.random.default_rng(0), 5, 4)
+    lm = loss_matrix(table, sample, loss)
+    assert lm.dtype == bool
+    assert np.array_equal(lm, table.values != sample.responses[:, None])
+
+
+ZERO_ONE_RANGE = LossModel(
+    pointwise=lambda p, y: p != y,
+    delta_bound=1.0,
+    monotonicity="in_distance",
+    bound_is_range=True,
+    name="zero_one_range",
+)
+
+
+@pytest.mark.parametrize(
+    "loss", [*builtin_losses().values(), ZERO_ONE_RANGE], ids=lambda loss: loss.name
+)
+def test_losses_of_a_bool_table_equal_those_of_its_float_twin(loss):
+    rng = np.random.default_rng(9)
+    values = rng.integers(0, 2, size=(6, 5)).astype(float)
+    sample = LabeledSample(rng.choice([0.0, 0.25, 1.0], size=6))
+    table = PredictionTable(values, keep_duplicates=True)
+    assert table.values.dtype == bool
+    lm = loss_matrix(table, sample, loss)
+    twin = np.asarray(loss.pointwise(values, sample.responses[:, None]), dtype=float)
+    assert np.array_equal(lm, twin)
+    assert lm.astype(float).tobytes() == twin.tobytes()
+
+
+def test_range_bound_is_audited_on_a_bool_loss_matrix():
+    table = PredictionTable(np.array([[0.0, 1.0], [1.0, 1.0]]), keep_duplicates=True)
+    tight = dataclasses.replace(ZERO_ONE_RANGE, delta_bound=0.5)
+    with pytest.raises(LossBoundError, match="spread 1.0 exceeds"):
+        loss_matrix(table, LabeledSample([0.0, 1.0]), tight)
 
 
 def test_table_rejects_empty():

@@ -47,6 +47,24 @@ def test_density_class_validates_rows():
         DensityClass(np.array([[1.5, -0.5]]))
 
 
+@pytest.mark.parametrize(
+    "probs",
+    [[[np.nan, 1.0], [0.5, 0.5]], [[np.nan, 0.5, 0.5]], [[np.inf, 0.5]], [[0.5, -np.inf]]],
+)
+def test_density_class_rejects_non_finite_probabilities(probs):
+    # a NaN row used to pass, then fail as "class has a zero entry" (two
+    # densities) or give loo_error = nan (one density)
+    with pytest.raises(ValueError, match="probabilities must be finite"):
+        DensityClass(np.array(probs))
+
+
+def test_load_density_class_rejects_nan(tmp_path):
+    path = tmp_path / "dens.txt"
+    path.write_text("nan 1\n0.5 0.5\n")
+    with pytest.raises(ValueError, match="probabilities must be finite"):
+        load_density_class(path)
+
+
 def test_log_ratio_bound_matches_bruteforce():
     rng = np.random.default_rng(0)
     for _ in range(5):

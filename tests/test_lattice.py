@@ -1,52 +1,73 @@
 """The 0/1-lattice path of run_mlsa and the growth audit against the sorted path.
 
-When the loss matrix (and, for run_mlsa, the table) is 0/1, both functions
+When the loss matrix (and, for run_mlsa, the table) is bool, both functions
 read every count and vote sum off column groups of equal full-sample total.
-The sorted per-row sweep they use for every other input is the reference:
-patching the lattice's 0/1 test to refuse every input forces it on the
-same inputs, and the outputs must agree byte for byte.
+The sorted per-row sweep they use for every other input is the reference: the
+same 0-1 loss returning float gives a float loss matrix, which sends both
+functions down the sorted path on the same inputs, and the outputs must agree
+byte for byte.  A spy checks which path each side took.
 """
 
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mlsa import audit, core
 from mlsa.audit import grid_growth_audit
 from mlsa.classification import MAJORITY_VOTE, classification_grid, zero_one_loss
 from mlsa.core import (
     LabeledSample,
+    LossModel,
     PredictionTable,
     ToleranceGrid,
     _ZeroOneLattice,
-    loss_matrix,
     run_mlsa,
 )
 from mlsa.generators import make_classification_instance
-from mlsa.regression import MEAN_AGGREGATE, builtin_losses
+from mlsa.regression import MEAN_AGGREGATE
+
+#: the 0-1 loss with a float result, which takes the sorted path
+FLOAT_ZERO_ONE = LossModel(
+    pointwise=lambda p, y: (p != y).astype(float),
+    delta_bound=1.0,
+    monotonicity="in_distance",
+    name="zero_one_float",
+)
 
 
-def sorted_path():
-    """Refuse every input as non-0/1, so both functions take the sorted path."""
-    return mock.patch.object(_ZeroOneLattice, "ones_mask", return_value=None)
+@contextmanager
+def lattice_calls():
+    """Count the calls into both lattice kernels: (run_mlsa's, the audit's)."""
+    with mock.patch.object(
+        core, "_lattice_per_level", wraps=core._lattice_per_level
+    ) as per_level, mock.patch.object(
+        audit, "_lattice_sandwich_ok", wraps=audit._lattice_sandwich_ok
+    ) as sandwich:
+        yield lambda: (per_level.call_count, sandwich.call_count)
 
 
-def assert_paths_agree(values, labels, levels, audit_gap=1.0, loss=None, agg=MAJORITY_VOTE):
+def assert_paths_agree(values, labels, levels, audit_gap=1.0, agg=MAJORITY_VOTE):
     """Compare both paths; the audit also runs at ``audit_gap``, where a gap
     below the loss bound lets the sandwich fail."""
-    loss = loss if loss is not None else zero_one_loss()
     table = PredictionTable(np.asarray(values, dtype=float), keep_duplicates=True)
+    assert table.values.dtype == bool
     sample = LabeledSample(np.asarray(labels, dtype=float))
-    grid = ToleranceGrid(levels=np.asarray(levels, dtype=float), gap=loss.delta_bound)
+    grid = ToleranceGrid(levels=np.asarray(levels, dtype=float), gap=1.0)
     audit_grid = ToleranceGrid(levels=grid.levels, gap=audit_gap)
-    assert _ZeroOneLattice.ones_mask(loss_matrix(table, sample, loss)) is not None
-    assert _ZeroOneLattice.ones_mask(table.values) is not None
-    fast = run_mlsa(table, sample, loss, grid, agg)
-    fast_audits = [grid_growth_audit(table, sample, loss, g) for g in (grid, audit_grid)]
-    with sorted_path():
-        ref = run_mlsa(table, sample, loss, grid, agg)
-        ref_audits = [grid_growth_audit(table, sample, loss, g) for g in (grid, audit_grid)]
+
+    def run(loss):
+        with lattice_calls() as calls:
+            output = run_mlsa(table, sample, loss, grid, agg)
+            audits = [grid_growth_audit(table, sample, loss, g) for g in (grid, audit_grid)]
+        return output, audits, calls()
+
+    fast, fast_audits, fast_calls = run(zero_one_loss())
+    ref, ref_audits, ref_calls = run(FLOAT_ZERO_ONE)
+    assert fast_calls == (1, 2)
+    assert ref_calls == (0, 0)
     assert fast.per_level.tobytes() == ref.per_level.tobytes()
     assert fast.medians.tobytes() == ref.medians.tobytes()
     assert fast.loo_error == ref.loo_error
@@ -88,7 +109,8 @@ def test_lattice_matches_sorted_path_on_random_tables(problem, block):
 @settings(deadline=None, max_examples=60)
 @given(problem=zero_one_problems())
 def test_lattice_matches_sorted_path_for_averaging(problem):
-    assert_paths_agree(*problem, loss=builtin_losses()["absolute"], agg=MEAN_AGGREGATE)
+    # on 0/1 data |p - y| = [p != y], so this is the absolute loss's average
+    assert_paths_agree(*problem, agg=MEAN_AGGREGATE)
 
 
 def test_lattice_single_hypothesis():
@@ -131,9 +153,11 @@ def test_audit_lattice_with_real_valued_table():
     sample = LabeledSample(rng.integers(0, 2, size=7).astype(float))
     table = PredictionTable(values, keep_duplicates=True)
     grid = ToleranceGrid(levels=np.arange(0.0, 6.0) * 0.75, gap=0.5)
-    fast = grid_growth_audit(table, sample, zero_one_loss(), grid)
-    with sorted_path():
-        assert fast == grid_growth_audit(table, sample, zero_one_loss(), grid)
+    with lattice_calls() as calls:
+        fast = grid_growth_audit(table, sample, zero_one_loss(), grid)
+        ref = grid_growth_audit(table, sample, FLOAT_ZERO_ONE, grid)
+    assert calls() == (0, 1)
+    assert fast == ref
 
 
 def test_lattice_matches_sorted_path_at_benchmark_size():

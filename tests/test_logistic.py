@@ -597,6 +597,8 @@ def test_workspace_holds_member_draws_only():
     chunk = logistic_module._CHUNK_ROWS
     assert members > chunk and members % chunk != 0
     assert ws.losses.shape == ws.sig.shape == (members, problem.n)
+    # one allocation holds both tables, so it is freed as a whole
+    assert ws.losses.base is not None and ws.losses.base is ws.sig.base
     assert ws.totals.shape == (members,)
     expected = per_sample_losses(problem, ws.thetas[ws.member])
     assert ws.losses.tobytes() == expected.tobytes()
