@@ -25,6 +25,7 @@ from .core import (
     PredictionTable,
     ToleranceGrid,
     _loo_level_sets,
+    _stable_argsort,
     _ZeroOneLattice,
     loss_matrix,
     run_mlsa,
@@ -194,8 +195,10 @@ def _sandwich_violations(lm, totals, levels, delta, ref_full, refs=None) -> np.n
     ``refs``.  Lower: every column in the full-sample set at t - delta has
     ``excl - ref <= t``, checked only where t - delta >= 0.  Upper: every
     column in the leave-one-out set at t has ``totals - ref_full <= t + delta``.
+    Both orders are numpy's stable order, computed by ``_stable_argsort`` from
+    the SIMD-dispatched default sort with its tied runs re-sorted by index.
     """
-    order_full = np.argsort(totals, kind="stable")
+    order_full = _stable_argsort(totals)
     above_ref = totals - ref_full
     below = np.searchsorted(totals[order_full], ref_full + (levels - delta), side="right")
     checkable = (levels - delta >= -NUMERIC_TOL) & (below > 0)

@@ -122,7 +122,8 @@ def _union_of_intervals_labelings(x: np.ndarray, k: int) -> np.ndarray:
             for a, b in zip(cuts[::2], cuts[1::2]):
                 lab[(ranks >= a) & (ranks < b)] = True
             block.append(lab)
-        columns.append(np.array(block))
+        # n + 1 < 2j leaves the block empty; keep its shape (0, n)
+        columns.append(np.array(block, dtype=bool).reshape(-1, n))
     return np.vstack(columns).T
 
 

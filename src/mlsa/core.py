@@ -20,6 +20,13 @@ their integer full-sample total, and every level count and vote sum is read
 off the group sums (see ``_ZeroOneLattice``).  Those are exact integers, so
 the results are bit-identical to the sorted path's.  The growth audit takes
 the same path whenever the loss matrix is bool.
+
+The sorted path needs numpy's stable order, because its prefix sums add the
+tied columns in index order.  ``np.argsort(kind="stable")`` is a merge sort
+that skips numpy's SIMD sort kernels; ``_stable_argsort`` instead sorts with
+the default (SIMD-dispatched) sort and re-sorts by index only the runs of
+equal values.  The stable permutation is the unique sort by (value, index),
+so the result is the same permutation on every dispatch path.
 """
 
 from __future__ import annotations
@@ -73,14 +80,15 @@ class PredictionTable:
     and the counting measure must not double-count; pass ``keep_duplicates=True``
     for user-supplied classes where multiplicity is intentional.  ``values``
     is bool when every entry is 0 or 1 (a bool table is kept as given), else
-    float64.
+    float64.  It is the table's own read-only array, never the caller's.
     """
 
     values: np.ndarray
     keep_duplicates: bool = False
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values)
+        source = self.values
+        values = np.asarray(source)
         if values.dtype != bool:
             values = np.asarray(values, dtype=float)
             if not np.isfinite(values).all():
@@ -93,6 +101,11 @@ class PredictionTable:
             raise ValueError("prediction table needs at least one row and one column")
         if not self.keep_duplicates:
             values = _dedupe_columns(values)
+        elif values is source or values.base is not None:
+            # asarray made no copy: the caller's later writes must not reach
+            # a table that passed the checks above
+            values = values.copy()
+        values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
     @property
@@ -352,6 +365,36 @@ def _lattice_per_level(lm, totals, values, levels, combine) -> np.ndarray:
     return per_level
 
 
+def _stable_argsort(values: np.ndarray) -> np.ndarray:
+    """Exactly ``np.argsort(values, kind="stable")``, from the default sort.
+
+    The stable permutation is the unique sort by (value, index), so it is
+    enough to sort by value with numpy's default (SIMD-dispatched) sort and
+    then re-sort the indices inside each run of equal values.  Adjacent NaNs
+    count as equal; numpy sorts them last either way.  Runs are found on the
+    sorted values, and only their positions are re-sorted, by the unique
+    integer key (run, index) (``_sort_tied_runs``), so a row without ties
+    pays one comparison pass for the exactness.
+    """
+    order = np.argsort(values)
+    ranked = values[order]
+    tie = ranked[1:] == ranked[:-1]
+    if ranked.dtype.kind == "f" and ranked.size and np.isnan(ranked[-1]):
+        tie |= np.isnan(ranked[1:]) & np.isnan(ranked[:-1])
+    if tie.any():
+        _sort_tied_runs(order, tie)
+    return order
+
+
+def _sort_tied_runs(order: np.ndarray, tie: np.ndarray) -> None:
+    """Sort ``order`` in place inside each run of positions joined by ``tie``
+    (``tie[k]``: positions k and k + 1 hold equal values)."""
+    pos = np.flatnonzero(np.r_[tie, False] | np.r_[False, tie])
+    run = np.cumsum(~np.r_[False, tie][pos])
+    # (run, index) as one integer: run * size + index < size**2 + size
+    order[pos] = np.sort(run * order.size + order[pos]) % order.size
+
+
 def _loo_level_sets(lm, totals, levels, refs=None):
     """The leave-one-out level sets of every row, as prefixes of one sort.
 
@@ -360,11 +403,13 @@ def _loo_level_sets(lm, totals, levels, refs=None):
     their stable argsort ``order``, and per level t the ``counts`` of columns
     with ``excl <= ref + t``: the level set at t is ``order[:count]``.  ``lm``
     is a rows x columns loss matrix; the logistic pool passes the transposed
-    view of its (members, n) table.
+    view of its (members, n) table.  ``order`` comes from ``_stable_argsort``:
+    bit for bit numpy's stable sort, whichever sort kernel numpy dispatches
+    to, so prefix sums over it add in the same order on every CPU.
     """
     for i in range(len(lm)):
         excl = totals - lm[i]
-        order = np.argsort(excl, kind="stable")
+        order = _stable_argsort(excl)
         ranked = excl[order]
         ref = ranked[0] if refs is None else refs[i]
         yield excl, ref, order, np.searchsorted(ranked, ref + levels, side="right")

@@ -121,6 +121,16 @@ def test_unions_of_two_intervals_match_bruteforce():
     assert got == _bruteforce_union_labelings(x, 2)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_unions_of_two_intervals_on_too_few_points_are_the_single_intervals(n):
+    # n + 1 < 4 fenceposts admit no pair of disjoint intervals
+    x = np.random.default_rng(n).random(n)
+    two = restrict_class("unions-of-k-intervals", x, k=2)
+    one = restrict_class("unions-of-k-intervals", x, k=1)
+    assert two.values.tolist() == one.values.tolist()
+    assert {tuple(col) for col in two.values.T} == _bruteforce_union_labelings(x, 2)
+
+
 def _bruteforce_rectangle_labelings(points):
     """A labeling is realizable iff its bounding box contains no excluded point."""
     n = len(points)

@@ -66,6 +66,19 @@ def test_table_with_other_values_stays_float():
     assert np.array_equal(table.values, values)
 
 
+@pytest.mark.parametrize("rows", [[[0.2, 0.5], [0.4, 0.7]], [[True, False], [False, True]]])
+@pytest.mark.parametrize("keep_duplicates", [True, False])
+def test_table_does_not_alias_the_callers_array(rows, keep_duplicates):
+    values = np.array(rows)
+    before = values.copy()
+    table = PredictionTable(values, keep_duplicates=keep_duplicates)
+    assert not np.shares_memory(table.values, values)
+    values[0, 0] = np.nan if values.dtype != bool else not values[0, 0]
+    assert np.array_equal(table.values, before)
+    with pytest.raises(ValueError, match="read-only"):
+        table.values[0, 0] = before[0, 1]
+
+
 def test_zero_one_loss_matrix_is_bool():
     table, sample, loss = make_zero_one_instance(np.random.default_rng(0), 5, 4)
     lm = loss_matrix(table, sample, loss)

@@ -6,23 +6,33 @@ set arithmetic on the brute-force oracles ``level_set`` and
 ``empirical_loss``.  Tables take quarter-valued entries, so losses and totals
 are exact dyadic rationals: ties are frequent, and every threshold form agrees
 exactly with the oracles' ``totals <= min + t``.
+
+The sweep's order comes from ``core._stable_argsort``, numpy's default sort
+with its tied runs re-sorted.  The ``stable_argsort`` tests check it against
+numpy's stable sort; run them under ``NPY_DISABLE_CPU_FEATURES`` to cover
+each sort kernel numpy can dispatch to.
 """
 
 import dataclasses
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from mlsa.audit import grid_growth_audit
+from mlsa import audit, core
+from mlsa.audit import _sandwich_violations, grid_growth_audit
 from mlsa.core import (
     NUMERIC_TOL,
     AggregationRule,
     LabeledSample,
     PredictionTable,
     ToleranceGrid,
+    _loo_level_sums,
     empirical_loss,
     level_set,
+    loss_matrix,
     run_mlsa,
 )
 from mlsa.generators import make_logistic_problem
@@ -111,3 +121,123 @@ def test_crn_sandwich_count_is_nonzero_at_a_shrunk_gap():
     violations = naive_crn_violations(shrunk)
     assert violations > 0
     assert crn_sandwich_report(shrunk).violations == violations
+
+
+# ------------------------------------------------------ exact stable order
+
+
+def numpy_stable_argsort(values):
+    return np.argsort(values, kind="stable")
+
+
+# few distinct values, so runs of ties are long; both zeros, NaNs of either
+# sign, subnormals and infinities
+TIE_FLOATS = st.sampled_from(
+    [0.0, -0.0, np.nan, -np.nan, 5e-324, -5e-324, 2.5e-308, 1.0, 1.5, -2.0, np.inf, -np.inf]
+)
+FLOATS = st.one_of(TIE_FLOATS, st.floats(allow_subnormal=True))
+INTS = st.one_of(st.integers(-3, 3), st.integers(-(2**63), 2**63 - 1))
+
+
+def arrays(dtype, elements):
+    """Arrays of 1 to 2,000 entries, as drawn, sorted or reversed."""
+    layouts = st.sampled_from([lambda a: a, np.sort, lambda a: np.sort(a)[::-1].copy()])
+    drawn = hnp.arrays(dtype, st.integers(1, 2000), elements=elements)
+    return st.builds(lambda a, layout: layout(a), drawn, layouts)
+
+
+@pytest.mark.parametrize("dtype, elements", [(np.float64, FLOATS), (np.int64, INTS)])
+def test_stable_argsort_equals_numpy_stable_sort(dtype, elements, monkeypatch):
+    repairs = []
+    sort_tied_runs = core._sort_tied_runs
+
+    def spy(order, tie):
+        repairs.append(tie.sum())
+        sort_tied_runs(order, tie)
+
+    monkeypatch.setattr(core, "_sort_tied_runs", spy)
+
+    @settings(deadline=None, max_examples=200)
+    @given(values=arrays(dtype, elements))
+    def check(values):
+        got = core._stable_argsort(values)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, numpy_stable_argsort(values))
+
+    check()
+    # the tie repair ran, so the check above is not vacuous
+    assert repairs
+
+
+def tie_heavy_problem(seed=0, n=40, m=600):
+    """A real-valued table from {0, 0.25, 0.5}: it stays float (off the
+    0/1 lattice), and its leave-one-out totals tie in long runs."""
+    rng = np.random.default_rng(seed)
+    table = PredictionTable(rng.choice([0.0, 0.25, 0.5], size=(n, m)), keep_duplicates=True)
+    sample = LabeledSample(rng.choice([0.0, 0.25, 0.5], size=n))
+    loss = builtin_losses()["absolute"]
+    return table, sample, loss
+
+
+def test_stable_argsort_keeps_every_sweep_and_audit_byte_identical(monkeypatch):
+    table, sample, loss = tie_heavy_problem()
+    assert table.values.dtype == np.float64
+    lm = loss_matrix(table, sample, loss)
+    totals = lm.sum(axis=0)
+    # the default sort leaves some row's ties out of index order, so the
+    # repair is what makes the results below equal
+    assert any(
+        not np.array_equal(np.argsort(totals - row), numpy_stable_argsort(totals - row))
+        for row in lm
+    )
+    grid = ToleranceGrid(np.arange(1, 41) / 4.0, gap=loss.delta_bound)
+    shrunk = ToleranceGrid(grid.levels, gap=0.25)
+    average = AggregationRule(name="average", on_values=MEAN_AGGREGATE.on_values)
+    # sums of non-dyadic weights, as in the logistic pool, round differently
+    # in any other order of a tied run
+    weights = np.random.default_rng(1).random(lm.shape)
+
+    def results():
+        counts, sums = _loo_level_sums(lm, totals, table.values, grid.levels)
+        return {
+            "run_mlsa combine": run_mlsa(table, sample, loss, grid, MEAN_AGGREGATE).per_level,
+            "run_mlsa on_values": run_mlsa(table, sample, loss, grid, average).per_level,
+            "counts": counts,
+            "sums": sums,
+            "weighted sums": _loo_level_sums(lm, totals, weights, grid.levels)[1],
+            "violations": _sandwich_violations(lm, totals, grid.levels, 0.25, totals.min()),
+            **{
+                f"audit at gap {g.gap}": np.array([
+                    dataclasses.astuple(record)
+                    for record in grid_growth_audit(table, sample, loss, g).levels
+                ])
+                for g in (grid, shrunk)
+            },
+        }
+
+    got = results()
+    # the shrunk gap makes the sandwich fail somewhere (column 4: sandwich_ok)
+    assert got["violations"].any() and not got["audit at gap 0.25"][:, 4].all()
+    monkeypatch.setattr(core, "_stable_argsort", numpy_stable_argsort)
+    monkeypatch.setattr(audit, "_stable_argsort", numpy_stable_argsort)
+    for key, expected in results().items():
+        assert got[key].dtype == expected.dtype, key
+        assert got[key].tobytes() == expected.tobytes(), key
+
+
+def test_stable_argsort_keeps_the_logistic_pool_byte_identical(monkeypatch):
+    problem = make_logistic_problem(9, 2, 1.0, 1.0, np.random.default_rng(1000))
+
+    def results():
+        run = run_mlsa_logistic(problem, McConfig(samples_per_level=4000, seed=0))
+        grid = dataclasses.replace(run.output.grid, gap=0.1 * run.output.grid.gap)
+        shrunk = dataclasses.replace(run, output=dataclasses.replace(run.output, grid=grid))
+        return run.output.per_level, crn_sandwich_report(shrunk).violations
+
+    per_level, violations = results()
+    assert violations > 0
+    monkeypatch.setattr(core, "_stable_argsort", numpy_stable_argsort)
+    monkeypatch.setattr(audit, "_stable_argsort", numpy_stable_argsort)
+    expected_per_level, expected_violations = results()
+    assert per_level.tobytes() == expected_per_level.tobytes()
+    assert violations == expected_violations
