@@ -198,9 +198,9 @@ def _sandwich_violations(lm, totals, levels, delta, ref_full, refs=None) -> np.n
     Both orders are numpy's stable order, computed by ``_stable_argsort`` from
     the SIMD-dispatched default sort with its tied runs re-sorted by index.
     """
-    order_full = _stable_argsort(totals)
+    order_full, ranked_full = _stable_argsort(totals)
     above_ref = totals - ref_full
-    below = np.searchsorted(totals[order_full], ref_full + (levels - delta), side="right")
+    below = np.searchsorted(ranked_full, ref_full + (levels - delta), side="right")
     checkable = (levels - delta >= -NUMERIC_TOL) & (below > 0)
     last_below = np.maximum(below - 1, 0)
     bad = np.zeros(levels.size, dtype=np.intp)
@@ -264,8 +264,8 @@ def grid_growth_audit(
     inclusion is skipped (it is only meaningful at nonnegative tolerance; grids
     start at the gap, so this affects off-grid probing only).
     """
-    if c_g < 1:
-        raise ValueError("growth constant must be at least 1")
+    if not c_g >= 1:
+        raise ValueError(f"growth constant must be at least 1, got {c_g!r}")
     lm = loss_matrix(table, sample, loss)
     totals = lm.sum(axis=0)
     t_min = totals.min()
@@ -328,15 +328,14 @@ def verify_single_level(
             f"(ratio={record.ratio:.6g}, sandwich_ok={record.sandwich_ok})"
         )
     run_grid = ToleranceGrid(levels=grid.levels, gap=loss.delta_bound)
-    lhs = run_mlsa(table, sample, loss, run_grid, agg).loo_error
-    erm = float(loss_matrix(table, sample, loss).sum(axis=0).min())
+    output = run_mlsa(table, sample, loss, run_grid, agg)
     n = table.n_samples
-    rhs = c_g / n * (erm + t + delta)
+    rhs = c_g / n * (output.erm_loss + t + delta)
     return BoundCertificate(
         name="single-level-aggregate-bound",
-        lhs=lhs,
+        lhs=output.loo_error,
         rhs=rhs,
-        components={"erm_loss": erm, "t": t, "delta": delta, "c_g": c_g, "n": n},
+        components={"erm_loss": output.erm_loss, "t": t, "delta": delta, "c_g": c_g, "n": n},
     )
 
 

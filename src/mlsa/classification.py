@@ -25,7 +25,6 @@ from .core import (
     MlsaOutput,
     PredictionTable,
     ToleranceGrid,
-    loss_matrix,
 )
 
 __all__ = [
@@ -47,7 +46,6 @@ def zero_one_loss() -> LossModel:
     return LossModel(
         pointwise=lambda pred, resp: pred != resp,
         delta_bound=1.0,
-        monotonicity="in_distance",
         name="zero_one",
     )
 
@@ -99,7 +97,8 @@ def _threshold_labelings(x: np.ndarray) -> np.ndarray:
 
 
 def _union_of_intervals_labelings(x: np.ndarray, k: int) -> np.ndarray:
-    """Labelings realizable by at most k disjoint closed intervals."""
+    """Labelings realizable by at most k disjoint closed intervals, points by
+    labelings, filled in place (one table-sized comparison temporary)."""
     if k < 1:
         raise ValueError("interval count must be at least 1")
     n = x.size
@@ -113,18 +112,17 @@ def _union_of_intervals_labelings(x: np.ndarray, k: int) -> np.ndarray:
     ranks[order] = np.arange(n)
     # fencepost pairs (a, b) mark a block of ones covering sorted positions a..b-1
     starts, ends = np.triu_indices(n + 1, k=1)
-    single = (ranks[None, :] >= starts[:, None]) & (ranks[None, :] < ends[:, None])
-    columns = [np.zeros((1, n), dtype=bool), single]
+    labelings = np.zeros((n, total), dtype=bool)
+    single = labelings[:, 1:1 + starts.size]
+    np.greater_equal(ranks[:, None], starts, out=single)
+    single &= ranks[:, None] < ends
+    column = 1 + starts.size
     for j in range(2, k + 1):
-        block = []
         for cuts in combinations(range(n + 1), 2 * j):
-            lab = np.zeros(n, dtype=bool)
             for a, b in zip(cuts[::2], cuts[1::2]):
-                lab[(ranks >= a) & (ranks < b)] = True
-            block.append(lab)
-        # n + 1 < 2j leaves the block empty; keep its shape (0, n)
-        columns.append(np.array(block, dtype=bool).reshape(-1, n))
-    return np.vstack(columns).T
+                labelings[(ranks >= a) & (ranks < b), column] = True
+            column += 1
+    return labelings
 
 
 def _rectangle_labelings(points: np.ndarray) -> np.ndarray:
@@ -206,14 +204,12 @@ def verify_classification_bound(
     d: int,
     n: int,
 ) -> BoundCertificate:
-    """Certify LOO <= (8/n) * best loss + (200/n) * d ln n for a finished run."""
+    """Certify LOO <= (8/n) * output.erm_loss + (200/n) * d ln n for a finished run."""
     _check_grid(output.grid, classification_grid(d, n), "classification grid for these (d, n)")
-    loss = zero_one_loss()
-    erm = float(loss_matrix(table, sample, loss).sum(axis=0).min())
-    rhs = 8.0 * erm / n + 200.0 * d * math.log(n) / n
+    rhs = 8.0 * output.erm_loss / n + 200.0 * d * math.log(n) / n
     return BoundCertificate(
         name="classification-oracle-bound",
         lhs=output.loo_error,
         rhs=rhs,
-        components={"erm_loss": erm, "d": d, "n": n, "log_n": math.log(n)},
+        components={"erm_loss": output.erm_loss, "d": d, "n": n, "log_n": math.log(n)},
     )

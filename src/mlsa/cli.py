@@ -186,15 +186,14 @@ def _fields(config, d, loo, erm, headline, certs, rho, sections) -> dict:
 
 
 def _finite_class(output, table, sample, loss, rule, seed: int, deep_audit: bool):
-    """Growth audit, ERM total and grid-majority certificate of a finite class.
+    """Growth audit and grid-majority certificate of a finite class.
 
     With ``deep_audit`` the aggregation rule's stability is checked as well.
-    Returns the certificate, the ERM total, the good fraction of the growth
-    audit and the ``growth-audit`` report section.
+    Returns the certificate, the good fraction of the growth audit and the
+    ``growth-audit`` report section.
     """
     growth = audit_mod.grid_growth_audit(table, sample, loss, output.grid)
-    erm = float(cls_mod.loss_matrix(table, sample, loss).sum(axis=0).min())
-    cert = audit_mod.verify_grid_majority_bound(output, growth, erm)
+    cert = audit_mod.verify_grid_majority_bound(output, growth, output.erm_loss)
     if deep_audit:
         agg = audit_mod.check_aggregation_stability(
             rule, loss, table, sample, seed=derive_seed(seed, "agg-check")
@@ -207,7 +206,7 @@ def _finite_class(output, table, sample, loss, rule, seed: int, deep_audit: bool
         "c_g": growth.c_g,
         "levels": len(growth.levels),
     }
-    return cert, erm, growth.good_fraction, section
+    return cert, growth.good_fraction, section
 
 
 def _certify_classification(config: ExperimentConfig, inst, seed: int, deep_audit: bool) -> dict:
@@ -215,7 +214,7 @@ def _certify_classification(config: ExperimentConfig, inst, seed: int, deep_audi
     loss = cls_mod.zero_one_loss()
     grid = _grid(config, cls_mod.classification_grid(d, config.n))
     output = run_mlsa(inst.table, inst.sample, loss, grid, cls_mod.MAJORITY_VOTE)
-    cert, erm, rho, growth = _finite_class(
+    cert, rho, growth = _finite_class(
         output, inst.table, inst.sample, loss, cls_mod.MAJORITY_VOTE, seed, deep_audit
     )
     certs = [cert]
@@ -228,7 +227,7 @@ def _certify_classification(config: ExperimentConfig, inst, seed: int, deep_audi
         "flip_fraction": inst.flip_fraction,
         "descriptor": config.descriptor,
     }
-    return _fields(config, d, output.loo_error, erm, certs[-1], certs, rho,
+    return _fields(config, d, output.loo_error, output.erm_loss, certs[-1], certs, rho,
                    {"instance": instance, "growth-audit": growth})
 
 
@@ -236,7 +235,7 @@ def _certify_regression(config: ExperimentConfig, inst, seed: int, deep_audit: b
     loss = reg_mod.scale_loss(config.loss, config.M)
     grid = _grid(config, reg_mod.regression_grid(config.M, config.class_size))
     output = run_mlsa(inst.table, inst.sample, loss, grid, reg_mod.MEAN_AGGREGATE)
-    cert, erm, rho, growth = _finite_class(
+    cert, rho, growth = _finite_class(
         output, inst.table, inst.sample, loss, reg_mod.MEAN_AGGREGATE, seed, deep_audit
     )
     certs = [cert]
@@ -245,7 +244,7 @@ def _certify_regression(config: ExperimentConfig, inst, seed: int, deep_audit: b
             reg_mod.verify_regression_bound(output, inst.table, inst.sample, loss, config.M)
         )
     instance = {"class_size": config.class_size, "loss": loss.name}
-    return _fields(config, 0, output.loo_error, erm, certs[-1], certs, rho,
+    return _fields(config, 0, output.loo_error, output.erm_loss, certs[-1], certs, rho,
                    {"instance": instance, "growth-audit": growth})
 
 
@@ -273,7 +272,7 @@ def _certify_density(config: ExperimentConfig, inst, seed: int, deep_audit: bool
     rho = None
     if working.n_densities >= 2:
         table, loss, sample = den_mod.log_loss_table(working, inst.observations)
-        cert, _, rho, sections["growth-audit"] = _finite_class(
+        cert, rho, sections["growth-audit"] = _finite_class(
             output, table, sample, loss, reg_mod.MEAN_AGGREGATE, seed, deep_audit
         )
         certs.append(cert)
@@ -314,7 +313,7 @@ def _certify_logistic(config: ExperimentConfig, problem, seed: int, deep_audit: 
         }
         if not (containment.passed and volume.passed and sandwich.passed):
             raise RuntimeError("logistic geometry audit failed; see report sections")
-    return _fields(config, config.d, run.output.loo_error, cert.components["erm_loss"],
+    return _fields(config, config.d, run.output.loo_error, run.output.erm_loss,
                    cert, [cert], None, sections)
 
 

@@ -137,7 +137,7 @@ class LabeledSample:
 
 @dataclass(frozen=True)
 class LossModel:
-    """Pointwise loss with a declared per-sample bound and monotonicity tag.
+    """Pointwise loss with a declared per-sample bound.
 
     ``delta_bound`` is the gap used by tolerance grids.  With
     ``bound_is_range=False`` it bounds the loss itself (0 <= loss <= bound);
@@ -146,20 +146,17 @@ class LossModel:
     likelihood ratios are not).  Either form is enough for the level-set
     sandwich; the evaluated table is audited against the declared form.
 
-    ``monotonicity`` is one of ``"in_distance"`` (farther predictions never cost
-    less) or ``"in_first_argument"`` (loss is monotone in the prediction, one
-    fixed direction per task).
+    The oracle inequality asks the loss to be monotone: a prediction farther
+    from the response (for the log loss, a smaller probability of the
+    observation) never costs less.
     """
 
     pointwise: Callable[[np.ndarray, np.ndarray], np.ndarray]
     delta_bound: float
-    monotonicity: str
     bound_is_range: bool = False
     name: str = ""
 
     def __post_init__(self) -> None:
-        if self.monotonicity not in ("in_distance", "in_first_argument"):
-            raise ValueError(f"unknown monotonicity tag {self.monotonicity!r}")
         if not self.delta_bound >= 0:
             raise ValueError("delta_bound must be nonnegative")
 
@@ -214,11 +211,19 @@ class ToleranceGrid:
 
 @dataclass(frozen=True)
 class MlsaOutput:
-    """Per-level predictions, their per-index lower medians, and the LOO error."""
+    """Per-level predictions, their lower medians, the LOO error and the ERM total.
+
+    ``erm_loss`` is min_h L_S(h), the smallest full-sample total of the run's
+    own losses, so certificates need not evaluate the class again.  Density's
+    certificates sum each density's log losses in class-row order instead
+    (``density._erm_loss``): column sums of the loss matrix can round
+    differently, and ``results.csv`` keeps the row-order total.
+    """
 
     per_level: np.ndarray  # |T| x n
     medians: np.ndarray  # n
     loo_error: float
+    erm_loss: float
     grid: ToleranceGrid
 
 
@@ -365,7 +370,7 @@ def _lattice_per_level(lm, totals, values, levels, combine) -> np.ndarray:
     return per_level
 
 
-def _stable_argsort(values: np.ndarray) -> np.ndarray:
+def _stable_argsort(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exactly ``np.argsort(values, kind="stable")``, from the default sort.
 
     The stable permutation is the unique sort by (value, index), so it is
@@ -374,7 +379,8 @@ def _stable_argsort(values: np.ndarray) -> np.ndarray:
     count as equal; numpy sorts them last either way.  Runs are found on the
     sorted values, and only their positions are re-sorted, by the unique
     integer key (run, index) (``_sort_tied_runs``), so a row without ties
-    pays one comparison pass for the exactness.
+    pays one comparison pass for the exactness.  It returns the order and the
+    sorted values, which equal ``values[order]`` under ``==``.
     """
     order = np.argsort(values)
     ranked = values[order]
@@ -383,7 +389,7 @@ def _stable_argsort(values: np.ndarray) -> np.ndarray:
         tie |= np.isnan(ranked[1:]) & np.isnan(ranked[:-1])
     if tie.any():
         _sort_tied_runs(order, tie)
-    return order
+    return order, ranked
 
 
 def _sort_tied_runs(order: np.ndarray, tie: np.ndarray) -> None:
@@ -409,8 +415,7 @@ def _loo_level_sets(lm, totals, levels, refs=None):
     """
     for i in range(len(lm)):
         excl = totals - lm[i]
-        order = _stable_argsort(excl)
-        ranked = excl[order]
+        order, ranked = _stable_argsort(excl)
         ref = ranked[0] if refs is None else refs[i]
         yield excl, ref, order, np.searchsorted(ranked, ref + levels, side="right")
 
@@ -471,12 +476,10 @@ def level_set(
 
     Never empty: the minimizer always qualifies.
     """
-    if t < 0:
-        raise ValueError("tolerance must be nonnegative")
+    if not t >= 0:
+        raise ValueError(f"tolerance must be nonnegative, got {t!r}")
     totals = _column_losses(table, sample, loss, exclude)
-    members = np.flatnonzero(totals <= totals.min() + t)
-    assert members.size > 0
-    return members
+    return np.flatnonzero(totals <= totals.min() + t)
 
 
 def lower_median(values: Sequence[float]) -> float:
@@ -525,7 +528,8 @@ def run_mlsa(
         per_level = agg.combine(*_loo_level_sums(lm, totals, table.values, levels))
     medians = np.sort(per_level, axis=0)[(levels.size + 1) // 2 - 1].copy()
     err = float(np.mean(loss.evaluate(medians, sample.responses)))
-    return MlsaOutput(per_level=per_level, medians=medians, loo_error=err, grid=grid)
+    return MlsaOutput(per_level=per_level, medians=medians, loo_error=err,
+                      erm_loss=float(totals.min()), grid=grid)
 
 
 def loo_error(predictions, sample: LabeledSample, loss: LossModel) -> float:

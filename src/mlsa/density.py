@@ -112,7 +112,6 @@ def log_loss_table(
     loss = LossModel(
         pointwise=lambda p, _y: -np.log(p),
         delta_bound=dclass.log_ratio_bound,
-        monotonicity="in_first_argument",
         bound_is_range=True,
         name="log_loss",
     )
@@ -153,13 +152,14 @@ def mlsa_for_density(dclass: DensityClass, observations) -> MlsaOutput:
     """
     obs = _check_observations(dclass, observations)
     if dclass.n_densities == 1:
-        probs = dclass.probs[0, obs]
-        medians = probs.astype(float)
+        medians = dclass.probs[0, obs]
+        losses = -np.log(medians)
         grid = ToleranceGrid(levels=np.array([1.0]), gap=1.0)
         return MlsaOutput(
             per_level=medians[None, :],
             medians=medians,
-            loo_error=float(np.mean(-np.log(probs))),
+            loo_error=float(np.mean(losses)),
+            erm_loss=float(losses.sum()),
             grid=grid,
         )
     table, loss, sample = log_loss_table(dclass, obs)

@@ -169,7 +169,7 @@ def fit_erm(
 
 @dataclass(frozen=True)
 class LogisticGeometry:
-    """Second-moment geometry, the fixed minimizer, and the derived constants."""
+    """Second-moment geometry, the minimizer and its full-sample total, and the constants."""
 
     A: np.ndarray
     eigvals: np.ndarray
@@ -179,6 +179,7 @@ class LogisticGeometry:
     A_half_inv: np.ndarray
     theta_star: np.ndarray
     grad_star: np.ndarray
+    erm_loss: float
     R_B: float
     delta: float
 
@@ -211,6 +212,7 @@ def build_geometry(problem: LogisticProblem, tol: float = 1e-8) -> LogisticGeome
         A_half_inv=A_half_inv,
         theta_star=theta_star,
         grad_star=grad_star,
+        erm_loss=float(per_sample_losses(problem, theta_star[None, :]).sum()),
         R_B=R_B,
         delta=delta,
     )
@@ -436,8 +438,8 @@ def estimate_level(
     With a shared workspace the same sample pool serves every call, so
     estimates at nested tolerances use nested accepted sets.
     """
-    if t < 0:
-        raise ValueError("tolerance must be nonnegative")
+    if not t >= 0:
+        raise ValueError(f"tolerance must be nonnegative, got {t!r}")
     if mc is None:
         raise ValueError("an McConfig is required")
     if workspace is None:
@@ -532,7 +534,8 @@ def run_mlsa_logistic(
     per_level = sums / counts
     medians = np.sort(per_level, axis=0)[(len(grid) + 1) // 2 - 1].copy()
     loo = float(np.mean(-np.log(medians)))
-    output = MlsaOutput(per_level=per_level, medians=medians, loo_error=loo, grid=grid)
+    output = MlsaOutput(per_level=per_level, medians=medians, loo_error=loo,
+                        erm_loss=geometry.erm_loss, grid=grid)
     return LogisticRun(
         output=output, geometry=geometry, workspace=workspace, problem=problem, mc=mc
     )
@@ -612,9 +615,8 @@ def verify_ellipsoid_containment(
         half = (thetas - geometry.theta_star) @ geometry.grad_star <= 0.0
     fraction = float(half.mean())
     stderr = math.sqrt(0.25 / k)
-    ref = float(per_sample_losses(problem, geometry.theta_star[None, :]).sum())
     totals = per_sample_losses(problem, thetas[half]).sum(axis=1)
-    level_ok = totals <= ref + rR + NUMERIC_TOL
+    level_ok = totals <= geometry.erm_loss + rR + NUMERIC_TOL
     member_ok = _in_HA(geometry, problem.r, thetas[half], rR + 1e-9)
     violations = int(np.sum(~(level_ok & member_ok)))
     return ContainmentReport(
@@ -651,12 +653,11 @@ def verify_volume_lower_bound(
     """Check mu_B(level set at rR) against the (max(8, 2 n r R))^(-d) floor."""
     thetas = sample_muB(geometry, mc.samples_per_level, mc.seed if seed is None else seed)
     rR = problem.r * problem.R
-    ref = float(per_sample_losses(problem, geometry.theta_star[None, :]).sum())
     member = _in_HA(geometry, problem.r, thetas, rR + 1e-12)
     totals = np.empty(int(member.sum()))
     for block, chunk in _member_chunks(thetas, member):
         totals[block] = per_sample_losses(problem, chunk).sum(axis=1)
-    count = int(np.sum(totals <= ref + rR))
+    count = int(np.sum(totals <= geometry.erm_loss + rR))
     if count < mc.min_accepted:
         raise InsufficientAcceptanceError(
             f"only {count} of {mc.samples_per_level} samples hit the level set at rR; "
@@ -688,15 +689,14 @@ def verify_logistic_bound(
     expected = logistic_grid(geometry, problem)
     _check_grid(output.grid, expected, "logistic grid")
     n, d = problem.n, problem.d
-    erm = float(per_sample_losses(problem, geometry.theta_star[None, :]).sum())
     log_term = math.log(max(8.0, 2.0 * n * problem.r * problem.R))
-    base = 8.0 * erm / n + 136.0 * geometry.delta * d * log_term / n
+    base = 8.0 * geometry.erm_loss / n + 136.0 * geometry.delta * d * log_term / n
     return BoundCertificate(
         name="logistic-oracle-bound",
         lhs=output.loo_error,
         rhs=(1.0 + mc_slack) * base,
         components={
-            "erm_loss": erm,
+            "erm_loss": geometry.erm_loss,
             "delta": geometry.delta,
             "d": d,
             "n": n,

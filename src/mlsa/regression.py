@@ -22,7 +22,6 @@ from .core import (
     MlsaOutput,
     PredictionTable,
     ToleranceGrid,
-    loss_matrix,
 )
 
 __all__ = [
@@ -65,13 +64,11 @@ def builtin_losses(scale: float = 1.0) -> dict[str, LossModel]:
         "squared": LossModel(
             pointwise=lambda p, y: scale * (_clip01(p) - y) ** 2,
             delta_bound=scale,
-            monotonicity="in_distance",
             name="squared" if scale == 1.0 else f"squared*{scale:g}",
         ),
         "absolute": LossModel(
             pointwise=lambda p, y: scale * np.abs(_clip01(p) - y),
             delta_bound=scale,
-            monotonicity="in_distance",
             name="absolute" if scale == 1.0 else f"absolute*{scale:g}",
         ),
     }
@@ -89,15 +86,14 @@ def verify_regression_bound(
     loss: LossModel,
     M: float,
 ) -> BoundCertificate:
-    """Certify LOO <= (8/n) * best loss + (104/n) * M ln |H| for a finished run."""
+    """Certify LOO <= (8/n) * output.erm_loss + (104/n) * M ln |H| for a finished run."""
     m = table.n_hypotheses
     _check_grid(output.grid, regression_grid(M, m), "regression grid for this (M, |H|)")
     n = table.n_samples
-    erm = float(loss_matrix(table, sample, loss).sum(axis=0).min())
-    rhs = 8.0 * erm / n + 104.0 * M * math.log(m) / n
+    rhs = 8.0 * output.erm_loss / n + 104.0 * M * math.log(m) / n
     return BoundCertificate(
         name="bounded-convex-oracle-bound",
         lhs=output.loo_error,
         rhs=rhs,
-        components={"erm_loss": erm, "M": M, "class_size": m, "n": n},
+        components={"erm_loss": output.erm_loss, "M": M, "class_size": m, "n": n},
     )

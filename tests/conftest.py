@@ -1,0 +1,28 @@
+"""Fixtures shared by the test modules."""
+
+import sys
+
+import pytest
+
+from mlsa import core
+
+
+@pytest.fixture
+def loss_matrix_calls(monkeypatch):
+    """A list that records every ``core.loss_matrix`` call.
+
+    The spy replaces the function at every ``mlsa`` module attribute that
+    binds it, as the benchmark's tracer does, so calls made from inside the
+    package are counted too.
+    """
+    calls = []
+    original = core.loss_matrix
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "mlsa" and vars(module).get("loss_matrix") is original:
+            monkeypatch.setattr(module, "loss_matrix", spy)
+    return calls

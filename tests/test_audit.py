@@ -128,6 +128,14 @@ def test_growth_audit_invariant_under_column_permutation():
     assert base.good_fraction == shuffled.good_fraction
 
 
+def test_growth_audit_rejects_nan_growth_constant():
+    # nan < 1 is False: a NaN constant used to mark every level bad
+    table = PredictionTable(np.array([[1.0], [0.0], [1.0]]), keep_duplicates=True)
+    sample = LabeledSample([1.0, 1.0, 0.0])
+    with pytest.raises(ValueError, match="at least 1, got nan"):
+        grid_growth_audit(table, sample, zero_one_loss(), classification_grid(1, 3), c_g=math.nan)
+
+
 # ------------------------------------------------------- single-level bound
 
 
@@ -140,6 +148,20 @@ def test_single_level_singleton_class():
     erm = cert.components["erm_loss"]
     assert cert.lhs == pytest.approx(erm / 4.0)
     assert cert.passed
+
+
+def test_single_level_builds_two_loss_matrices(loss_matrix_calls):
+    # one for the growth audit, one for the run; the ERM total is the run's
+    inst = make_classification_instance("thresholds-1d", 15, 0.2, np.random.default_rng(6))
+    loss = zero_one_loss()
+    audit = grid_growth_audit(inst.table, inst.sample, loss, classification_grid(1, 15))
+    t = next(rec.level for rec in audit.levels if rec.good)
+    loss_matrix_calls.clear()
+    cert = verify_single_level(inst.table, inst.sample, loss, MAJORITY_VOTE, t=t, delta=1.0)
+    assert len(loss_matrix_calls) == 2
+    assert cert.components["erm_loss"] == min(
+        empirical_loss(inst.table, inst.sample, loss, j) for j in range(inst.table.n_hypotheses)
+    )
 
 
 def test_single_level_realizable_thresholds_all_good_levels():

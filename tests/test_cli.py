@@ -1,5 +1,6 @@
 """Generators and the command-line harness."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -136,6 +137,48 @@ def test_run_experiment_is_deterministic_per_seed():
     assert first.csv_row() == second.csv_row()
     other = run_experiment(ExperimentConfig(task="classification", seed=22, n=30, noise=0.1))
     assert other.csv_row() != first.csv_row()
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"task": "classification", "d": 1},
+        {"task": "classification", "d": 2},
+        {"task": "regression"},
+        {"task": "density"},
+        {"task": "density", "eps": -1.0},
+    ],
+    ids=["classification-d1", "classification-d2", "regression", "density", "density-smoothed"],
+)
+def test_finite_class_job_builds_two_loss_matrices(loss_matrix_calls, overrides):
+    # one for the run and one for the growth audit; every certificate reads
+    # the run's ERM total
+    run_experiment(ExperimentConfig(seed=13, n=30, **overrides))
+    assert len(loss_matrix_calls) == 2
+
+
+#: sha256 of the results.csv that `mlsa run --seed 1` writes.  Fixed seeds
+#: give byte-identical results, on every SIMD path numpy dispatches to: these
+#: digests are the same with its AVX-512 and AVX2 kernels disabled.  The
+#: logistic task is left out, since np.exp rounds differently without AVX-512.
+RESULTS_GOLDEN = {
+    "classification d=1": "5452f77dd29e593895b858c7eae5a3819c272646b8eafc37d8afd3c41b91f332",
+    "classification d=2": "aed83707dfd9d01b21f005884a2add5e37fc65c1951b74a503fad54d8cd0d097",
+    "classification d=4 n=30": "71680541902f05455afaa4e51d35d1946bebd46ffa5deb42ad8a97bdeb9fbf77",
+    "regression": "7c8d61845e8c8894d103c7853b97939c4ef2f58e4538180b2aedcb7464648be8",
+    "density eps=0": "9ca6fd62c8d335d1b822a37e196d4f21bc2a0d84c345cd69b1105e5939d5bd67",
+    "density eps=1/n": "eebfa93f57031d62557d4e7bfd7b8b0efcfb577c41ebaee62cec6416e8446aee",
+    "vaw": "90517e9bb297bb8b45969e7032fbd2559d4ca2044f889b870f44460f02bec6f2",
+}
+
+
+@pytest.mark.parametrize("job", RESULTS_GOLDEN)
+def test_run_results_csv_matches_golden_digest(tmp_path, job):
+    task, *sets = job.split()
+    assert main(["run", "--task", task, "--seed", "1", "--out", str(tmp_path),
+                 *(["--set", *sets] if sets else [])]) == 0
+    digest = hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest()
+    assert digest == RESULTS_GOLDEN[job]
 
 
 def test_cli_run_writes_report_and_csv(tmp_path):

@@ -89,7 +89,6 @@ def test_zero_one_loss_matrix_is_bool():
 ZERO_ONE_RANGE = LossModel(
     pointwise=lambda p, y: p != y,
     delta_bound=1.0,
-    monotonicity="in_distance",
     bound_is_range=True,
     name="zero_one_range",
 )
@@ -147,7 +146,7 @@ def test_nan_table_entry_is_rejected_not_averaged():
     table = PredictionTable(np.nan_to_num(values), keep_duplicates=True)
     sample = LabeledSample([0.0, 1.0, 0.5])
     log_gap = LossModel(
-        pointwise=lambda p, y: np.log(np.abs(p - y)), delta_bound=1.0, monotonicity="in_distance"
+        pointwise=lambda p, y: np.log(np.abs(p - y)), delta_bound=1.0
     )
     with np.errstate(divide="ignore"):
         with pytest.raises(LossBoundError, match="non-finite"):
@@ -184,7 +183,7 @@ def test_loss_bound_is_audited():
     table = PredictionTable(np.array([[0.0], [3.0]]), keep_duplicates=True)
     sample = LabeledSample([0.0, 0.0])
     bad = LossModel(
-        pointwise=lambda p, y: np.abs(p - y), delta_bound=1.0, monotonicity="in_distance"
+        pointwise=lambda p, y: np.abs(p - y), delta_bound=1.0
     )
     with pytest.raises(LossBoundError):
         empirical_loss_matrix = run_mlsa(
@@ -195,7 +194,7 @@ def test_loss_bound_is_audited():
 def test_loss_returning_a_scalar_is_rejected_not_vectorized():
     # a pointwise must be vectorized: a scalar result is an error, not re-run elementwise
     flat = LossModel(
-        pointwise=lambda p, y: 0.5, delta_bound=1.0, monotonicity="in_distance", name="flat"
+        pointwise=lambda p, y: 0.5, delta_bound=1.0, name="flat"
     )
     with pytest.raises(ValueError, match=r"'flat' returned shape \(\), expected .* \(3, 2\)"):
         flat.evaluate(np.zeros((3, 2)), np.zeros((3, 1)))
@@ -288,6 +287,13 @@ def test_level_set_rejects_negative_tolerance():
     table, sample, loss = _instance_with_column_losses()
     with pytest.raises(ValueError):
         level_set(table, sample, loss, -0.5)
+
+
+def test_level_set_rejects_nan_tolerance():
+    # nan < 0 is False: a NaN tolerance used to reach an empty level set
+    table, sample, loss = _instance_with_column_losses()
+    with pytest.raises(ValueError, match="nonnegative, got nan"):
+        level_set(table, sample, loss, float("nan"))
 
 
 @settings(deadline=None, max_examples=40)

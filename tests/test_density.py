@@ -176,6 +176,7 @@ def test_singleton_class_bypass():
     output = mlsa_for_density(dclass, obs)
     assert output.loo_error == pytest.approx(math.log(4))
     cert = verify_density_bound(output, dclass, obs)
+    assert output.erm_loss == cert.components["erm_loss"]
     assert cert.lhs == pytest.approx(cert.components["erm_loss"] / 3)
     assert cert.passed
 

@@ -24,6 +24,7 @@ from mlsa.core import (
     PredictionTable,
     ToleranceGrid,
     _ZeroOneLattice,
+    loss_matrix,
     run_mlsa,
 )
 from mlsa.generators import make_classification_instance
@@ -33,7 +34,6 @@ from mlsa.regression import MEAN_AGGREGATE
 FLOAT_ZERO_ONE = LossModel(
     pointwise=lambda p, y: (p != y).astype(float),
     delta_bound=1.0,
-    monotonicity="in_distance",
     name="zero_one_float",
 )
 
@@ -72,6 +72,9 @@ def assert_paths_agree(values, labels, levels, audit_gap=1.0, agg=MAJORITY_VOTE)
     assert fast.medians.tobytes() == ref.medians.tobytes()
     assert fast.loo_error == ref.loo_error
     assert fast_audits == ref_audits
+    for output, loss in ((fast, zero_one_loss()), (ref, FLOAT_ZERO_ONE)):
+        erm = float(loss_matrix(table, sample, loss).sum(axis=0).min())
+        assert output.erm_loss.hex() == erm.hex()
     return fast_audits
 
 

@@ -244,6 +244,7 @@ def spectral_geometry(eigvals, seed):
         A_half_inv=(V / np.sqrt(a)) @ V.T,
         theta_star=np.zeros(d),
         grad_star=np.zeros(d),
+        erm_loss=0.0,
         R_B=1.0,
         delta=1.0,
     )
@@ -396,6 +397,15 @@ def test_estimate_level_insufficient_acceptance_names_cell():
     ws = build_workspace(geo, problem, mc)
     with pytest.raises(InsufficientAcceptanceError, match="t="):
         estimate_level(geo, problem, 0.01, exclude=2, mc=mc, workspace=ws)
+
+
+def test_estimate_level_rejects_nan_tolerance():
+    # nan < 0 is False: a NaN tolerance used to accept no draw and be
+    # reported as too few samples
+    problem = make_logistic_problem(8, 1, 1.0, 1.0, np.random.default_rng(16))
+    geo = build_geometry(problem)
+    with pytest.raises(ValueError, match="nonnegative, got nan"):
+        estimate_level(geo, problem, math.nan, mc=McConfig(samples_per_level=1000, seed=17))
 
 
 def test_mcconfig_validation():
@@ -673,6 +683,9 @@ def test_logistic_bound_components_echo_geometry():
     problem = make_logistic_problem(12, 2, 1.0, 1.0, rng)
     run = run_mlsa_logistic(problem, McConfig(samples_per_level=4000, seed=41))
     cert = verify_logistic_bound(run.output, run.geometry, problem)
+    total = float(per_sample_losses(problem, run.geometry.theta_star[None, :]).sum())
+    assert run.output.erm_loss.hex() == run.geometry.erm_loss.hex() == total.hex()
+    assert cert.components["erm_loss"] == total
     assert cert.components["delta"] == run.geometry.delta
     assert cert.components["grid_size"] == len(run.output.grid)
     assert cert.components["log_term"] == pytest.approx(math.log(max(8.0, 24.0)))

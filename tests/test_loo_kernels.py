@@ -61,6 +61,8 @@ def test_run_mlsa_without_combine_matches_brute_force_level_sets(problem):
     table, sample, loss, levels = problem
     agg = AggregationRule(name="average", on_values=MEAN_AGGREGATE.on_values)
     output = run_mlsa(table, sample, loss, ToleranceGrid(levels, gap=loss.delta_bound), agg)
+    erm = float(loss_matrix(table, sample, loss).sum(axis=0).min())
+    assert output.erm_loss.hex() == erm.hex()
     columns = range(table.n_hypotheses)
     for i in range(table.n_samples):
         excl = np.array([empirical_loss(table, sample, loss, j, exclude=i) for j in columns])
@@ -127,7 +129,8 @@ def test_crn_sandwich_count_is_nonzero_at_a_shrunk_gap():
 
 
 def numpy_stable_argsort(values):
-    return np.argsort(values, kind="stable")
+    order = np.argsort(values, kind="stable")
+    return order, values[order]
 
 
 # few distinct values, so runs of ties are long; both zeros, NaNs of either
@@ -160,9 +163,12 @@ def test_stable_argsort_equals_numpy_stable_sort(dtype, elements, monkeypatch):
     @settings(deadline=None, max_examples=200)
     @given(values=arrays(dtype, elements))
     def check(values):
-        got = core._stable_argsort(values)
+        got, ranked = core._stable_argsort(values)
+        expected, expected_ranked = numpy_stable_argsort(values)
         assert got.dtype == np.intp
-        assert np.array_equal(got, numpy_stable_argsort(values))
+        assert np.array_equal(got, expected)
+        # equal under ==: a tied run may hold both zeros, or NaNs, in another order
+        assert np.array_equal(ranked, expected_ranked, equal_nan=values.dtype.kind == "f")
 
     check()
     # the tie repair ran, so the check above is not vacuous
@@ -187,7 +193,7 @@ def test_stable_argsort_keeps_every_sweep_and_audit_byte_identical(monkeypatch):
     # the default sort leaves some row's ties out of index order, so the
     # repair is what makes the results below equal
     assert any(
-        not np.array_equal(np.argsort(totals - row), numpy_stable_argsort(totals - row))
+        not np.array_equal(np.argsort(totals - row), numpy_stable_argsort(totals - row)[0])
         for row in lm
     )
     grid = ToleranceGrid(np.arange(1, 41) / 4.0, gap=loss.delta_bound)
