@@ -24,7 +24,6 @@ from .core import (
     MlsaOutput,
     PredictionTable,
     ToleranceGrid,
-    _loo_level_sets,
     _stable_argsort,
     _ZeroOneLattice,
     loss_matrix,
@@ -186,29 +185,62 @@ def check_aggregation_stability(
     )
 
 
+#: bound on the entries of one row block's rows x columns temporaries in
+#: ``_sandwich_violations``: a logistic pool row is a block of its own, a
+#: narrow table is one or a few blocks
+_SANDWICH_BLOCK_ENTRIES = 1 << 16
+
+
 def _sandwich_violations(lm, totals, levels, delta, ref_full, refs=None) -> np.ndarray:
     """Per level, the number of rows where the lower inclusion fails plus the
     number where the upper one fails.
 
     The full-sample set at t holds the columns with ``totals <= ref_full + t``,
-    row i's leave-one-out set those of ``_loo_level_sets`` with references
-    ``refs``.  Lower: every column in the full-sample set at t - delta has
-    ``excl - ref <= t``, checked only where t - delta >= 0.  Upper: every
-    column in the leave-one-out set at t has ``totals - ref_full <= t + delta``.
-    Both orders are numpy's stable order, computed by ``_stable_argsort`` from
-    the SIMD-dispatched default sort with its tied runs re-sorted by index.
+    row i's leave-one-out set those with ``excl <= ref + t``, where ``excl =
+    totals - lm[i]`` and ``ref`` is ``refs[i]`` or the smallest ``excl``.
+    Only the full-sample totals are sorted, once, and every row is read in
+    that order.  Lower: every column in the full-sample set at t - delta, a
+    prefix of the order, has ``excl - ref <= t``, checked only where t - delta
+    >= 0; its largest ``excl - ref`` is the prefix maximum of ``excl`` less
+    ``ref``, exact because subtracting a constant is monotone in floating
+    point.  Upper: no column above the full-sample set at t + delta, a suffix
+    of the order, lies in the leave-one-out set at t, so the suffix minimum of
+    ``excl`` exceeds ``ref + t``.  Both sets are whole runs of tied totals, so
+    the counts do not depend on the order within ties.  The prefixes and
+    suffixes of all levels are unions of the segments between their bounds,
+    so each row takes one maximum and one minimum per segment
+    (``reduceat``), and their running maximum and minimum over the segments.
+    ``lm`` is a float rows x columns loss matrix, read in blocks of at most
+    ``_SANDWICH_BLOCK_ENTRIES`` entries.
     """
     order_full, ranked_full = _stable_argsort(totals)
-    above_ref = totals - ref_full
+    m = ranked_full.size
+    # the full-sample set at t - delta is the prefix [0, below)
     below = np.searchsorted(ranked_full, ref_full + (levels - delta), side="right")
     checkable = (levels - delta >= -NUMERIC_TOL) & (below > 0)
-    last_below = np.maximum(below - 1, 0)
+    # the columns above the full-sample set at t + delta are the suffix [above, m)
+    above = np.searchsorted(ranked_full - ref_full, levels + delta + NUMERIC_TOL, side="right")
+    # deduplicated by hand: a process's first np.unique call adds about 1.3 MB
+    # to its resident set, the logistic pool's peak included
+    bounds = np.sort(np.r_[0, below, above])
+    cuts = bounds[(bounds < m) & np.r_[True, bounds[1:] != bounds[:-1]]]
+    # the last segment of each prefix, the first of each suffix (past the end
+    # when it is empty)
+    prefix_end = np.searchsorted(cuts, below) - 1
+    suffix_start = np.searchsorted(cuts, above)
     bad = np.zeros(levels.size, dtype=np.intp)
-    for excl, ref, order, counts in _loo_level_sets(lm, totals, levels, refs):
-        largest_loo = np.maximum.accumulate((excl - ref)[order_full])[last_below]
-        bad += checkable & (largest_loo > levels + NUMERIC_TOL)
-        largest_full = np.maximum.accumulate(above_ref[order])[np.maximum(counts - 1, 0)]
-        bad += (counts > 0) & (largest_full > levels + delta + NUMERIC_TOL)
+    step = max(1, _SANDWICH_BLOCK_ENTRIES // m)
+    for lo in range(0, len(lm), step):
+        excl = np.take(lm[lo:lo + step], order_full, axis=1)
+        np.subtract(ranked_full, excl, out=excl)
+        prefix_max = np.maximum.accumulate(np.maximum.reduceat(excl, cuts, axis=1), axis=1)
+        segment_min = np.minimum.reduceat(excl, cuts, axis=1)
+        segment_min = np.pad(segment_min, ((0, 0), (0, 1)), constant_values=np.inf)
+        suffix_min = np.minimum.accumulate(segment_min[:, ::-1], axis=1)[:, ::-1]
+        ref = suffix_min[:, :1] if refs is None else refs[lo:lo + step, None]
+        largest_loo = prefix_max[:, prefix_end] - ref
+        bad += (checkable & (largest_loo > levels + NUMERIC_TOL)).sum(axis=0)
+        bad += (suffix_min[:, suffix_start] <= ref + levels).sum(axis=0)
     return bad
 
 

@@ -289,10 +289,12 @@ def _certify_logistic(config: ExperimentConfig, problem, seed: int, deep_audit: 
     run = log_mod.run_mlsa_logistic(problem, mc)
     cert = log_mod.verify_logistic_bound(run.output, run.geometry, problem)
     sandwich = log_mod.crn_sandwich_report(run)
-    sections = {
-        "geometry": log_mod.geometry_report(run.geometry, problem),
-        "crn-sandwich": {"cells": sandwich.cells, "violations": sandwich.violations},
-    }
+    # a violated cell fails the run like a failed bound, with its reason
+    certs = [cert, audit_mod.BoundCertificate(
+        "crn-sandwich", lhs=float(sandwich.violations), rhs=0.0,
+        components={"cells": sandwich.cells},
+    )]
+    sections = {"geometry": log_mod.geometry_report(run.geometry, problem)}
     if deep_audit:
         containment = log_mod.verify_ellipsoid_containment(
             run.geometry, problem, mc, seed=derive_seed(seed, "containment")
@@ -311,10 +313,10 @@ def _certify_logistic(config: ExperimentConfig, problem, seed: int, deep_audit: 
             "threshold": volume.threshold,
             "passed": volume.passed,
         }
-        if not (containment.passed and volume.passed and sandwich.passed):
+        if not (containment.passed and volume.passed):
             raise RuntimeError("logistic geometry audit failed; see report sections")
     return _fields(config, config.d, run.output.loo_error, run.output.erm_loss,
-                   cert, [cert], None, sections)
+                   cert, certs, None, sections)
 
 
 def _certify_vaw(config: ExperimentConfig, design, seed: int, deep_audit: bool) -> dict:

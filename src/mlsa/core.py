@@ -13,13 +13,16 @@ so identical inputs produce identical outputs.
 0/1 data is bool (``PredictionTable`` and the 0-1 loss keep it so), and the
 path that computes the per-level aggregates is read off the dtypes.  The
 general one sorts the leave-one-out totals of every row (``_loo_level_sets``,
-shared with the logistic Monte Carlo pool and both sandwich audits).  When the
-loss matrix and the table are both bool and the rule has a ``combine``,
-``run_mlsa`` takes the 0/1-lattice path instead: columns are grouped once by
-their integer full-sample total, and every level count and vote sum is read
-off the group sums (see ``_ZeroOneLattice``).  Those are exact integers, so
-the results are bit-identical to the sorted path's.  The growth audit takes
-the same path whenever the loss matrix is bool.
+shared with the logistic Monte Carlo pool).  The sandwich check of the growth
+audit and the logistic CRN report sorts only the full-sample totals, once per
+call, and reads every leave-one-out row in that order
+(``audit._sandwich_violations``).  When the loss matrix and the table are both
+bool and the rule has a ``combine``, ``run_mlsa`` takes the 0/1-lattice path
+instead: columns are grouped once by their integer full-sample total, and
+every level count and vote sum is read off the group sums (see
+``_ZeroOneLattice``).  Those are exact integers, so the results are
+bit-identical to the sorted path's.  The growth audit takes the same path
+whenever the loss matrix is bool.
 
 The sorted path needs numpy's stable order, because its prefix sums add the
 tied columns in index order.  ``np.argsort(kind="stable")`` is a merge sort
@@ -404,20 +407,19 @@ def _sort_tied_runs(order: np.ndarray, tie: np.ndarray) -> None:
 def _loo_level_sets(lm, totals, levels, refs=None):
     """The leave-one-out level sets of every row, as prefixes of one sort.
 
-    Yields, for each row i, the leave-one-out totals ``excl = totals - lm[i]``,
-    the reference ``ref`` (the smallest of them, or ``refs[i]`` when given),
-    their stable argsort ``order``, and per level t the ``counts`` of columns
-    with ``excl <= ref + t``: the level set at t is ``order[:count]``.  ``lm``
-    is a rows x columns loss matrix; the logistic pool passes the transposed
-    view of its (members, n) table.  ``order`` comes from ``_stable_argsort``:
-    bit for bit numpy's stable sort, whichever sort kernel numpy dispatches
-    to, so prefix sums over it add in the same order on every CPU.
+    Yields, for each row i, the stable argsort ``order`` of the leave-one-out
+    totals ``excl = totals - lm[i]`` and per level t the ``counts`` of columns
+    with ``excl <= ref + t``, where ``ref`` is the smallest ``excl`` or
+    ``refs[i]`` when given: the level set at t is ``order[:count]``.  ``lm``
+    is a rows x columns loss matrix; the logistic pool passes ``losses.T``,
+    whose rows are contiguous.  ``order`` comes from ``_stable_argsort``: bit
+    for bit numpy's stable sort, whichever sort kernel numpy dispatches to, so
+    prefix sums over it add in the same order on every CPU.
     """
     for i in range(len(lm)):
-        excl = totals - lm[i]
-        order, ranked = _stable_argsort(excl)
+        order, ranked = _stable_argsort(totals - lm[i])
         ref = ranked[0] if refs is None else refs[i]
-        yield excl, ref, order, np.searchsorted(ranked, ref + levels, side="right")
+        yield order, np.searchsorted(ranked, ref + levels, side="right")
 
 
 def _loo_level_sums(lm, totals, values, levels, refs=None):
@@ -425,7 +427,7 @@ def _loo_level_sums(lm, totals, values, levels, refs=None):
     levels x rows."""
     counts = np.empty((levels.size, len(lm)), dtype=np.intp)
     sums = np.empty(counts.shape)
-    for i, (_, _, order, row_counts) in enumerate(_loo_level_sets(lm, totals, levels, refs)):
+    for i, (order, row_counts) in enumerate(_loo_level_sets(lm, totals, levels, refs)):
         counts[:, i] = row_counts
         sums[:, i] = np.concatenate(([0.0], np.cumsum(values[i][order])))[row_counts]
     return counts, sums
@@ -520,7 +522,7 @@ def run_mlsa(
     levels = grid.levels
     if agg.combine is None:
         per_level = np.empty((levels.size, table.n_samples))
-        for i, (_, _, order, counts) in enumerate(_loo_level_sets(lm, totals, levels)):
+        for i, (order, counts) in enumerate(_loo_level_sets(lm, totals, levels)):
             per_level[:, i] = [agg(np.sort(order[:c]), table, i) for c in counts]
     elif lm.dtype == bool and table.values.dtype == bool:
         per_level = _lattice_per_level(lm, totals, table.values, levels, agg.combine)

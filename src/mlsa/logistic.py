@@ -45,8 +45,6 @@ __all__ = [
     "build_geometry",
     "min_ball_distance_sq",
     "sample_muB",
-    "estimate_level",
-    "aggregate_prob",
     "logistic_grid",
     "run_mlsa_logistic",
     "crn_sandwich_report",
@@ -110,12 +108,12 @@ class LogisticProblem:
 
 
 def _sigmoid(z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    out = np.empty_like(z) if out is None else out
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below, both
+    from one exp(-|z|), which never overflows."""
+    ez = np.exp(-np.abs(z))
+    numerator = np.where(z >= 0, 1.0, ez)
+    ez += 1.0
+    return np.divide(numerator, ez, out=out)
 
 
 def per_sample_losses(problem: LogisticProblem, thetas: np.ndarray) -> np.ndarray:
@@ -351,7 +349,10 @@ class McWorkspace:
     """Common-random-number sample pool shared by every (tolerance, index) cell.
 
     Of the k draws from mu_B only the H_A members enter a level set, so the
-    loss tables hold one row per member draw, in draw order.  Reference losses
+    loss tables hold one row per member draw, in draw order.  They are stored
+    per index: ``losses`` and ``sig`` are transposed views of (n, members)
+    arrays, so the row ``losses.T[i]`` that the leave-one-out sweep and the
+    sandwich read for index i is contiguous.  Reference losses
     come from the best of all fitted minimizers (full-sample and every
     leave-one-out fit evaluated on each objective), so that solver
     suboptimality can never break the nestedness of accepted sets.
@@ -359,9 +360,9 @@ class McWorkspace:
 
     thetas: np.ndarray  # (k, d)
     member: np.ndarray  # (k,) bool, H_A membership
-    losses: np.ndarray  # (members, n) per-point losses of the member draws
+    losses: np.ndarray  # (members, n) per-point losses of the member draws, per index
     totals: np.ndarray  # (members,) their full-sample losses
-    sig: np.ndarray  # (members, n) their probabilities of the observed labels
+    sig: np.ndarray  # (members, n) their probabilities of the observed labels, per index
     theta_star_minus: np.ndarray  # (n, d)
     ref_full: float
     ref_excl: np.ndarray  # (n,)
@@ -389,12 +390,16 @@ def build_workspace(
     # on its own and unmapped when the workspace is dropped.  Two tables just
     # under that threshold would go to the heap or to mmap depending on what
     # earlier pools had freed, and the peak resident memory with them.
-    losses, sig = np.empty((2, int(member.sum()), problem.n))
+    members = int(member.sum())
+    losses, sig = np.empty((2, problem.n, members)).transpose(0, 2, 1)
+    totals = np.empty(members)
     for block, chunk in _member_chunks(thetas, member):
         z = (chunk @ problem.covariates.T) * problem.labels[None, :]
-        np.logaddexp(0.0, -z, out=losses[block])
         _sigmoid(z, out=sig[block])
-    totals = losses.sum(axis=1)
+        np.logaddexp(0.0, -z, out=z)
+        # summed over the contiguous block: the bits of a row sum of the table
+        totals[block] = z.sum(axis=1)
+        losses[block] = z
     candidates = np.vstack([geometry.theta_star[None, :], theta_star_minus])
     cand_losses = per_sample_losses(problem, candidates)
     cand_totals = cand_losses.sum(axis=1)
@@ -410,75 +415,6 @@ def build_workspace(
         ref_full=ref_full,
         ref_excl=ref_excl,
     )
-
-
-@dataclass(frozen=True)
-class LevelEstimate:
-    """Rejection estimate of the measure of one level set."""
-
-    t: float
-    exclude: Optional[int]
-    estimate: float
-    stderr: float
-    count: int
-    samples: int
-    accepted: np.ndarray  # accepted parameter vectors, (count, d)
-
-
-def estimate_level(
-    geometry: LogisticGeometry,
-    problem: LogisticProblem,
-    t: float,
-    exclude: Optional[int] = None,
-    mc: McConfig = None,
-    workspace: Optional[McWorkspace] = None,
-) -> LevelEstimate:
-    """Estimate mu_B of the level set at tolerance t by rejection from mu_B.
-
-    With a shared workspace the same sample pool serves every call, so
-    estimates at nested tolerances use nested accepted sets.
-    """
-    if not t >= 0:
-        raise ValueError(f"tolerance must be nonnegative, got {t!r}")
-    if mc is None:
-        raise ValueError("an McConfig is required")
-    if workspace is None:
-        workspace = build_workspace(geometry, problem, mc)
-    if exclude is None:
-        ref = workspace.ref_full
-        sample_losses = workspace.totals
-    else:
-        if not 0 <= exclude < problem.n:
-            raise IndexError(f"exclude index {exclude} out of range [0, {problem.n})")
-        ref = float(workspace.ref_excl[exclude])
-        sample_losses = workspace.totals - workspace.losses[:, exclude]
-    accepted_mask = sample_losses <= ref + t
-    count = int(accepted_mask.sum())
-    if count < mc.min_accepted:
-        raise InsufficientAcceptanceError(
-            f"only {count} of {workspace.k} samples accepted at t={t:.6g}, "
-            f"exclude={exclude} (need {mc.min_accepted}); increase samples_per_level"
-        )
-    estimate = count / workspace.k
-    stderr = math.sqrt(estimate * (1.0 - estimate) / workspace.k)
-    return LevelEstimate(
-        t=t,
-        exclude=exclude,
-        estimate=estimate,
-        stderr=stderr,
-        count=count,
-        samples=workspace.k,
-        accepted=workspace.thetas[workspace.member][accepted_mask],
-    )
-
-
-def aggregate_prob(accepted: np.ndarray, problem: LogisticProblem, i: int) -> float:
-    """Mean predicted probability of the observed label y_i over accepted draws."""
-    accepted = np.atleast_2d(np.asarray(accepted, dtype=float))
-    if accepted.shape[0] == 0:
-        raise ValueError("cannot aggregate an empty accepted set")
-    z = problem.labels[i] * (accepted @ problem.covariates[i])
-    return float(_sigmoid(z).mean())
 
 
 def logistic_grid(geometry: LogisticGeometry, problem: LogisticProblem) -> ToleranceGrid:
@@ -543,12 +479,11 @@ def run_mlsa_logistic(
 
 @dataclass(frozen=True)
 class SandwichReport:
+    """Violated inclusions over all (index, level) cells; ``mlsa run`` makes
+    the count a certificate against 0."""
+
     cells: int
     violations: int
-
-    @property
-    def passed(self) -> bool:
-        return self.violations == 0
 
 
 def crn_sandwich_report(run: LogisticRun) -> SandwichReport:
@@ -559,7 +494,9 @@ def crn_sandwich_report(run: LogisticRun) -> SandwichReport:
     at t, and each sample that level accepts must be accepted by the
     full-sample level at t + delta.  Levels are thresholds on the member
     draws' losses as in ``run_mlsa_logistic``: ``totals <= ref_full + t`` on
-    the full sample, ``excl <= ref_excl[i] + t`` without index i.
+    the full sample, ``excl <= ref_excl[i] + t`` without index i.  The check
+    sorts the member totals once and reads each index's contiguous row
+    ``losses.T[i]`` in that order (``audit._sandwich_violations``).
     """
     ws = run.workspace
     grid = run.output.grid

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import mlsa.logistic as logistic_module
 from mlsa.audit import BoundCertificate
 from mlsa.cli import (
     CSV_HEADER,
@@ -388,6 +389,31 @@ def test_cli_run_keeps_finished_instances_when_one_raises(tmp_path, capsys):
     report = (out / "report.txt").read_text()
     assert "[errors]\nlogistic-0001 = InsufficientAcceptanceError: " in report
     assert "error logistic-0001: InsufficientAcceptanceError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "audit"])
+def test_cli_logistic_crn_sandwich_violation_fails_the_run(tmp_path, capsys, monkeypatch,
+                                                            command):
+    args = ["--task", "logistic", "--seed", "1", "--set", "n=8", "mc_samples=2000"]
+    passing = tmp_path / "pass"
+    assert main([command, *args, "--out", str(passing)]) == 0
+    kernel = logistic_module._sandwich_violations
+
+    def two_violations(*a, **k):
+        bad = kernel(*a, **k)
+        bad[0] += 2
+        return bad
+
+    monkeypatch.setattr(logistic_module, "_sandwich_violations", two_violations)
+    out = tmp_path / "fail"
+    assert main([command, *args, "--out", str(out)]) == 1
+    assert capsys.readouterr().out.splitlines()[-2].startswith("FAIL logistic-0000 ")
+    report = (out / "report.txt").read_text()
+    assert ("[run logistic-0000 / certificate crn-sandwich]\nlhs = 2.0\nrhs = 0.0\n"
+            "slack = -2.0\npassed = False\nreason = slack = -2.0 is below -1e-09\n") in report
+    assert "[errors]" not in report
+    # the CSV row carries the headline bound, unchanged
+    assert (out / "results.csv").read_bytes() == (passing / "results.csv").read_bytes()
 
 
 @pytest.mark.parametrize("command", ["run", "audit", "gen", "sweep"])

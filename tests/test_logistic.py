@@ -18,11 +18,9 @@ from mlsa.logistic import (
     LogisticGeometry,
     LogisticProblem,
     McConfig,
-    aggregate_prob,
     build_geometry,
     build_workspace,
     crn_sandwich_report,
-    estimate_level,
     fit_erm,
     geometry_report,
     load_logistic_problem,
@@ -353,6 +351,55 @@ def test_sample_muB_half_radius_mass():
 
 
 # ------------------------------------------------------------ level estimates
+#
+# The rejection-sampling oracle: one level set of the shared pool at a time,
+# by a plain mask over the member draws, with the aggregate recomputed from the
+# accepted parameter vectors.  It never touches the sorted sweep or the pool's
+# ``sig`` table, so ``test_estimate_level_consistent_with_run_cells`` checks
+# both independently.
+
+
+@dataclasses.dataclass(frozen=True)
+class LevelEstimate:
+    """Rejection estimate of the measure of one level set."""
+
+    estimate: float
+    accepted: np.ndarray  # accepted parameter vectors, (count, d)
+
+
+def estimate_level(geometry, problem, t, exclude=None, mc=None, workspace=None):
+    """Estimate mu_B of the level set at tolerance t by rejection from mu_B.
+
+    With a shared workspace the same sample pool serves every call, so
+    estimates at nested tolerances use nested accepted sets.
+    """
+    if not t >= 0:
+        raise ValueError(f"tolerance must be nonnegative, got {t!r}")
+    if workspace is None:
+        workspace = build_workspace(geometry, problem, mc)
+    if exclude is None:
+        ref = workspace.ref_full
+        sample_losses = workspace.totals
+    else:
+        ref = float(workspace.ref_excl[exclude])
+        sample_losses = workspace.totals - workspace.losses[:, exclude]
+    accepted_mask = sample_losses <= ref + t
+    count = int(accepted_mask.sum())
+    if count < mc.min_accepted:
+        raise InsufficientAcceptanceError(
+            f"only {count} of {workspace.k} samples accepted at t={t:.6g}, "
+            f"exclude={exclude} (need {mc.min_accepted}); increase samples_per_level"
+        )
+    return LevelEstimate(
+        estimate=count / workspace.k,
+        accepted=workspace.thetas[workspace.member][accepted_mask],
+    )
+
+
+def aggregate_prob(accepted, problem, i):
+    """Mean predicted probability of the observed label y_i over accepted draws."""
+    z = problem.labels[i] * (np.atleast_2d(accepted) @ problem.covariates[i])
+    return float(logistic_module._sigmoid(z).mean())
 
 
 def test_estimate_level_vacuous_tolerance_measures_HA():
@@ -607,6 +654,9 @@ def test_workspace_holds_member_draws_only():
     chunk = logistic_module._CHUNK_ROWS
     assert members > chunk and members % chunk != 0
     assert ws.losses.shape == ws.sig.shape == (members, problem.n)
+    # stored per index: the rows losses.T[i] and sig.T[i] that the sweep and
+    # the sandwich read are contiguous
+    assert ws.losses.T.flags.c_contiguous and ws.sig.T.flags.c_contiguous
     # one allocation holds both tables, so it is freed as a whole
     assert ws.losses.base is not None and ws.losses.base is ws.sig.base
     assert ws.totals.shape == (members,)
@@ -617,6 +667,28 @@ def test_workspace_holds_member_draws_only():
     assert ws.sig.tobytes() == logistic_module._sigmoid(z).tobytes()
     # sigmoid(z) = exp(-log(1 + exp(-z)))
     assert np.allclose(ws.sig, np.exp(-expected), rtol=1e-12, atol=0.0)
+
+
+def masked_sigmoid(z):
+    """The two-branch sigmoid, each branch on its own boolean-mask gather."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_is_bit_identical_to_the_masked_branches():
+    tiny = np.finfo(float).smallest_subnormal
+    special = np.array([0.0, -0.0, 700.0, -700.0, 710.0, -750.0, tiny, -tiny,
+                        1e-310, -1e-310, 2.2e-308, -2.2e-308, 1.0, -1.0])
+    drawn = np.random.default_rng(3).normal(scale=20.0, size=100_003)
+    for z in (special, drawn, drawn[:100_000].reshape(4000, 25)):
+        assert logistic_module._sigmoid(z).tobytes() == masked_sigmoid(z).tobytes()
+        out = np.empty(z.shape[::-1]).T
+        assert logistic_module._sigmoid(z, out=out) is out
+        assert out.tobytes() == masked_sigmoid(z).tobytes()
 
 
 def test_workspace_with_no_member_draws():

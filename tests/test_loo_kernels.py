@@ -1,11 +1,13 @@
 """The sorted leave-one-out sweep and the sandwich check against brute force.
 
-``run_mlsa``, the growth audit and the logistic CRN sandwich share one sorted
-sweep over the leave-one-out totals of every row.  Here each is compared with
-set arithmetic on the brute-force oracles ``level_set`` and
-``empirical_loss``.  Tables take quarter-valued entries, so losses and totals
-are exact dyadic rationals: ties are frequent, and every threshold form agrees
-exactly with the oracles' ``totals <= min + t``.
+``run_mlsa`` and the logistic pool share one sorted sweep over the
+leave-one-out totals of every row; the sandwich check of the growth audit and
+the logistic CRN report sorts only the full-sample totals.  Here each is
+compared with set arithmetic on the brute-force oracles ``level_set`` and
+``empirical_loss``, and the sandwich kernel also with a per-row-sort oracle.
+Tables take quarter-valued entries, so losses and totals are exact dyadic
+rationals: ties are frequent, and every threshold form agrees exactly with the
+oracles' ``totals <= min + t``.
 
 The sweep's order comes from ``core._stable_argsort``, numpy's default sort
 with its tied runs re-sorted.  The ``stable_argsort`` tests check it against
@@ -123,6 +125,100 @@ def test_crn_sandwich_count_is_nonzero_at_a_shrunk_gap():
     violations = naive_crn_violations(shrunk)
     assert violations > 0
     assert crn_sandwich_report(shrunk).violations == violations
+
+
+# ------------------------------------------------- sandwich kernel oracle
+
+
+def sorted_rows_sandwich_violations(lm, totals, levels, delta, ref_full, refs=None):
+    """The sandwich counts from one stable sort per leave-one-out row.
+
+    Per row i, ``excl = totals - lm[i]`` is sorted, so the leave-one-out set
+    at t is a prefix of its order; the lower inclusion takes the prefix
+    maximum of ``excl - ref`` over the full-sample order, the upper one the
+    prefix maximum of ``totals - ref_full`` over the row's order.
+    """
+    order_full = np.argsort(totals, kind="stable")
+    ranked_full = totals[order_full]
+    above_ref = totals - ref_full
+    below = np.searchsorted(ranked_full, ref_full + (levels - delta), side="right")
+    checkable = (levels - delta >= -NUMERIC_TOL) & (below > 0)
+    last_below = np.maximum(below - 1, 0)
+    bad = np.zeros(levels.size, dtype=np.intp)
+    for i in range(len(lm)):
+        excl = totals - lm[i]
+        order = np.argsort(excl, kind="stable")
+        ref = excl[order[0]] if refs is None else refs[i]
+        counts = np.searchsorted(excl[order], ref + levels, side="right")
+        largest_loo = np.maximum.accumulate((excl - ref)[order_full])[last_below]
+        bad += checkable & (largest_loo > levels + NUMERIC_TOL)
+        largest_full = np.maximum.accumulate(above_ref[order])[np.maximum(counts - 1, 0)]
+        bad += (counts > 0) & (largest_full > levels + delta + NUMERIC_TOL)
+    return bad
+
+
+@st.composite
+def sandwich_problems(draw):
+    """A loss matrix with quarter-valued (long ties) or continuous entries,
+    levels, a gap down to a tenth of the loss bound, and references that are
+    the rows' own minima or given, at or below them."""
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 40))
+    entries = draw(st.sampled_from(
+        [QUARTERS, st.floats(0.0, 1.0, allow_subnormal=False)]))
+    lm = np.array(draw(st.lists(entries, min_size=n * m, max_size=n * m))).reshape(n, m)
+    totals = lm.sum(axis=0)
+    steps = draw(st.lists(st.integers(0, 4 * n + 4), min_size=1, max_size=8, unique=True))
+    levels = np.array(sorted(steps)) / 4.0
+    delta = draw(st.sampled_from([0.1, 0.25, 0.5, 1.0]))
+    slack = draw(st.sampled_from([0.0, 0.25, 0.6]))
+    ref_full = float(totals.min()) - slack
+    refs = None
+    if draw(st.booleans()):
+        refs = (totals - lm).min(axis=1) - slack
+    return lm, totals, levels, delta, ref_full, refs
+
+
+def test_sandwich_kernel_matches_one_sort_per_row():
+    violated = []
+
+    @settings(deadline=None, max_examples=400)
+    @given(problem=sandwich_problems())
+    def check(problem):
+        got = _sandwich_violations(*problem)
+        expected = sorted_rows_sandwich_violations(*problem)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+        violated.append(bool(expected.any()))
+
+    check()
+    # shrunk gaps make the inclusions fail, so the comparison is not vacuous
+    assert any(violated)
+
+
+def test_sandwich_kernel_sorts_once_per_call(monkeypatch):
+    table, sample, loss = tie_heavy_problem()
+    lm = loss_matrix(table, sample, loss)
+    totals = lm.sum(axis=0)
+    sorts = []
+    stable_argsort = core._stable_argsort
+
+    def spy(values):
+        sorts.append(values.size)
+        return stable_argsort(values)
+
+    # every binding, so that sorts made through the sweep count too
+    monkeypatch.setattr(core, "_stable_argsort", spy)
+    monkeypatch.setattr(audit, "_stable_argsort", spy)
+    levels = np.arange(1, 41) / 4.0
+    for refs in (None, (totals - lm).min(axis=1)):
+        sorts.clear()
+        bad = _sandwich_violations(lm, totals, levels, 0.25, totals.min(), refs)
+        assert sorts == [totals.size]
+        assert bad.any()
+        assert np.array_equal(
+            bad, sorted_rows_sandwich_violations(lm, totals, levels, 0.25, totals.min(), refs)
+        )
 
 
 # ------------------------------------------------------ exact stable order
