@@ -25,7 +25,6 @@ from .core import (
     PredictionTable,
     ToleranceGrid,
     _stable_argsort,
-    _ZeroOneLattice,
     loss_matrix,
     run_mlsa,
 )
@@ -210,8 +209,9 @@ def _sandwich_violations(lm, totals, levels, delta, ref_full, refs=None) -> np.n
     suffixes of all levels are unions of the segments between their bounds,
     so each row takes one maximum and one minimum per segment
     (``reduceat``), and their running maximum and minimum over the segments.
-    ``lm`` is a float rows x columns loss matrix, read in blocks of at most
-    ``_SANDWICH_BLOCK_ENTRIES`` entries.
+    ``lm`` is a rows x columns loss matrix, float or bool, read in blocks of
+    at most ``_SANDWICH_BLOCK_ENTRIES`` entries; ``excl`` takes the dtype of
+    ``totals``, so a bool matrix is read as exact integers with no float copy.
     """
     order_full, ranked_full = _stable_argsort(totals)
     m = ranked_full.size
@@ -224,60 +224,29 @@ def _sandwich_violations(lm, totals, levels, delta, ref_full, refs=None) -> np.n
     # to its resident set, the logistic pool's peak included
     bounds = np.sort(np.r_[0, below, above])
     cuts = bounds[(bounds < m) & np.r_[True, bounds[1:] != bounds[:-1]]]
-    # the last segment of each prefix, the first of each suffix (past the end
-    # when it is empty)
+    # the last segment of each prefix and the first of each suffix; an empty
+    # suffix (past the last segment) has nothing to check
     prefix_end = np.searchsorted(cuts, below) - 1
     suffix_start = np.searchsorted(cuts, above)
-    bad = np.zeros(levels.size, dtype=np.intp)
+    upper_checked = suffix_start < cuts.size
+    suffix_start = np.minimum(suffix_start, cuts.size - 1)
+    # per row, each segment's largest and smallest excl, then in place their
+    # running maximum from the left and minimum from the right
+    prefix_max, suffix_min = np.empty((2, len(lm), cuts.size), dtype=ranked_full.dtype)
     step = max(1, _SANDWICH_BLOCK_ENTRIES // m)
     for lo in range(0, len(lm), step):
-        excl = np.take(lm[lo:lo + step], order_full, axis=1)
+        block = slice(lo, lo + step)
+        excl = np.take(lm[block], order_full, axis=1).astype(ranked_full.dtype, copy=False)
         np.subtract(ranked_full, excl, out=excl)
-        prefix_max = np.maximum.accumulate(np.maximum.reduceat(excl, cuts, axis=1), axis=1)
-        segment_min = np.minimum.reduceat(excl, cuts, axis=1)
-        segment_min = np.pad(segment_min, ((0, 0), (0, 1)), constant_values=np.inf)
-        suffix_min = np.minimum.accumulate(segment_min[:, ::-1], axis=1)[:, ::-1]
-        ref = suffix_min[:, :1] if refs is None else refs[lo:lo + step, None]
-        largest_loo = prefix_max[:, prefix_end] - ref
-        bad += (checkable & (largest_loo > levels + NUMERIC_TOL)).sum(axis=0)
-        bad += (suffix_min[:, suffix_start] <= ref + levels).sum(axis=0)
+        np.maximum.reduceat(excl, cuts, axis=1, out=prefix_max[block])
+        np.minimum.reduceat(excl, cuts, axis=1, out=suffix_min[block])
+    np.maximum.accumulate(prefix_max, axis=1, out=prefix_max)
+    np.minimum.accumulate(suffix_min[:, ::-1], axis=1, out=suffix_min[:, ::-1])
+    ref = suffix_min[:, :1] if refs is None else refs[:, None]
+    largest_loo = prefix_max[:, prefix_end] - ref
+    bad = (checkable & (largest_loo > levels + NUMERIC_TOL)).sum(axis=0)
+    bad += (upper_checked & (suffix_min[:, suffix_start] <= ref + levels)).sum(axis=0)
     return bad
-
-
-def _lattice_sandwich_ok(lm, totals, levels, delta) -> np.ndarray:
-    """Per-level sandwich flags on the 0/1 lattice, block by block, from a
-    bool loss matrix ``lm``.
-
-    Equal to ``_sandwich_violations`` finding no violation: every quantity
-    compared is an integer total, and each comparison is made against the same
-    float threshold.
-    """
-    lattice = _ZeroOneLattice(totals)
-    t_min = lattice.totals[0]
-    # lower inclusion: the full-sample set at t - gap is the groups below
-    # `below`; its largest leave-one-out total is the last group's total, less
-    # one at the rows where all of that group's columns have loss 1
-    lower_applies = levels - delta >= -NUMERIC_TOL
-    below = np.searchsorted(lattice.totals, t_min + (levels - delta), side="right")
-    last = np.maximum(below - 1, 0)
-    lower_checked = (lower_applies & (below > 0))[:, None]
-    sandwich_ok = np.ones(levels.size, dtype=bool)
-    for rows in lattice.row_blocks(lm.shape[0], levels.size):
-        ones = lattice.group_sums(lm[rows])
-        e_min = lattice.loo_min(ones)
-        all_ones = ones[last] == lattice.sizes[last][:, None]
-        largest_loo = lattice.totals[last][:, None] - all_ones
-        lower_bad = lower_checked & (largest_loo - e_min > levels[:, None] + NUMERIC_TOL)
-        # upper inclusion: the largest full-sample total in the leave-one-out
-        # set at t is the next group's when it contributes a column, else the
-        # last group wholly within
-        within, reached = lattice.locate(e_min + levels[:, None])
-        reached = lattice.reached_sums(ones, within, reached) > 0
-        next_total = np.append(lattice.totals, np.inf)[within]
-        largest_full = np.where(reached, next_total, lattice.totals[within - 1])
-        upper_bad = largest_full - t_min > levels[:, None] + delta + NUMERIC_TOL
-        sandwich_ok &= ~(lower_bad | upper_bad).any(axis=1)
-    return sandwich_ok
 
 
 def grid_growth_audit(
@@ -310,10 +279,7 @@ def grid_growth_audit(
     )
     size_plus = np.searchsorted(sorted_totals, t_min + levels + delta, side="right")
 
-    if lm.dtype == bool:
-        sandwich_ok = _lattice_sandwich_ok(lm, totals, levels, delta)
-    else:
-        sandwich_ok = _sandwich_violations(lm, totals, levels, delta, t_min) == 0
+    sandwich_ok = _sandwich_violations(lm, totals, levels, delta, t_min) == 0
 
     records = []
     for k in range(levels.size):

@@ -185,28 +185,36 @@ def _fields(config, d, loo, erm, headline, certs, rho, sections) -> dict:
                 slack=headline.slack, rho_hat=rho, certificates=certs, sections=sections)
 
 
+def _no_violations(name: str, violations: int, **components) -> audit_mod.BoundCertificate:
+    """The certificate that a check found no violation: the count against 0."""
+    return audit_mod.BoundCertificate(name, lhs=float(violations), rhs=0.0, components=components)
+
+
 def _finite_class(output, table, sample, loss, rule, seed: int, deep_audit: bool):
     """Growth audit and grid-majority certificate of a finite class.
 
-    With ``deep_audit`` the aggregation rule's stability is checked as well.
-    Returns the certificate, the good fraction of the growth audit and the
-    ``growth-audit`` report section.
+    Returns the certificate, the deep checks' certificates (with
+    ``deep_audit``, the aggregation rule's stability; else none), the good
+    fraction of the growth audit and the ``growth-audit`` report section.
     """
     growth = audit_mod.grid_growth_audit(table, sample, loss, output.grid)
     cert = audit_mod.verify_grid_majority_bound(output, growth, output.erm_loss)
+    checks = []
     if deep_audit:
         agg = audit_mod.check_aggregation_stability(
             rule, loss, table, sample, seed=derive_seed(seed, "agg-check")
         )
-        if not agg.passed:
-            raise RuntimeError(f"aggregation check failed: {agg.first_violation}")
+        checks.append(_no_violations(
+            "aggregation-stability", agg.violations, trials=agg.trials,
+            stability=agg.stability, first_violation=agg.first_violation,
+        ))
     section = {
         "good_fraction": growth.good_fraction,
         "delta": growth.delta,
         "c_g": growth.c_g,
         "levels": len(growth.levels),
     }
-    return cert, growth.good_fraction, section
+    return cert, checks, growth.good_fraction, section
 
 
 def _certify_classification(config: ExperimentConfig, inst, seed: int, deep_audit: bool) -> dict:
@@ -214,7 +222,7 @@ def _certify_classification(config: ExperimentConfig, inst, seed: int, deep_audi
     loss = cls_mod.zero_one_loss()
     grid = _grid(config, cls_mod.classification_grid(d, config.n))
     output = run_mlsa(inst.table, inst.sample, loss, grid, cls_mod.MAJORITY_VOTE)
-    cert, rho, growth = _finite_class(
+    cert, checks, rho, growth = _finite_class(
         output, inst.table, inst.sample, loss, cls_mod.MAJORITY_VOTE, seed, deep_audit
     )
     certs = [cert]
@@ -227,7 +235,7 @@ def _certify_classification(config: ExperimentConfig, inst, seed: int, deep_audi
         "flip_fraction": inst.flip_fraction,
         "descriptor": config.descriptor,
     }
-    return _fields(config, d, output.loo_error, output.erm_loss, certs[-1], certs, rho,
+    return _fields(config, d, output.loo_error, output.erm_loss, certs[-1], certs + checks, rho,
                    {"instance": instance, "growth-audit": growth})
 
 
@@ -235,7 +243,7 @@ def _certify_regression(config: ExperimentConfig, inst, seed: int, deep_audit: b
     loss = reg_mod.scale_loss(config.loss, config.M)
     grid = _grid(config, reg_mod.regression_grid(config.M, config.class_size))
     output = run_mlsa(inst.table, inst.sample, loss, grid, reg_mod.MEAN_AGGREGATE)
-    cert, rho, growth = _finite_class(
+    cert, checks, rho, growth = _finite_class(
         output, inst.table, inst.sample, loss, reg_mod.MEAN_AGGREGATE, seed, deep_audit
     )
     certs = [cert]
@@ -244,7 +252,7 @@ def _certify_regression(config: ExperimentConfig, inst, seed: int, deep_audit: b
             reg_mod.verify_regression_bound(output, inst.table, inst.sample, loss, config.M)
         )
     instance = {"class_size": config.class_size, "loss": loss.name}
-    return _fields(config, 0, output.loo_error, output.erm_loss, certs[-1], certs, rho,
+    return _fields(config, 0, output.loo_error, output.erm_loss, certs[-1], certs + checks, rho,
                    {"instance": instance, "growth-audit": growth})
 
 
@@ -272,10 +280,10 @@ def _certify_density(config: ExperimentConfig, inst, seed: int, deep_audit: bool
     rho = None
     if working.n_densities >= 2:
         table, loss, sample = den_mod.log_loss_table(working, inst.observations)
-        cert, rho, sections["growth-audit"] = _finite_class(
+        cert, checks, rho, sections["growth-audit"] = _finite_class(
             output, table, sample, loss, reg_mod.MEAN_AGGREGATE, seed, deep_audit
         )
-        certs.append(cert)
+        certs += [cert, *checks]
     erm = den_mod._erm_loss(working, np.asarray(inst.observations))
     return _fields(config, 0, output.loo_error, erm, headline, certs, rho, sections)
 
@@ -290,10 +298,7 @@ def _certify_logistic(config: ExperimentConfig, problem, seed: int, deep_audit: 
     cert = log_mod.verify_logistic_bound(run.output, run.geometry, problem)
     sandwich = log_mod.crn_sandwich_report(run)
     # a violated cell fails the run like a failed bound, with its reason
-    certs = [cert, audit_mod.BoundCertificate(
-        "crn-sandwich", lhs=float(sandwich.violations), rhs=0.0,
-        components={"cells": sandwich.cells},
-    )]
+    certs = [cert, _no_violations("crn-sandwich", sandwich.violations, cells=sandwich.cells)]
     sections = {"geometry": log_mod.geometry_report(run.geometry, problem)}
     if deep_audit:
         containment = log_mod.verify_ellipsoid_containment(
@@ -302,19 +307,22 @@ def _certify_logistic(config: ExperimentConfig, problem, seed: int, deep_audit: 
         volume = log_mod.verify_volume_lower_bound(
             run.geometry, problem, mc, seed=derive_seed(seed, "volume")
         )
-        sections["containment"] = {
-            "violations": containment.violations,
-            "halfspace_fraction": containment.halfspace_fraction,
-            "interior": containment.interior,
-            "passed": containment.passed,
-        }
-        sections["volume-bound"] = {
-            "estimate": volume.estimate,
-            "threshold": volume.threshold,
-            "passed": volume.passed,
-        }
-        if not (containment.passed and volume.passed):
-            raise RuntimeError("logistic geometry audit failed; see report sections")
+        certs.append(_no_violations(
+            "ellipsoid-containment", containment.violations, samples=containment.samples,
+            interior=containment.interior, grad_norm=containment.grad_norm,
+        ))
+        if not containment.interior:
+            # the half-space through the centre keeps about half the draws
+            certs.append(audit_mod.BoundCertificate(
+                "containment-halfspace", lhs=containment.halfspace_floor,
+                rhs=containment.halfspace_fraction, tolerance=0.0,
+                components={"stderr": containment.halfspace_stderr},
+            ))
+        certs.append(audit_mod.BoundCertificate(
+            "volume-bound", lhs=volume.threshold, rhs=volume.upper, tolerance=0.0,
+            components={"estimate": volume.estimate, "stderr": volume.stderr,
+                        "count": volume.count, "samples": volume.samples},
+        ))
     return _fields(config, config.d, run.output.loo_error, run.output.erm_loss,
                    cert, certs, None, sections)
 
@@ -324,16 +332,16 @@ def _certify_vaw(config: ExperimentConfig, design, seed: int, deep_audit: bool) 
     svd_tol = config.svd_tol if config.svd_tol > 0 else None
     result = lin_mod.fit_transductive_vaw(X, y, svd_tol=svd_tol)
     cert = lin_mod.vaw_certificate(result)
-    sections = {"instance": {"rank": result.rank, "m_sq": result.m_sq}}
+    certs = [cert]
     if deep_audit:
         pinv = lin_mod.verify_pinv_identity(X, svd_tol=svd_tol)
-        sections["pinv-identity"] = {"max_abs_diff": pinv.max_abs_diff, "passed": pinv.passed}
-        if not pinv.passed:
-            raise RuntimeError("pseudoinverse identity check failed")
+        certs.append(audit_mod.BoundCertificate(
+            "pinv-identity", lhs=pinv.max_abs_diff, rhs=pinv.tolerance, tolerance=0.0
+        ))
     n = config.n
     return dict(n=n, d=config.d, loo=result.loo_sq_sum / n, erm_per_n=result.fit_sq_sum / n,
-                bound=cert.rhs / n, slack=cert.slack / n, rho_hat=None,
-                certificates=[cert], sections=sections)
+                bound=cert.rhs / n, slack=cert.slack / n, rho_hat=None, certificates=certs,
+                sections={"instance": {"rank": result.rank, "m_sq": result.m_sq}})
 
 
 @dataclass(frozen=True)

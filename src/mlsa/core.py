@@ -16,13 +16,12 @@ general one sorts the leave-one-out totals of every row (``_loo_level_sets``,
 shared with the logistic Monte Carlo pool).  The sandwich check of the growth
 audit and the logistic CRN report sorts only the full-sample totals, once per
 call, and reads every leave-one-out row in that order
-(``audit._sandwich_violations``).  When the loss matrix and the table are both
-bool and the rule has a ``combine``, ``run_mlsa`` takes the 0/1-lattice path
-instead: columns are grouped once by their integer full-sample total, and
-every level count and vote sum is read off the group sums (see
-``_ZeroOneLattice``).  Those are exact integers, so the results are
-bit-identical to the sorted path's.  The growth audit takes the same path
-whenever the loss matrix is bool.
+(``audit._sandwich_violations``), a bool loss matrix as exact integers.  When
+the loss matrix and the table are both bool and the rule has a ``combine``,
+``run_mlsa`` takes the 0/1-lattice path instead: columns are grouped once by
+their integer full-sample total, and every level count and vote sum is read
+off the group sums (see ``_ZeroOneLattice``).  Those are exact integers, so
+the results are bit-identical to the sorted path's.
 
 The sorted path needs numpy's stable order, because its prefix sums add the
 tied columns in index order.  ``np.argsort(kind="stable")`` is a merge sort
@@ -337,22 +336,18 @@ class _ZeroOneLattice:
         return within, reached
 
     @staticmethod
-    def reached_sums(edge_sums, within, reached) -> np.ndarray:
-        """Per-row ``edge_sums`` of the next group where it is in reach, else 0."""
-        padded = np.concatenate((edge_sums, np.zeros_like(edge_sums[:1])))
-        return np.where(reached, np.take_along_axis(padded, within, axis=0), 0)
-
-    @staticmethod
     def level_sums(sums, edge_sums, within, reached) -> np.ndarray:
         """Per-row sums over the level sets located by ``locate``.
 
         ``sums`` are group sums of some weight, ``edge_sums`` the group sums of
-        that weight over the loss-1 columns only.
+        that weight over the loss-1 columns only: the groups within add whole,
+        the next group adds its ``edge_sums`` where it is in reach.
         """
         prefix = np.cumsum(sums, axis=0)
         prefix = np.concatenate((np.zeros_like(prefix[:1]), prefix))
-        return np.take_along_axis(prefix, within, axis=0) + _ZeroOneLattice.reached_sums(
-            edge_sums, within, reached
+        edge = np.concatenate((edge_sums, np.zeros_like(edge_sums[:1])))
+        return np.take_along_axis(prefix, within, axis=0) + np.where(
+            reached, np.take_along_axis(edge, within, axis=0), 0
         )
 
 
@@ -484,16 +479,21 @@ def level_set(
     return np.flatnonzero(totals <= totals.min() + t)
 
 
+def _lower_medians(values: np.ndarray) -> np.ndarray:
+    """The ceil(k/2)-th order statistic of the k entries along axis 0."""
+    return np.sort(values, axis=0)[(len(values) + 1) // 2 - 1].copy()
+
+
 def lower_median(values: Sequence[float]) -> float:
     """The ceil(k/2)-th order statistic of k values.
 
     This is always a minimizer of sum_t |v_t - y| over y; the lower of the two
     central values is returned for even k so results are reproducible.
     """
-    arr = np.sort(np.asarray(values, dtype=float))
+    arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise ValueError("median of an empty sequence")
-    return float(arr[(arr.size + 1) // 2 - 1])
+    return float(_lower_medians(arr))
 
 
 def run_mlsa(
@@ -528,7 +528,7 @@ def run_mlsa(
         per_level = _lattice_per_level(lm, totals, table.values, levels, agg.combine)
     else:
         per_level = agg.combine(*_loo_level_sums(lm, totals, table.values, levels))
-    medians = np.sort(per_level, axis=0)[(levels.size + 1) // 2 - 1].copy()
+    medians = _lower_medians(per_level)
     err = float(np.mean(loss.evaluate(medians, sample.responses)))
     return MlsaOutput(per_level=per_level, medians=medians, loo_error=err,
                       erm_loss=float(totals.min()), grid=grid)

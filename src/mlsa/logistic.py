@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .audit import BoundCertificate, _check_grid, _sandwich_violations
-from .core import NUMERIC_TOL, MlsaOutput, ToleranceGrid, _loo_level_sums
+from .core import NUMERIC_TOL, MlsaOutput, ToleranceGrid, _loo_level_sums, _lower_medians
 
 __all__ = [
     "LogisticProblem",
@@ -468,7 +468,7 @@ def run_mlsa_logistic(
             "increase samples_per_level"
         )
     per_level = sums / counts
-    medians = np.sort(per_level, axis=0)[(len(grid) + 1) // 2 - 1].copy()
+    medians = _lower_medians(per_level)
     loo = float(np.mean(-np.log(medians)))
     output = MlsaOutput(per_level=per_level, medians=medians, loo_error=loo,
                         erm_loss=geometry.erm_loss, grid=grid)
@@ -518,12 +518,17 @@ class ContainmentReport:
     grad_norm: float
 
     @property
+    def halfspace_floor(self) -> float:
+        """The smallest half-space fraction accepted: 1/2 less 3 standard errors."""
+        return 0.5 - 3.0 * self.halfspace_stderr
+
+    @property
     def passed(self) -> bool:
         if self.violations > 0:
             return False
         if self.interior:
             return True
-        return self.halfspace_fraction >= 0.5 - 3.0 * self.halfspace_stderr
+        return self.halfspace_fraction >= self.halfspace_floor
 
 
 def verify_ellipsoid_containment(
@@ -577,8 +582,13 @@ class VolumeReport:
     samples: int
 
     @property
+    def upper(self) -> float:
+        """The estimate plus 3 standard errors, which must reach the threshold."""
+        return self.estimate + 3.0 * self.stderr
+
+    @property
     def passed(self) -> bool:
-        return self.estimate + 3.0 * self.stderr >= self.threshold
+        return self.upper >= self.threshold
 
 
 def verify_volume_lower_bound(

@@ -1,11 +1,14 @@
 """Generators and the command-line harness."""
 
+import dataclasses
 import hashlib
 import math
 
 import numpy as np
 import pytest
 
+import mlsa.audit as audit_module
+import mlsa.linear as linear_module
 import mlsa.logistic as logistic_module
 from mlsa.audit import BoundCertificate
 from mlsa.cli import (
@@ -413,6 +416,48 @@ def test_cli_logistic_crn_sandwich_violation_fails_the_run(tmp_path, capsys, mon
             "slack = -2.0\npassed = False\nreason = slack = -2.0 is below -1e-09\n") in report
     assert "[errors]" not in report
     # the CSV row carries the headline bound, unchanged
+    assert (out / "results.csv").read_bytes() == (passing / "results.csv").read_bytes()
+
+
+LOGISTIC_SMALL = ["n=8", "mc_samples=2000"]
+
+
+@pytest.mark.parametrize(
+    "task,extra,module,check,forced,certificate",
+    [
+        ("classification", ["n=25", "noise=0.1"], audit_module, "check_aggregation_stability",
+         {"violations": 1}, "aggregation-stability"),
+        ("density", ["n=25", "class_size=4", "space_size=8"], audit_module,
+         "check_aggregation_stability", {"violations": 2}, "aggregation-stability"),
+        ("logistic", LOGISTIC_SMALL, logistic_module, "verify_ellipsoid_containment",
+         {"violations": 3}, "ellipsoid-containment"),
+        ("logistic", LOGISTIC_SMALL, logistic_module, "verify_ellipsoid_containment",
+         {"interior": False, "halfspace_fraction": 0.25}, "containment-halfspace"),
+        ("logistic", LOGISTIC_SMALL, logistic_module, "verify_volume_lower_bound",
+         {"estimate": 0.0, "stderr": 0.0}, "volume-bound"),
+        ("vaw", ["n=15", "d=3"], linear_module, "verify_pinv_identity",
+         {"max_abs_diff": 1.0}, "pinv-identity"),
+    ],
+    ids=["aggregation-classification", "aggregation-density", "containment", "halfspace",
+         "volume", "pinv"],
+)
+def test_cli_failed_deep_check_is_a_failed_certificate(tmp_path, capsys, monkeypatch, task,
+                                                       extra, module, check, forced,
+                                                       certificate):
+    args = ["audit", "--task", task, "--seed", "1", "--set", *extra]
+    passing = tmp_path / "pass"
+    assert main([*args, "--out", str(passing)]) == 0
+    real = getattr(module, check)
+    monkeypatch.setattr(module, check, lambda *a, **k: dataclasses.replace(real(*a, **k), **forced))
+    out = tmp_path / "fail"
+    assert main([*args, "--out", str(out)]) == 1
+    assert capsys.readouterr().out.splitlines()[-2].startswith(f"FAIL {task}-0000 ")
+    report = (out / "report.txt").read_text()
+    block = report.split(f"[run {task}-0000 / certificate {certificate}]\n")[1].split("[")[0]
+    assert "passed = False\nreason = slack = -" in block
+    assert report.count("passed = False\n") == 2  # the run's and the certificate's
+    assert "[errors]" not in report
+    # the row is written, with the headline bound and slack unchanged
     assert (out / "results.csv").read_bytes() == (passing / "results.csv").read_bytes()
 
 

@@ -1,11 +1,12 @@
-"""The 0/1-lattice path of run_mlsa and the growth audit against the sorted path.
+"""The 0/1 data paths of run_mlsa and the growth audit against the float ones.
 
-When the loss matrix (and, for run_mlsa, the table) is bool, both functions
-read every count and vote sum off column groups of equal full-sample total.
-The sorted per-row sweep they use for every other input is the reference: the
-same 0-1 loss returning float gives a float loss matrix, which sends both
-functions down the sorted path on the same inputs, and the outputs must agree
-byte for byte.  A spy checks which path each side took.
+When the loss matrix and the table are bool, run_mlsa reads every count and
+vote sum off column groups of equal full-sample total (the 0/1 lattice).  The
+growth audit has one sandwich kernel, ``audit._sandwich_violations``, which
+reads a bool loss matrix as exact integer totals.  The same 0-1 loss returning
+float gives a float loss matrix on the same inputs: run_mlsa then takes the
+sorted per-row sweep and the audit feeds the kernel floats, and the outputs
+must agree byte for byte.  Spies check which path each side took.
 """
 
 from contextlib import contextmanager
@@ -39,14 +40,20 @@ FLOAT_ZERO_ONE = LossModel(
 
 
 @contextmanager
-def lattice_calls():
-    """Count the calls into both lattice kernels: (run_mlsa's, the audit's)."""
+def kernel_calls():
+    """Record run_mlsa's lattice calls and the loss-matrix dtypes the audit's
+    sandwich kernel receives: (number of lattice calls, [dtype, ...])."""
+    dtypes = []
+    sandwich_violations = audit._sandwich_violations
+
+    def spy(lm, *args):
+        dtypes.append(lm.dtype)
+        return sandwich_violations(lm, *args)
+
     with mock.patch.object(
         core, "_lattice_per_level", wraps=core._lattice_per_level
-    ) as per_level, mock.patch.object(
-        audit, "_lattice_sandwich_ok", wraps=audit._lattice_sandwich_ok
-    ) as sandwich:
-        yield lambda: (per_level.call_count, sandwich.call_count)
+    ) as per_level, mock.patch.object(audit, "_sandwich_violations", spy):
+        yield lambda: (per_level.call_count, dtypes)
 
 
 def assert_paths_agree(values, labels, levels, audit_gap=1.0, agg=MAJORITY_VOTE):
@@ -59,15 +66,15 @@ def assert_paths_agree(values, labels, levels, audit_gap=1.0, agg=MAJORITY_VOTE)
     audit_grid = ToleranceGrid(levels=grid.levels, gap=audit_gap)
 
     def run(loss):
-        with lattice_calls() as calls:
+        with kernel_calls() as calls:
             output = run_mlsa(table, sample, loss, grid, agg)
             audits = [grid_growth_audit(table, sample, loss, g) for g in (grid, audit_grid)]
         return output, audits, calls()
 
     fast, fast_audits, fast_calls = run(zero_one_loss())
     ref, ref_audits, ref_calls = run(FLOAT_ZERO_ONE)
-    assert fast_calls == (1, 2)
-    assert ref_calls == (0, 0)
+    assert fast_calls == (1, [np.dtype(bool)] * 2)
+    assert ref_calls == (0, [np.dtype(float)] * 2)
     assert fast.per_level.tobytes() == ref.per_level.tobytes()
     assert fast.medians.tobytes() == ref.medians.tobytes()
     assert fast.loo_error == ref.loo_error
@@ -104,8 +111,11 @@ def zero_one_problems(draw):
 @settings(deadline=None, max_examples=200)
 @given(problem=zero_one_problems(), block=st.sampled_from([1, 7, 1 << 19]))
 def test_lattice_matches_sorted_path_on_random_tables(problem, block):
-    # small blocks split the rows into many row blocks
-    with mock.patch.object(_ZeroOneLattice, "BLOCK_ENTRIES", block):
+    # small blocks split the rows into many row blocks, in run_mlsa's lattice
+    # and in the sandwich kernel
+    with mock.patch.object(_ZeroOneLattice, "BLOCK_ENTRIES", block), mock.patch.object(
+        audit, "_SANDWICH_BLOCK_ENTRIES", block
+    ):
         assert_paths_agree(*problem)
 
 
@@ -138,9 +148,9 @@ def test_lattice_non_integer_levels_and_levels_above_n():
     assert_paths_agree(values, labels, levels, audit_gap=0.5)
 
 
-def test_lattice_audit_reports_sandwich_failures():
-    # with a gap below the loss bound both inclusions can fail; the paths
-    # must agree on which levels do
+def test_bool_audit_reports_sandwich_failures():
+    # with a gap below the loss bound both inclusions can fail; bool and float
+    # loss matrices must agree on which levels do
     rng = np.random.default_rng(7)
     values = rng.integers(0, 2, size=(9, 30))
     labels = rng.integers(0, 2, size=9)
@@ -148,19 +158,21 @@ def test_lattice_audit_reports_sandwich_failures():
     assert not all(rec.sandwich_ok for rec in narrow.levels)
 
 
-def test_audit_lattice_with_real_valued_table():
-    # 0-1 losses of real-valued predictions: the audit takes the lattice path
-    # (run_mlsa does not, its votes are not 0/1)
+def test_bool_audit_with_real_valued_table():
+    # 0-1 losses of real-valued predictions: the loss matrix is bool, so the
+    # audit reads it as integers (run_mlsa keeps the sorted path, its votes
+    # are not 0/1)
     rng = np.random.default_rng(5)
     values = rng.choice([0.0, 0.5, 1.0], size=(7, 8))
     sample = LabeledSample(rng.integers(0, 2, size=7).astype(float))
     table = PredictionTable(values, keep_duplicates=True)
     grid = ToleranceGrid(levels=np.arange(0.0, 6.0) * 0.75, gap=0.5)
-    with lattice_calls() as calls:
+    with kernel_calls() as calls:
         fast = grid_growth_audit(table, sample, zero_one_loss(), grid)
         ref = grid_growth_audit(table, sample, FLOAT_ZERO_ONE, grid)
-    assert calls() == (0, 1)
+    assert calls() == (0, [np.dtype(bool), np.dtype(float)])
     assert fast == ref
+    assert not all(rec.sandwich_ok for rec in fast.levels)
 
 
 def test_lattice_matches_sorted_path_at_benchmark_size():

@@ -4,7 +4,8 @@
 leave-one-out totals of every row; the sandwich check of the growth audit and
 the logistic CRN report sorts only the full-sample totals.  Here each is
 compared with set arithmetic on the brute-force oracles ``level_set`` and
-``empirical_loss``, and the sandwich kernel also with a per-row-sort oracle.
+``empirical_loss``, and the sandwich kernel also with a per-row-sort oracle,
+on float loss matrices and on bool ones, which it reads as integer totals.
 Tables take quarter-valued entries, so losses and totals are exact dyadic
 rationals: ties are frequent, and every threshold form agrees exactly with the
 oracles' ``totals <= min + t``.
@@ -159,13 +160,14 @@ def sorted_rows_sandwich_violations(lm, totals, levels, delta, ref_full, refs=No
 
 @st.composite
 def sandwich_problems(draw):
-    """A loss matrix with quarter-valued (long ties) or continuous entries,
-    levels, a gap down to a tenth of the loss bound, and references that are
-    the rows' own minima or given, at or below them."""
+    """A loss matrix with quarter-valued (long ties), continuous or bool 0/1
+    entries (int64 totals, as the 0-1 loss gives), levels, a gap down to a
+    tenth of the loss bound, and references that are the rows' own minima or
+    given, at or below them."""
     n = draw(st.integers(1, 8))
     m = draw(st.integers(1, 40))
     entries = draw(st.sampled_from(
-        [QUARTERS, st.floats(0.0, 1.0, allow_subnormal=False)]))
+        [QUARTERS, st.floats(0.0, 1.0, allow_subnormal=False), st.booleans()]))
     lm = np.array(draw(st.lists(entries, min_size=n * m, max_size=n * m))).reshape(n, m)
     totals = lm.sum(axis=0)
     steps = draw(st.lists(st.integers(0, 4 * n + 4), min_size=1, max_size=8, unique=True))
@@ -180,7 +182,7 @@ def sandwich_problems(draw):
 
 
 def test_sandwich_kernel_matches_one_sort_per_row():
-    violated = []
+    violated = {}
 
     @settings(deadline=None, max_examples=400)
     @given(problem=sandwich_problems())
@@ -189,11 +191,13 @@ def test_sandwich_kernel_matches_one_sort_per_row():
         expected = sorted_rows_sandwich_violations(*problem)
         assert got.dtype == expected.dtype
         assert np.array_equal(got, expected)
-        violated.append(bool(expected.any()))
+        kind = problem[0].dtype
+        violated[kind] = violated.get(kind, False) or bool(expected.any())
 
     check()
-    # shrunk gaps make the inclusions fail, so the comparison is not vacuous
-    assert any(violated)
+    # shrunk gaps make the inclusions fail, for bool and float matrices alike,
+    # so the comparison is not vacuous
+    assert violated == {np.dtype(bool): True, np.dtype(float): True}
 
 
 def test_sandwich_kernel_sorts_once_per_call(monkeypatch):
