@@ -35,7 +35,6 @@ __all__ = [
     "GrowthAudit",
     "BoundCertificate",
     "GridMismatchError",
-    "GridMajorityError",
     "LevelNotGoodError",
     "GeneralizationReport",
     "check_aggregation_stability",
@@ -44,10 +43,6 @@ __all__ = [
     "verify_grid_majority_bound",
     "simulate_generalization",
 ]
-
-
-class GridMajorityError(ValueError):
-    """Fewer than half of the grid levels are good; the main bound does not apply."""
 
 
 class LevelNotGoodError(ValueError):
@@ -98,8 +93,10 @@ class GrowthAudit:
 class BoundCertificate:
     """Realized error against a bound value, with the bound's constituents.
 
-    The certificate passes when lhs and rhs are finite and slack = rhs - lhs
-    >= -tolerance; ``reason`` says which of these fails.
+    The certificate passes when the bound applies (``unmet``, the condition
+    of the bound that the instance does not meet, is None), lhs and rhs are
+    finite and slack = rhs - lhs >= -tolerance; ``reason`` says which of these
+    fails.
     """
 
     name: str
@@ -107,6 +104,7 @@ class BoundCertificate:
     rhs: float
     components: dict = field(default_factory=dict)
     tolerance: float = NUMERIC_TOL
+    unmet: Optional[str] = None
 
     @property
     def slack(self) -> float:
@@ -115,6 +113,8 @@ class BoundCertificate:
     @property
     def reason(self) -> Optional[str]:
         """Why the certificate fails, or None when it passes."""
+        if self.unmet is not None:
+            return self.unmet
         for side in ("lhs", "rhs"):
             value = getattr(self, side)
             if not math.isfinite(value):
@@ -348,17 +348,16 @@ def verify_grid_majority_bound(
 
     The headline rhs uses the measured good fraction; the nominal fraction from
     the task's growth guarantee (and the bound it yields) is recorded alongside
-    so both can be reported.
+    so both can be reported.  The bound needs more than half of the levels
+    good: at a measured fraction of 1/2 or less, rhs is nan and the
+    certificate fails with the fraction as its reason.
     """
     grid = grid if grid is not None else output.grid
     rho_hat = audit.good_fraction
-    if rho_hat <= 0.5:
-        raise GridMajorityError(
-            f"grid-majority failure: measured good fraction {rho_hat:.4f} <= 1/2"
-        )
+    majority = rho_hat > 0.5
     n = output.medians.size
     base = erm + grid.t_max + audit.delta
-    multiplier = 2 * audit.c_g / ((2 * rho_hat - 1) * n)
+    multiplier = 2 * audit.c_g / ((2 * rho_hat - 1) * n) if majority else math.nan
     rhs = multiplier * base
     rhs_nominal = 2 * audit.c_g / ((2 * nominal_rho - 1) * n) * base
     return BoundCertificate(
@@ -376,6 +375,9 @@ def verify_grid_majority_bound(
             "multiplier": multiplier,
             "n": n,
         },
+        unmet=None if majority else (
+            f"grid-majority failure: measured good fraction {rho_hat:.4f} <= 1/2"
+        ),
     )
 
 

@@ -556,8 +556,10 @@ def _cmd_run(args) -> int:
     write_csv(out / "results.csv", results)
     failed = sum(not r.passed for r in results)
     for res in results:
-        status = "PASS" if res.passed else "FAIL"
-        print(f"{status} {res.instance_id} loo={res.loo:.6g} slack={res.slack:.6g}")
+        bad = [c for c in res.certificates if not c.passed]
+        why = f" ({bad[0].name}: {bad[0].reason})" if bad else ""
+        status = "FAIL" if bad else "PASS"
+        print(f"{status} {res.instance_id} loo={res.loo:.6g} slack={res.slack:.6g}{why}")
     print(f"{len(results)} runs, {failed} failed, {len(errors)} errors, {elapsed:.2f}s")
     for job, error in errors:
         print(f"error {job}: {error}", file=sys.stderr)

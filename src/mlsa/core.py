@@ -10,18 +10,18 @@ lower median of the per-level predictions together with the resulting LOO error.
 All operations are pure functions of their inputs with fixed reduction order,
 so identical inputs produce identical outputs.
 
-0/1 data is bool (``PredictionTable`` and the 0-1 loss keep it so), and the
-path that computes the per-level aggregates is read off the dtypes.  The
-general one sorts the leave-one-out totals of every row (``_loo_level_sets``,
-shared with the logistic Monte Carlo pool).  The sandwich check of the growth
-audit and the logistic CRN report sorts only the full-sample totals, once per
-call, and reads every leave-one-out row in that order
-(``audit._sandwich_violations``), a bool loss matrix as exact integers.  When
-the loss matrix and the table are both bool and the rule has a ``combine``,
-``run_mlsa`` takes the 0/1-lattice path instead: columns are grouped once by
-their integer full-sample total, and every level count and vote sum is read
-off the group sums (see ``_ZeroOneLattice``).  Those are exact integers, so
-the results are bit-identical to the sorted path's.
+The per-level aggregates take one of two paths, read off the dtypes.  The
+sorted path (``_loo_level_sets``, shared with the logistic Monte Carlo pool)
+sorts the leave-one-out totals of every row in blocks of at most
+``_LOO_BLOCK_ENTRIES`` = 2^13 rows x columns entries: one sort, one repair of
+the tied runs, one gather and one prefix sum per block, 32 rows of a
+256-column table, or one logistic pool row of about 68k draws.  When the loss
+matrix and the table are both bool and the rule has a ``combine``,
+``run_mlsa`` takes the 0/1-lattice path instead: every level count and vote
+sum is read off exact integer sums over columns grouped by their full-sample
+total (``_ZeroOneLattice``), bit-identical to the sorted path's.  The growth
+audit's and the CRN report's sandwich check sorts only the full-sample totals
+(``audit._sandwich_violations``).
 
 The sorted path needs numpy's stable order, because its prefix sums add the
 tied columns in index order.  ``np.argsort(kind="stable")`` is a merge sort
@@ -368,8 +368,22 @@ def _lattice_per_level(lm, totals, values, levels, combine) -> np.ndarray:
     return per_level
 
 
+#: bound on the entries of one row block's rows x columns temporaries in
+#: ``_loo_level_sets`` (70-90 bytes per entry in all): a narrow table is swept
+#: a few dozen rows at a time, a logistic pool row alone
+_LOO_BLOCK_ENTRIES = 1 << 13
+
+
+def _take_along_rows(values: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """``np.take_along_axis(values, indices, axis=-1)`` as one 1-D ``np.take``
+    (20 against 50 us on a 32 x 256 block); a single row needs no offsets."""
+    if values.ndim == 2 and len(values) > 1:
+        indices = indices + np.arange(0, values.size, values.shape[1])[:, None]
+    return np.take(values, indices)
+
+
 def _stable_argsort(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exactly ``np.argsort(values, kind="stable")``, from the default sort.
+    """Exactly ``np.argsort(values, axis=-1, kind="stable")``, from the default sort.
 
     The stable permutation is the unique sort by (value, index), so it is
     enough to sort by value with numpy's default (SIMD-dispatched) sort and
@@ -378,69 +392,63 @@ def _stable_argsort(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sorted values, and only their positions are re-sorted, by the unique
     integer key (run, index) (``_sort_tied_runs``), so a row without ties
     pays one comparison pass for the exactness.  It returns the order and the
-    sorted values, which equal ``values[order]`` under ``==``.
+    sorted values, which equal the values taken in that order under ``==``.
     """
-    order = np.argsort(values)
-    ranked = values[order]
-    tie = ranked[1:] == ranked[:-1]
-    if ranked.dtype.kind == "f" and ranked.size and np.isnan(ranked[-1]):
-        tie |= np.isnan(ranked[1:]) & np.isnan(ranked[:-1])
+    order = np.argsort(values, axis=-1)
+    ranked = _take_along_rows(values, order)
+    tie = ranked[..., 1:] == ranked[..., :-1]
+    if ranked.dtype.kind == "f" and ranked.size and np.isnan(ranked[..., -1]).any():
+        tie |= np.isnan(ranked[..., 1:]) & np.isnan(ranked[..., :-1])
     if tie.any():
         _sort_tied_runs(order, tie)
     return order, ranked
 
 
 def _sort_tied_runs(order: np.ndarray, tie: np.ndarray) -> None:
-    """Sort ``order`` in place inside each run of positions joined by ``tie``
-    (``tie[k]``: positions k and k + 1 hold equal values)."""
-    pos = np.flatnonzero(np.r_[tie, False] | np.r_[False, tie])
-    run = np.cumsum(~np.r_[False, tie][pos])
-    # (run, index) as one integer: run * size + index < size**2 + size
-    order[pos] = np.sort(run * order.size + order[pos]) % order.size
+    """Sort each row of ``order`` in place inside each run of positions joined
+    by ``tie`` (``tie[..., k]``: positions k and k + 1 hold equal values), all
+    rows in one sort of the flattened block, with a run break at each row end."""
+    m, flat = order.shape[-1], order.reshape(-1)  # a view: argsort's order is contiguous
+    tie = np.concatenate((tie, np.zeros_like(tie[..., :1])), axis=-1).reshape(-1)
+    pos = np.flatnonzero(tie | np.r_[False, tie[:-1]])
+    run = np.cumsum(~np.r_[False, tie[:-1]][pos])
+    # (run, index) as one integer: run * m + index < (order.size + 1) * m
+    flat[pos] = np.sort(run * m + flat[pos]) % m
 
 
 def _loo_level_sets(lm, totals, levels, refs=None):
     """The leave-one-out level sets of every row, as prefixes of one sort.
 
-    Yields, for each row i, the stable argsort ``order`` of the leave-one-out
-    totals ``excl = totals - lm[i]`` and per level t the ``counts`` of columns
-    with ``excl <= ref + t``, where ``ref`` is the smallest ``excl`` or
-    ``refs[i]`` when given: the level set at t is ``order[:count]``.  ``lm``
-    is a rows x columns loss matrix; the logistic pool passes ``losses.T``,
-    whose rows are contiguous.  ``order`` comes from ``_stable_argsort``: bit
-    for bit numpy's stable sort, whichever sort kernel numpy dispatches to, so
-    prefix sums over it add in the same order on every CPU.
+    Yields per block of rows (a slice of at most ``_LOO_BLOCK_ENTRIES``
+    entries, or one row) the stable argsort of the leave-one-out totals
+    ``excl = totals - lm[rows]`` along each row and, rows x levels, the
+    ``counts`` of columns with ``excl <= ref + t``, where ``ref`` is the row's
+    smallest ``excl`` or ``refs[i]``: row i's level set at t is the first
+    ``count`` entries of its order.  The logistic pool passes ``losses.T``,
+    whose rows are contiguous.  ``_stable_argsort`` makes the order numpy's
+    stable one on every CPU, so prefix sums over it add in the same order.
     """
-    for i in range(len(lm)):
-        order, ranked = _stable_argsort(totals - lm[i])
-        ref = ranked[0] if refs is None else refs[i]
-        yield order, np.searchsorted(ranked, ref + levels, side="right")
+    step = max(1, _LOO_BLOCK_ENTRIES // totals.size)
+    for lo in range(0, len(lm), step):
+        rows = slice(lo, lo + step)
+        order, ranked = _stable_argsort(totals - lm[rows])
+        ref = ranked[:, :1] if refs is None else refs[rows, None]
+        counts = [r.searchsorted(t, side="right") for r, t in zip(ranked, ref + levels)]
+        yield rows, order, np.array(counts)
 
 
 def _loo_level_sums(lm, totals, values, levels, refs=None):
     """Sizes of ``_loo_level_sets`` and the sums of ``values[i]`` over them,
-    levels x rows."""
+    levels x rows, from one ``cumsum`` along each block's rows: it adds in
+    sequence, so every sum has the bits of its row's own 1-D prefix sum."""
     counts = np.empty((levels.size, len(lm)), dtype=np.intp)
     sums = np.empty(counts.shape)
-    for i, (order, row_counts) in enumerate(_loo_level_sets(lm, totals, levels, refs)):
-        counts[:, i] = row_counts
-        sums[:, i] = np.concatenate(([0.0], np.cumsum(values[i][order])))[row_counts]
+    for rows, order, block_counts in _loo_level_sets(lm, totals, levels, refs):
+        counts[:, rows] = block_counts.T
+        prefix = np.cumsum(_take_along_rows(values[rows], order), axis=1)
+        sums[:, rows] = np.where(block_counts > 0, _take_along_rows(prefix, block_counts - 1), 0).T
+        del prefix  # not held while the next block is sorted: a logistic row is 0.5 MB
     return counts, sums
-
-
-def _column_losses(
-    table: PredictionTable,
-    sample: LabeledSample,
-    loss: LossModel,
-    exclude: Optional[int],
-) -> np.ndarray:
-    lm = loss_matrix(table, sample, loss)
-    totals = lm.sum(axis=0)
-    if exclude is not None:
-        if not 0 <= exclude < table.n_samples:
-            raise IndexError(f"exclude index {exclude} out of range [0, {table.n_samples})")
-        totals = totals - lm[exclude]
-    return totals
 
 
 def empirical_loss(
@@ -475,7 +483,12 @@ def level_set(
     """
     if not t >= 0:
         raise ValueError(f"tolerance must be nonnegative, got {t!r}")
-    totals = _column_losses(table, sample, loss, exclude)
+    lm = loss_matrix(table, sample, loss)
+    totals = lm.sum(axis=0)
+    if exclude is not None:
+        if not 0 <= exclude < table.n_samples:
+            raise IndexError(f"exclude index {exclude} out of range [0, {table.n_samples})")
+        totals = totals - lm[exclude]
     return np.flatnonzero(totals <= totals.min() + t)
 
 
@@ -522,8 +535,9 @@ def run_mlsa(
     levels = grid.levels
     if agg.combine is None:
         per_level = np.empty((levels.size, table.n_samples))
-        for i, (order, counts) in enumerate(_loo_level_sets(lm, totals, levels)):
-            per_level[:, i] = [agg(np.sort(order[:c]), table, i) for c in counts]
+        for rows, order, counts in _loo_level_sets(lm, totals, levels):
+            for i, row_order, row_counts in zip(range(table.n_samples)[rows], order, counts):
+                per_level[:, i] = [agg(np.sort(row_order[:c]), table, i) for c in row_counts]
     elif lm.dtype == bool and table.values.dtype == bool:
         per_level = _lattice_per_level(lm, totals, table.values, levels, agg.combine)
     else:

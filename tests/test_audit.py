@@ -7,7 +7,6 @@ import pytest
 
 from mlsa.audit import (
     BoundCertificate,
-    GridMajorityError,
     GrowthAudit,
     LevelAudit,
     LevelNotGoodError,
@@ -259,8 +258,13 @@ def test_grid_majority_failure_detected():
     inst = make_classification_instance("thresholds-1d", 10, 0.0, rng)
     grid = classification_grid(1, 10)
     output = run_mlsa(inst.table, inst.sample, zero_one_loss(), grid, MAJORITY_VOTE)
-    with pytest.raises(GridMajorityError):
-        verify_grid_majority_bound(output, _fake_audit(0.5), erm=0.0, grid=grid)
+    for rho in (0.5, 0.25, 0.0):
+        cert = verify_grid_majority_bound(output, _fake_audit(rho), erm=0.0, grid=grid)
+        assert not cert.passed
+        assert cert.reason == f"grid-majority failure: measured good fraction {rho:.4f} <= 1/2"
+        assert math.isnan(cert.rhs) and cert.components["rho_hat"] == rho
+    # just above 1/2 the bound applies again
+    assert verify_grid_majority_bound(output, _fake_audit(0.51), erm=0.0, grid=grid).reason is None
 
 
 @pytest.mark.parametrize(

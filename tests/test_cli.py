@@ -461,6 +461,52 @@ def test_cli_failed_deep_check_is_a_failed_certificate(tmp_path, capsys, monkeyp
     assert (out / "results.csv").read_bytes() == (passing / "results.csv").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "task,extra",
+    [
+        ("classification", ["n=25", "noise=0.1"]),
+        ("regression", ["n=25", "class_size=6"]),
+        ("density", ["n=25", "class_size=4", "space_size=8"]),
+    ],
+)
+def test_cli_grid_majority_failure_is_a_failed_certificate(tmp_path, capsys, monkeypatch, task,
+                                                           extra):
+    args = ["run", "--task", task, "--seed", "1", "--set", *extra, "instances=2"]
+    passing = tmp_path / "pass"
+    assert main([*args, "--out", str(passing)]) == 0
+    capsys.readouterr()
+    real = audit_module.grid_growth_audit
+    audits = []
+
+    def first_at_minority(*a, **k):
+        # only the first job's audit measures a good fraction of 0.4
+        audits.append(real(*a, **k))
+        return dataclasses.replace(audits[-1], good_fraction=0.4) if len(audits) == 1 else audits[-1]
+
+    monkeypatch.setattr(audit_module, "grid_growth_audit", first_at_minority)
+    out = tmp_path / "fail"
+    assert main([*args, "--out", str(out)]) == 1
+    why = "grid-majority failure: measured good fraction 0.4000 <= 1/2"
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith(f"FAIL {task}-0000 ")
+    assert lines[0].endswith(f" (grid-majority-loo-bound: {why})")
+    assert lines[1].startswith(f"PASS {task}-0001 ")
+    assert lines[2] == "2 runs, 1 failed, 0 errors, " + lines[2].rsplit(" ", 1)[1]
+    report = (out / "report.txt").read_text()
+    assert "[errors]" not in report
+    block = report.split(f"[run {task}-0000 / certificate grid-majority-loo-bound]\n")[1]
+    assert block.startswith("lhs = ")
+    assert f"\nrhs = nan\nslack = nan\npassed = False\nreason = {why}\nerm_loss = " in block
+    assert "\nrho_hat = 0.4\n" in block.split("[")[0]
+    assert report.count("passed = False\n") == 2  # the run's and the certificate's
+    # the failed job keeps its row, with the measured fraction; the other row is unchanged
+    header, failed, other = (out / "results.csv").read_text().splitlines()
+    expected = (passing / "results.csv").read_text().splitlines()
+    assert [header, other] == [expected[0], expected[2]]
+    assert failed.split(",")[:7] == expected[1].split(",")[:7]
+    assert failed.split(",")[7] == "0.4"
+
+
 @pytest.mark.parametrize("command", ["run", "audit", "gen", "sweep"])
 def test_cli_unknown_set_key_is_a_config_error(tmp_path, capsys, command):
     out = tmp_path / "out"

@@ -1,22 +1,25 @@
 """The sorted leave-one-out sweep and the sandwich check against brute force.
 
 ``run_mlsa`` and the logistic pool share one sorted sweep over the
-leave-one-out totals of every row; the sandwich check of the growth audit and
-the logistic CRN report sorts only the full-sample totals.  Here each is
-compared with set arithmetic on the brute-force oracles ``level_set`` and
-``empirical_loss``, and the sandwich kernel also with a per-row-sort oracle,
-on float loss matrices and on bool ones, which it reads as integer totals.
-Tables take quarter-valued entries, so losses and totals are exact dyadic
-rationals: ties are frequent, and every threshold form agrees exactly with the
-oracles' ``totals <= min + t``.
+leave-one-out totals of every row, taken a block of rows at a time; the
+sandwich check of the growth audit and the logistic CRN report sorts only the
+full-sample totals.  Here each is compared with set arithmetic on the
+brute-force oracles ``level_set`` and ``empirical_loss``; the block sweep also
+with the sweep one row at a time, byte for byte, and the sandwich kernel with
+a per-row-sort oracle, on float loss matrices and on bool ones, which it reads
+as integer totals.  Tables take quarter-valued entries, so losses and totals
+are exact dyadic rationals: ties are frequent, and every threshold form agrees
+exactly with the oracles' ``totals <= min + t``.
 
 The sweep's order comes from ``core._stable_argsort``, numpy's default sort
-with its tied runs re-sorted.  The ``stable_argsort`` tests check it against
+with its tied runs re-sorted, on 1-D arrays and on row blocks.  The
+``stable_argsort`` tests check it, and the block sweep built on it, against
 numpy's stable sort; run them under ``NPY_DISABLE_CPU_FEATURES`` to cover
 each sort kernel numpy can dispatch to.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -229,8 +232,8 @@ def test_sandwich_kernel_sorts_once_per_call(monkeypatch):
 
 
 def numpy_stable_argsort(values):
-    order = np.argsort(values, kind="stable")
-    return order, values[order]
+    order = np.argsort(values, axis=-1, kind="stable")
+    return order, np.take_along_axis(values, order, axis=-1)
 
 
 # few distinct values, so runs of ties are long; both zeros, NaNs of either
@@ -347,3 +350,151 @@ def test_stable_argsort_keeps_the_logistic_pool_byte_identical(monkeypatch):
     expected_per_level, expected_violations = results()
     assert per_level.tobytes() == expected_per_level.tobytes()
     assert violations == expected_violations
+
+
+def test_stable_argsort_on_row_blocks_equals_numpy_stable_sort(monkeypatch):
+    repairs = []
+    sort_tied_runs = core._sort_tied_runs
+
+    def spy(order, tie):
+        repairs.append(tie.sum())
+        sort_tied_runs(order, tie)
+
+    monkeypatch.setattr(core, "_sort_tied_runs", spy)
+    shapes = st.tuples(st.integers(1, 12), st.integers(1, 200))
+    blocks = st.one_of(
+        hnp.arrays(np.float64, shapes, elements=FLOATS),
+        hnp.arrays(np.int64, shapes, elements=INTS),
+        # every row one value, the same in each row: tied runs end where rows meet
+        st.builds(lambda shape, v: np.full(shape, v), shapes, TIE_FLOATS),
+    )
+
+    @settings(deadline=None, max_examples=200)
+    @given(values=blocks)
+    def check(values):
+        got, ranked = core._stable_argsort(values)
+        expected, expected_ranked = numpy_stable_argsort(values)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, expected)
+        assert np.array_equal(ranked, expected_ranked, equal_nan=values.dtype.kind == "f")
+
+    check()
+    assert repairs
+
+
+# ------------------------------------------------------- row-block sweep
+
+
+def per_row_level_sums(lm, totals, values, levels, refs=None):
+    """The sweep one row at a time: per row, numpy's stable sort of the
+    leave-one-out totals, the counts by ``searchsorted`` and the sums read off
+    a 1-D prefix sum of the row's values in that order."""
+    counts = np.empty((levels.size, len(lm)), dtype=np.intp)
+    sums = np.empty(counts.shape)
+    for i in range(len(lm)):
+        excl = totals - lm[i]
+        order = np.argsort(excl, kind="stable")
+        ref = excl[order[0]] if refs is None else refs[i]
+        counts[:, i] = np.searchsorted(excl[order], ref + levels, side="right")
+        sums[:, i] = np.concatenate(([0.0], np.cumsum(values[i][order])))[counts[:, i]]
+    return counts, sums
+
+
+@st.composite
+def sweep_problems(draw):
+    """A loss matrix with quarter-valued entries (ties inside rows, and equal
+    values across row boundaries), continuous ones, or one value throughout
+    (every row one tied run); values to sum that are quarters, continuous or
+    bool; levels; and references that are the rows' own minima or given."""
+    n = draw(st.integers(1, 40))
+    m = draw(st.integers(1, 30))
+
+    def matrix(entries):
+        return np.array(draw(st.lists(entries, min_size=n * m, max_size=n * m))).reshape(n, m)
+
+    lm = matrix(draw(st.sampled_from(
+        [QUARTERS, st.floats(0.0, 1.0, allow_subnormal=False), st.just(0.5)])))
+    values = matrix(draw(st.sampled_from(
+        [QUARTERS, st.floats(0.0, 1.0, allow_subnormal=False), st.booleans()])))
+    totals = lm.sum(axis=0)
+    steps = draw(st.lists(st.integers(0, 4 * n + 4), min_size=1, max_size=8, unique=True))
+    levels = np.array(sorted(steps)) / 4.0
+    refs = None
+    if draw(st.booleans()):
+        refs = (totals - lm).min(axis=1) - draw(st.sampled_from([0.0, 0.25, 0.6]))
+    return lm, totals, values, levels, refs
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, None], ids=["1-row", "7-row", "default"])
+def test_stable_argsort_block_sweep_matches_per_row_oracle(block_rows, monkeypatch):
+    default = core._LOO_BLOCK_ENTRIES
+
+    @settings(deadline=None, max_examples=150)
+    @given(problem=sweep_problems())
+    def check(problem):
+        lm, totals, values, levels, refs = problem
+        entries = default if block_rows is None else block_rows * totals.size
+        monkeypatch.setattr(core, "_LOO_BLOCK_ENTRIES", entries)
+        counts, sums = _loo_level_sums(lm, totals, values, levels, refs)
+        expected_counts, expected_sums = per_row_level_sums(lm, totals, values, levels, refs)
+        assert counts.dtype == expected_counts.dtype
+        assert np.array_equal(counts, expected_counts)
+        assert sums.tobytes() == expected_sums.tobytes()
+
+    check()
+
+
+def sweep_peak(lm, totals, values, levels):
+    """tracemalloc's peak over one block sweep, after one untraced warm-up."""
+    _loo_level_sums(lm, totals, values, levels)
+    tracemalloc.start()
+    try:
+        _loo_level_sums(lm, totals, values, levels)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_block_sweep_memory_is_bounded_by_the_block(monkeypatch):
+    rng = np.random.default_rng(0)
+    n, m = 200, 256
+    lm, values = rng.random((n, m)), rng.random((n, m))
+    totals = lm.sum(axis=0)
+    levels = np.arange(1, 101) / 2.0
+    # the counts and sums, plus up to 12 eight-byte temporaries per block
+    # entry: the block being sorted and the previous one, still referenced
+    bound = 2 * 8 * levels.size * n + 12 * 8 * core._LOO_BLOCK_ENTRIES
+    assert sweep_peak(lm, totals, values, levels) < bound
+    # the whole table as one block exceeds it, so the bound does test the blocks
+    monkeypatch.setattr(core, "_LOO_BLOCK_ENTRIES", n * m)
+    assert sweep_peak(lm, totals, values, levels) > bound
+
+
+def test_block_sweep_takes_a_row_wider_than_the_bound_alone(monkeypatch):
+    # about as wide as a logistic pool row: each row is a block of its own,
+    # sorted and gathered as one 1-D row, never through take_along_axis
+    rng = np.random.default_rng(1)
+    n, m = 4, 70_000
+    assert m > core._LOO_BLOCK_ENTRIES
+    lm, values = rng.random((n, m)), rng.random((n, m))
+    totals = lm.sum(axis=0)
+    refs = (totals - lm).min(axis=1)
+    levels = np.arange(1, 41) / 8.0
+    shapes = []
+    stable_argsort = core._stable_argsort
+
+    def spy(block):
+        shapes.append(block.shape)
+        return stable_argsort(block)
+
+    def no_broadcast_gather(*args, **kwargs):
+        raise AssertionError("a one-row block went through take_along_axis")
+
+    monkeypatch.setattr(core, "_stable_argsort", spy)
+    monkeypatch.setattr(np, "take_along_axis", no_broadcast_gather)
+    counts, sums = _loo_level_sums(lm, totals, values, levels, refs)
+    monkeypatch.undo()
+    assert shapes == [(1, m)] * n
+    expected_counts, expected_sums = per_row_level_sums(lm, totals, values, levels, refs)
+    assert np.array_equal(counts, expected_counts)
+    assert sums.tobytes() == expected_sums.tobytes()
