@@ -281,23 +281,13 @@ def grid_growth_audit(
 
     sandwich_ok = _sandwich_violations(lm, totals, levels, delta, t_min) == 0
 
-    records = []
-    for k in range(levels.size):
-        ratio = size_plus[k] / size_minus[k]
-        good = bool(sandwich_ok[k] and ratio <= c_g + NUMERIC_TOL)
-        records.append(
-            LevelAudit(
-                level=float(levels[k]),
-                size_minus=int(size_minus[k]),
-                size_plus=int(size_plus[k]),
-                ratio=float(ratio),
-                sandwich_ok=bool(sandwich_ok[k]),
-                good=good,
-            )
-        )
-    good_fraction = sum(r.good for r in records) / len(records)
+    ratio = size_plus / size_minus
+    good = sandwich_ok & (ratio <= c_g + NUMERIC_TOL)
+    columns = (levels, size_minus, size_plus, ratio, sandwich_ok, good)  # LevelAudit's fields
+    records = tuple(LevelAudit(*row) for row in zip(*(c.tolist() for c in columns)))
+    good_fraction = int(good.sum()) / levels.size
     return GrowthAudit(
-        levels=tuple(records), good_fraction=good_fraction, c_g=c_g, delta=delta
+        levels=records, good_fraction=good_fraction, c_g=c_g, delta=delta
     )
 
 

@@ -52,7 +52,6 @@ def zero_one_loss() -> LossModel:
 
 MAJORITY_VOTE = AggregationRule(
     name="majority_vote",
-    on_values=lambda v: 1.0 if 2.0 * v.sum() - v.size >= 0 else 0.0,
     combine=lambda counts, sums: (2.0 * sums - counts >= 0).astype(float),
     stability=2.0,
 )

@@ -10,17 +10,19 @@ lower median of the per-level predictions together with the resulting LOO error.
 All operations are pure functions of their inputs with fixed reduction order,
 so identical inputs produce identical outputs.
 
-The per-level aggregates take one of two paths, read off the dtypes.  The
-sorted path (``_loo_level_sets``, shared with the logistic Monte Carlo pool)
-sorts the leave-one-out totals of every row in blocks of at most
-``_LOO_BLOCK_ENTRIES`` = 2^13 rows x columns entries: one sort, one repair of
-the tied runs, one gather and one prefix sum per block, 32 rows of a
-256-column table, or one logistic pool row of about 68k draws.  When the loss
-matrix and the table are both bool and the rule has a ``combine``,
-``run_mlsa`` takes the 0/1-lattice path instead: every level count and vote
-sum is read off exact integer sums over columns grouped by their full-sample
-total (``_ZeroOneLattice``), bit-identical to the sorted path's.  The growth
-audit's and the CRN report's sandwich check sorts only the full-sample totals
+Every aggregation rule depends only on the size of a level set and the sum of
+its predictions at the row, so ``run_mlsa`` reads the sizes and sums of every
+level set, levels x rows, off one of two sweeps picked from the dtypes, then
+calls the rule's ``combine`` once on them.  The sorted sweep
+(``_loo_level_sums``, shared with the logistic Monte Carlo pool) sorts the
+leave-one-out totals of every row in blocks of at most ``_LOO_BLOCK_ENTRIES``
+= 2^13 rows x columns entries: one sort, one repair of the tied runs, one
+gather and one prefix sum per block, 32 rows of a 256-column table, or one
+logistic pool row of about 68k draws.  When the loss matrix and the table are
+both bool, ``_lattice_level_sums`` reads every size and vote sum off exact
+integer sums over columns grouped by their full-sample total instead (the 0/1
+lattice), bit-identical to the sorted sweep's.  The growth audit's and the CRN
+report's sandwich check sorts only the full-sample totals
 (``audit._sandwich_violations``).
 
 The sorted path needs numpy's stable order, because its prefix sums add the
@@ -233,11 +235,12 @@ class MlsaOutput:
 class AggregationRule:
     """Aggregation of the predictions of a hypothesis subset at one row.
 
-    ``on_values`` maps the selected prediction values to the aggregate.  When
-    the rule depends only on the count and sum of the selected values (majority
-    vote and averaging both do), ``combine`` supplies that reduction in
-    vectorized form over whole tolerance grids; it must agree exactly with
-    ``on_values`` and is cross-checked in the test suite.
+    Every rule depends only on the size of the subset and the sum of its
+    predictions at the row (majority vote and averaging both do).
+    ``combine(counts, sums)`` maps arrays of both, sums as float64, to the
+    aggregates elementwise, so ``run_mlsa`` aggregates every level of every
+    row in one call, and a call on one subset (``__call__``) is the same
+    reduction on one count and one sum.
 
     ``stability`` is the rule's provable constant c in
     loss(aggregate) <= c * (average loss over the subset): 1 for averaging
@@ -247,15 +250,15 @@ class AggregationRule:
     """
 
     name: str
-    on_values: Callable[[np.ndarray], float]
-    combine: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    combine: Callable[[np.ndarray, np.ndarray], np.ndarray]
     stability: float = 1.0
 
     def __call__(self, indices, table: PredictionTable, i: int) -> float:
         indices = np.asarray(indices, dtype=int)
         if indices.size == 0:
             raise ValueError("cannot aggregate an empty hypothesis set")
-        return float(self.on_values(table.values[i, indices]))
+        selected = table.values[i, indices]
+        return float(self.combine(np.array(indices.size), selected.sum(dtype=float)))
 
 
 def loss_matrix(table: PredictionTable, sample: LabeledSample, loss: LossModel) -> np.ndarray:
@@ -283,95 +286,16 @@ def loss_matrix(table: PredictionTable, sample: LabeledSample, loss: LossModel) 
     return lm
 
 
-class _ZeroOneLattice:
-    """Columns of a bool loss matrix grouped by their integer full-sample total.
-
-    Column j's leave-one-out total at row i is ``totals[j] - lm[i, j]``: the
-    total of its group, or one less.  So the leave-one-out level set
-    ``{j : totals[j] - lm[i, j] <= x}`` holds every group with total <= x, plus
-    the columns of the next group that have loss 1 at row i when that group's
-    total is at most x + 1.  Counts and 0/1 vote sums over such sets are sums
-    of integer group sums, so they equal a sorted sweep's prefix sums exactly.
-
-    Callers work through the rows in blocks (``row_blocks``).  Group sums are
-    laid out groups x rows of a block; thresholds are levels x rows.
-    """
-
-    #: bound on the entries of one row block's masks and of their permuted
-    #: int32 copies (rows x columns)
-    BLOCK_ENTRIES = 1 << 19
-    #: bound on the entries of one row block's per-level arrays (levels x
-    #: rows, about 80 bytes per entry in all, so about 0.65 MB)
-    LEVEL_ENTRIES = 1 << 13
-
-    def __init__(self, totals: np.ndarray) -> None:
-        self._order = np.argsort(totals, kind="stable")
-        ranked = totals[self._order]
-        self._starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
-        #: distinct full-sample totals, increasing
-        self.totals = ranked[self._starts]
-        #: number of columns in each group
-        self.sizes = np.diff(np.r_[self._starts, ranked.size])
-
-    def row_blocks(self, n_rows: int, n_levels: int) -> list[slice]:
-        """Row slices that keep a block's temporaries small: at most
-        ``BLOCK_ENTRIES`` rows x columns and ``LEVEL_ENTRIES`` levels x rows,
-        and at least one row."""
-        m = self._order.size
-        step = max(1, min(self.BLOCK_ENTRIES // m, self.LEVEL_ENTRIES // n_levels))
-        return [slice(lo, lo + step) for lo in range(0, n_rows, step)]
-
-    def group_sums(self, mask: np.ndarray) -> np.ndarray:
-        """Sums of a block's rows x columns bool ``mask`` over each group."""
-        return np.add.reduceat(mask.T[self._order], self._starts, axis=0, dtype=np.int32)
-
-    def loo_min(self, ones: np.ndarray) -> np.ndarray:
-        """The smallest leave-one-out total at each row, from the rows' ``ones``."""
-        return self.totals[0] - (ones[0] > 0)
-
-    def locate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Number of groups with total <= x, and whether the next group is in reach."""
-        within = np.searchsorted(self.totals, x, side="right")
-        reached = np.append(self.totals, np.inf)[within] - 1.0 <= x
-        return within, reached
-
-    @staticmethod
-    def level_sums(sums, edge_sums, within, reached) -> np.ndarray:
-        """Per-row sums over the level sets located by ``locate``.
-
-        ``sums`` are group sums of some weight, ``edge_sums`` the group sums of
-        that weight over the loss-1 columns only: the groups within add whole,
-        the next group adds its ``edge_sums`` where it is in reach.
-        """
-        prefix = np.cumsum(sums, axis=0)
-        prefix = np.concatenate((np.zeros_like(prefix[:1]), prefix))
-        edge = np.concatenate((edge_sums, np.zeros_like(edge_sums[:1])))
-        return np.take_along_axis(prefix, within, axis=0) + np.where(
-            reached, np.take_along_axis(edge, within, axis=0), 0
-        )
-
-
-def _lattice_per_level(lm, totals, values, levels, combine) -> np.ndarray:
-    """``run_mlsa``'s per-level aggregates, block by block on the 0/1 lattice,
-    from a bool loss matrix ``lm`` and a bool table ``values``."""
-    lattice = _ZeroOneLattice(totals)
-    per_level = np.empty((levels.size, lm.shape[0]))
-    for rows in lattice.row_blocks(lm.shape[0], levels.size):
-        loss, votes = lm[rows], values[rows]
-        ones = lattice.group_sums(loss)
-        located = lattice.locate(lattice.loo_min(ones) + levels[:, None])
-        counts = lattice.level_sums(lattice.sizes[:, None], ones, *located)
-        sums = lattice.level_sums(
-            lattice.group_sums(votes), lattice.group_sums(votes & loss), *located
-        )
-        per_level[:, rows] = combine(counts, sums.astype(float))
-    return per_level
-
-
 #: bound on the entries of one row block's rows x columns temporaries in
-#: ``_loo_level_sets`` (70-90 bytes per entry in all): a narrow table is swept
+#: ``_loo_level_sums`` (70-90 bytes per entry in all): a narrow table is swept
 #: a few dozen rows at a time, a logistic pool row alone
 _LOO_BLOCK_ENTRIES = 1 << 13
+
+#: bounds on one row block of ``_lattice_level_sums``: its rows x columns
+#: masks and their permuted int32 copies, and its levels x rows arrays (about
+#: 80 bytes per entry in all, so about 0.65 MB)
+_LATTICE_BLOCK_ENTRIES = 1 << 19
+_LATTICE_LEVEL_ENTRIES = 1 << 13
 
 
 def _take_along_rows(values: np.ndarray, indices: np.ndarray) -> np.ndarray:
@@ -416,38 +340,86 @@ def _sort_tied_runs(order: np.ndarray, tie: np.ndarray) -> None:
     flat[pos] = np.sort(run * m + flat[pos]) % m
 
 
-def _loo_level_sets(lm, totals, levels, refs=None):
-    """The leave-one-out level sets of every row, as prefixes of one sort.
+def _loo_level_sums(lm, totals, values, levels, refs=None):
+    """Sizes of the leave-one-out level sets of every row and the sums of
+    ``values[i]`` over them, levels x rows, as prefixes of one sort per row.
 
-    Yields per block of rows (a slice of at most ``_LOO_BLOCK_ENTRIES``
-    entries, or one row) the stable argsort of the leave-one-out totals
-    ``excl = totals - lm[rows]`` along each row and, rows x levels, the
-    ``counts`` of columns with ``excl <= ref + t``, where ``ref`` is the row's
-    smallest ``excl`` or ``refs[i]``: row i's level set at t is the first
-    ``count`` entries of its order.  The logistic pool passes ``losses.T``,
-    whose rows are contiguous.  ``_stable_argsort`` makes the order numpy's
-    stable one on every CPU, so prefix sums over it add in the same order.
+    Per block of rows (a slice of at most ``_LOO_BLOCK_ENTRIES`` entries, or
+    one row), the leave-one-out totals ``excl = totals - lm[rows]`` are
+    argsorted along each row.  Row i's level set at t is the first ``count``
+    entries of its order, the columns with ``excl <= ref + t``, where ``ref``
+    is the row's smallest ``excl`` or ``refs[i]``.  One ``cumsum`` along the
+    block's rows adds in sequence, so every sum has the bits of its row's own
+    1-D prefix sum, and ``_stable_argsort`` makes the order numpy's stable one
+    on every CPU, so those prefix sums add in the same order everywhere.  The
+    logistic pool passes ``losses.T``, whose rows are contiguous.
     """
+    counts = np.empty((levels.size, len(lm)), dtype=np.intp)
+    sums = np.empty(counts.shape)
     step = max(1, _LOO_BLOCK_ENTRIES // totals.size)
     for lo in range(0, len(lm), step):
         rows = slice(lo, lo + step)
         order, ranked = _stable_argsort(totals - lm[rows])
         ref = ranked[:, :1] if refs is None else refs[rows, None]
-        counts = [r.searchsorted(t, side="right") for r, t in zip(ranked, ref + levels)]
-        yield rows, order, np.array(counts)
-
-
-def _loo_level_sums(lm, totals, values, levels, refs=None):
-    """Sizes of ``_loo_level_sets`` and the sums of ``values[i]`` over them,
-    levels x rows, from one ``cumsum`` along each block's rows: it adds in
-    sequence, so every sum has the bits of its row's own 1-D prefix sum."""
-    counts = np.empty((levels.size, len(lm)), dtype=np.intp)
-    sums = np.empty(counts.shape)
-    for rows, order, block_counts in _loo_level_sets(lm, totals, levels, refs):
+        block_counts = np.array(
+            [r.searchsorted(t, side="right") for r, t in zip(ranked, ref + levels)]
+        )
         counts[:, rows] = block_counts.T
         prefix = np.cumsum(_take_along_rows(values[rows], order), axis=1)
         sums[:, rows] = np.where(block_counts > 0, _take_along_rows(prefix, block_counts - 1), 0).T
         del prefix  # not held while the next block is sorted: a logistic row is 0.5 MB
+    return counts, sums
+
+
+def _lattice_level_sums(lm, totals, values, levels):
+    """``_loo_level_sums`` for a bool loss matrix ``lm`` and a bool table
+    ``values``, read off integer group sums with no sort of any row.
+
+    Columns are grouped by their integer full-sample total.  Column j's
+    leave-one-out total at row i is ``totals[j] - lm[i, j]``: the total of its
+    group, or one less.  So the level set ``{j : totals[j] - lm[i, j] <= x}``
+    holds every group with total <= x, plus the columns of the next group that
+    have loss 1 at row i when that group's total is at most x + 1.  Its size
+    and vote sum are sums of integer group sums, so they equal the sorted
+    sweep's prefix sums exactly.  Rows go in blocks of at most
+    ``_LATTICE_BLOCK_ENTRIES`` rows x columns and ``_LATTICE_LEVEL_ENTRIES``
+    levels x rows; a block's group sums are groups x rows.
+    """
+    order = np.argsort(totals, kind="stable")
+    ranked = totals[order]
+    starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
+    group_totals = ranked[starts]
+    # the number of columns in the groups before each group, then in all
+    before = np.r_[starts, ranked.size]
+    next_total = np.append(group_totals, np.inf)
+
+    def group_sums(mask):
+        return np.add.reduceat(mask.T[order], starts, axis=0, dtype=np.int32)
+
+    def level_sums(within_sums, edge_sums, at, reached):
+        # the groups within add whole, the next group its loss-1 columns where
+        # in reach; ``at`` is (within, row) as a flat position in a (groups +
+        # 1) x rows array, one ``np.take`` for all rows
+        edge = np.concatenate((edge_sums, np.zeros_like(edge_sums[:1])))
+        return within_sums + np.where(reached, np.take(edge, at), 0)
+
+    counts = np.empty((levels.size, len(lm)), dtype=np.intp)
+    sums = np.empty(counts.shape)
+    step = max(1, min(_LATTICE_BLOCK_ENTRIES // totals.size,
+                      _LATTICE_LEVEL_ENTRIES // levels.size))
+    for lo in range(0, len(lm), step):
+        rows = slice(lo, lo + step)
+        loss, votes = lm[rows], values[rows]
+        ones = group_sums(loss)
+        # x: each row's smallest leave-one-out total plus each level
+        x = group_totals[0] - (ones[0] > 0) + levels[:, None]
+        within = np.searchsorted(group_totals, x, side="right")
+        reached = next_total[within] - 1.0 <= x
+        at = within * ones.shape[1] + np.arange(ones.shape[1])
+        counts[:, rows] = level_sums(before[within], ones, at, reached)
+        prefix = np.cumsum(group_sums(votes), axis=0)
+        prefix = np.concatenate((np.zeros_like(prefix[:1]), prefix))
+        sums[:, rows] = level_sums(np.take(prefix, at), group_sums(votes & loss), at, reached)
     return counts, sums
 
 
@@ -522,7 +494,9 @@ def run_mlsa(
     leave-one-out level set at row i, then takes the lower median across the
     grid and reports the mean loss of the medians.  The grid gap must equal the
     loss model's declared bound, which is what guarantees the level-set
-    sandwich the method relies on.
+    sandwich the method relies on.  The level sets' sizes and prediction sums
+    come from the 0/1 lattice when the loss matrix and the table are bool,
+    else from the sorted sweep; both give the same bits.
     """
     if len(sample) != table.n_samples:
         raise ValueError("sample/table size mismatch")
@@ -532,16 +506,9 @@ def run_mlsa(
         )
     lm = loss_matrix(table, sample, loss)
     totals = lm.sum(axis=0)
-    levels = grid.levels
-    if agg.combine is None:
-        per_level = np.empty((levels.size, table.n_samples))
-        for rows, order, counts in _loo_level_sets(lm, totals, levels):
-            for i, row_order, row_counts in zip(range(table.n_samples)[rows], order, counts):
-                per_level[:, i] = [agg(np.sort(row_order[:c]), table, i) for c in row_counts]
-    elif lm.dtype == bool and table.values.dtype == bool:
-        per_level = _lattice_per_level(lm, totals, table.values, levels, agg.combine)
-    else:
-        per_level = agg.combine(*_loo_level_sums(lm, totals, table.values, levels))
+    zero_one = lm.dtype == bool and table.values.dtype == bool
+    sweep = _lattice_level_sums if zero_one else _loo_level_sums
+    per_level = agg.combine(*sweep(lm, totals, table.values, grid.levels))
     medians = _lower_medians(per_level)
     err = float(np.mean(loss.evaluate(medians, sample.responses)))
     return MlsaOutput(per_level=per_level, medians=medians, loo_error=err,

@@ -25,7 +25,7 @@ an upper bound for the per-point loss on H_A.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -373,16 +373,9 @@ class McWorkspace:
 
 
 def build_workspace(
-    geometry: LogisticGeometry,
-    problem: LogisticProblem,
-    mc: McConfig,
-    theta_star_minus: Optional[np.ndarray] = None,
-    erm_tol: float = 1e-8,
+    geometry: LogisticGeometry, problem: LogisticProblem, mc: McConfig
 ) -> McWorkspace:
-    if theta_star_minus is None:
-        theta_star_minus = np.array(
-            [fit_erm(problem, exclude=i, tol=erm_tol) for i in range(problem.n)]
-        )
+    theta_star_minus = np.array([fit_erm(problem, exclude=i) for i in range(problem.n)])
     thetas = sample_muB(geometry, mc.samples_per_level, mc.seed)
     member = _in_HA(geometry, problem.r, thetas, problem.r * problem.R + 1e-12)
     # Both tables share one allocation.  At pool sizes where memory matters it
@@ -437,12 +430,7 @@ class LogisticRun:
     mc: McConfig
 
 
-def run_mlsa_logistic(
-    problem: LogisticProblem,
-    mc: McConfig,
-    seed: Optional[int] = None,
-    erm_tol: float = 1e-8,
-) -> LogisticRun:
+def run_mlsa_logistic(problem: LogisticProblem, mc: McConfig) -> LogisticRun:
     """Median of level-set aggregation with Monte-Carlo level sets.
 
     For each index i and grid tolerance t, the predicted probability is the
@@ -451,10 +439,8 @@ def run_mlsa_logistic(
     lower median across the grid and the LOO error is the mean negative log of
     those medians.
     """
-    if seed is not None:
-        mc = replace(mc, seed=seed)
-    geometry = build_geometry(problem, tol=erm_tol)
-    workspace = build_workspace(geometry, problem, mc, erm_tol=erm_tol)
+    geometry = build_geometry(problem)
+    workspace = build_workspace(geometry, problem, mc)
     grid = logistic_grid(geometry, problem)
     counts, sums = _loo_level_sums(
         workspace.losses.T, workspace.totals, workspace.sig.T, grid.levels, workspace.ref_excl

@@ -35,7 +35,6 @@ __all__ = [
 
 MEAN_AGGREGATE = AggregationRule(
     name="average",
-    on_values=lambda v: float(v.mean()),
     combine=lambda counts, sums: sums / counts,
 )
 

@@ -4,11 +4,10 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mlsa.core import (
-    AggregationRule,
     LabeledSample,
     LossBoundError,
     LossModel,
@@ -342,6 +341,35 @@ def test_lower_median_minimizes_absolute_deviation(seed, k):
     assert objective <= probe_best + 1e-9
 
 
+# ------------------------------------------------------------ aggregation rules
+
+
+@st.composite
+def rows_and_subsets(draw):
+    """A bool or quarter-valued table, a row and a nonempty column subset."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    quarters = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+    entries = st.booleans() if draw(st.booleans()) else quarters
+    values = np.array(draw(st.lists(entries, min_size=n * m, max_size=n * m))).reshape(n, m)
+    subset = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True))
+    return values, draw(st.integers(0, n - 1)), sorted(subset)
+
+
+@settings(deadline=None, max_examples=300)
+@given(problem=rows_and_subsets())
+# even-size majority ties, which vote 1: two bool, one quarter-valued
+@example(problem=(np.array([[True, False, False, True]]), 0, [0, 1, 2, 3]))
+@example(problem=(np.array([[False, True, True, False, True]]), 0, [0, 4]))
+@example(problem=(np.array([[0.25, 1.0, 0.75]]), 0, [0, 2]))
+def test_rule_on_one_subset_equals_the_per_value_formulas(problem):
+    values, i, subset = problem
+    table = PredictionTable(values, keep_duplicates=True)
+    v = table.values[i, subset]
+    majority = 1.0 if 2.0 * v.sum() - v.size >= 0 else 0.0
+    assert MAJORITY_VOTE(subset, table, i).hex() == majority.hex()
+    assert MEAN_AGGREGATE(subset, table, i).hex() == float(v.mean()).hex()
+
+
 # ------------------------------------------------------------------- run_mlsa
 
 
@@ -396,19 +424,6 @@ def test_run_mlsa_matches_straight_line_reimplementation():
     assert np.allclose(out.per_level, np.array(exp_levels))
     assert np.allclose(out.medians, np.array(exp_medians))
     assert out.loo_error == pytest.approx(exp_loo)
-
-
-def test_run_mlsa_generic_path_equals_fast_path():
-    rng = np.random.default_rng(17)
-    table, sample, loss = make_zero_one_instance(rng, 8, 6)
-    grid = ToleranceGrid(levels=np.arange(1.0, 7.0), gap=1.0)
-    no_fast = AggregationRule(
-        name="majority_slow", on_values=MAJORITY_VOTE.on_values, combine=None
-    )
-    fast = run_mlsa(table, sample, loss, grid, MAJORITY_VOTE)
-    slow = run_mlsa(table, sample, loss, grid, no_fast)
-    assert np.array_equal(fast.per_level, slow.per_level)
-    assert np.array_equal(fast.medians, slow.medians)
 
 
 def test_run_mlsa_realizable_zero_level_sets_are_consistent():

@@ -5,7 +5,7 @@ vote sum off column groups of equal full-sample total (the 0/1 lattice).  The
 growth audit has one sandwich kernel, ``audit._sandwich_violations``, which
 reads a bool loss matrix as exact integer totals.  The same 0-1 loss returning
 float gives a float loss matrix on the same inputs: run_mlsa then takes the
-sorted per-row sweep and the audit feeds the kernel floats, and the outputs
+sorted sweep and the audit feeds the kernel floats, and the outputs
 must agree byte for byte.  Spies check which path each side took.
 """
 
@@ -24,7 +24,6 @@ from mlsa.core import (
     LossModel,
     PredictionTable,
     ToleranceGrid,
-    _ZeroOneLattice,
     loss_matrix,
     run_mlsa,
 )
@@ -51,9 +50,9 @@ def kernel_calls():
         return sandwich_violations(lm, *args)
 
     with mock.patch.object(
-        core, "_lattice_per_level", wraps=core._lattice_per_level
-    ) as per_level, mock.patch.object(audit, "_sandwich_violations", spy):
-        yield lambda: (per_level.call_count, dtypes)
+        core, "_lattice_level_sums", wraps=core._lattice_level_sums
+    ) as lattice, mock.patch.object(audit, "_sandwich_violations", spy):
+        yield lambda: (lattice.call_count, dtypes)
 
 
 def assert_paths_agree(values, labels, levels, audit_gap=1.0, agg=MAJORITY_VOTE):
@@ -113,7 +112,7 @@ def zero_one_problems(draw):
 def test_lattice_matches_sorted_path_on_random_tables(problem, block):
     # small blocks split the rows into many row blocks, in run_mlsa's lattice
     # and in the sandwich kernel
-    with mock.patch.object(_ZeroOneLattice, "BLOCK_ENTRIES", block), mock.patch.object(
+    with mock.patch.object(core, "_LATTICE_BLOCK_ENTRIES", block), mock.patch.object(
         audit, "_SANDWICH_BLOCK_ENTRIES", block
     ):
         assert_paths_agree(*problem)

@@ -31,7 +31,6 @@ from mlsa import audit, core
 from mlsa.audit import _sandwich_violations, grid_growth_audit
 from mlsa.core import (
     NUMERIC_TOL,
-    AggregationRule,
     LabeledSample,
     PredictionTable,
     ToleranceGrid,
@@ -63,10 +62,10 @@ def quarter_problems(draw):
 
 @settings(deadline=None, max_examples=150)
 @given(problem=quarter_problems())
-def test_run_mlsa_without_combine_matches_brute_force_level_sets(problem):
+def test_run_mlsa_matches_brute_force_level_sets(problem):
     table, sample, loss, levels = problem
-    agg = AggregationRule(name="average", on_values=MEAN_AGGREGATE.on_values)
-    output = run_mlsa(table, sample, loss, ToleranceGrid(levels, gap=loss.delta_bound), agg)
+    grid = ToleranceGrid(levels, gap=loss.delta_bound)
+    output = run_mlsa(table, sample, loss, grid, MEAN_AGGREGATE)
     erm = float(loss_matrix(table, sample, loss).sum(axis=0).min())
     assert output.erm_loss.hex() == erm.hex()
     columns = range(table.n_hypotheses)
@@ -75,7 +74,7 @@ def test_run_mlsa_without_combine_matches_brute_force_level_sets(problem):
         for k, t in enumerate(levels):
             members = level_set(table, sample, loss, t, exclude=i)
             assert members.tolist() == np.flatnonzero(excl <= excl.min() + t).tolist()
-            assert output.per_level[k, i] == agg.on_values(table.values[i, members])
+            assert output.per_level[k, i] == MEAN_AGGREGATE(members, table, i)
 
 
 @settings(deadline=None, max_examples=150)
@@ -301,7 +300,6 @@ def test_stable_argsort_keeps_every_sweep_and_audit_byte_identical(monkeypatch):
     )
     grid = ToleranceGrid(np.arange(1, 41) / 4.0, gap=loss.delta_bound)
     shrunk = ToleranceGrid(grid.levels, gap=0.25)
-    average = AggregationRule(name="average", on_values=MEAN_AGGREGATE.on_values)
     # sums of non-dyadic weights, as in the logistic pool, round differently
     # in any other order of a tied run
     weights = np.random.default_rng(1).random(lm.shape)
@@ -309,8 +307,7 @@ def test_stable_argsort_keeps_every_sweep_and_audit_byte_identical(monkeypatch):
     def results():
         counts, sums = _loo_level_sums(lm, totals, table.values, grid.levels)
         return {
-            "run_mlsa combine": run_mlsa(table, sample, loss, grid, MEAN_AGGREGATE).per_level,
-            "run_mlsa on_values": run_mlsa(table, sample, loss, grid, average).per_level,
+            "run_mlsa": run_mlsa(table, sample, loss, grid, MEAN_AGGREGATE).per_level,
             "counts": counts,
             "sums": sums,
             "weighted sums": _loo_level_sums(lm, totals, weights, grid.levels)[1],
