@@ -17,6 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (
+    _PARALLEL_ROW_ENTRIES,
     NUMERIC_TOL,
     AggregationRule,
     LabeledSample,
@@ -24,6 +25,7 @@ from .core import (
     MlsaOutput,
     PredictionTable,
     ToleranceGrid,
+    _for_each_block,
     _stable_argsort,
     loss_matrix,
     run_mlsa,
@@ -210,8 +212,10 @@ def _sandwich_violations(lm, totals, levels, delta, ref_full, refs=None) -> np.n
     so each row takes one maximum and one minimum per segment
     (``reduceat``), and their running maximum and minimum over the segments.
     ``lm`` is a rows x columns loss matrix, float or bool, read in blocks of
-    at most ``_SANDWICH_BLOCK_ENTRIES`` entries; ``excl`` takes the dtype of
-    ``totals``, so a bool matrix is read as exact integers with no float copy.
+    at most ``_SANDWICH_BLOCK_ENTRIES`` entries, on ``core._for_each_block``
+    when a row holds at least ``_PARALLEL_ROW_ENTRIES``; ``excl`` takes the
+    dtype of ``totals``, so a bool matrix is read as exact integers with no
+    float copy.
     """
     order_full, ranked_full = _stable_argsort(totals)
     m = ranked_full.size
@@ -234,12 +238,20 @@ def _sandwich_violations(lm, totals, levels, delta, ref_full, refs=None) -> np.n
     # running maximum from the left and minimum from the right
     prefix_max, suffix_min = np.empty((2, len(lm), cuts.size), dtype=ranked_full.dtype)
     step = max(1, _SANDWICH_BLOCK_ENTRIES // m)
-    for lo in range(0, len(lm), step):
+
+    def segment_extremes(lo):
         block = slice(lo, lo + step)
         excl = np.take(lm[block], order_full, axis=1).astype(ranked_full.dtype, copy=False)
         np.subtract(ranked_full, excl, out=excl)
         np.maximum.reduceat(excl, cuts, axis=1, out=prefix_max[block])
         np.minimum.reduceat(excl, cuts, axis=1, out=suffix_min[block])
+
+    starts = range(0, len(lm), step)
+    if m >= _PARALLEL_ROW_ENTRIES:
+        _for_each_block(segment_extremes, starts)
+    else:
+        for lo in starts:
+            segment_extremes(lo)
     np.maximum.accumulate(prefix_max, axis=1, out=prefix_max)
     np.minimum.accumulate(suffix_min[:, ::-1], axis=1, out=suffix_min[:, ::-1])
     ref = suffix_min[:, :1] if refs is None else refs[:, None]

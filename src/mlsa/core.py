@@ -31,11 +31,24 @@ that skips numpy's SIMD sort kernels; ``_stable_argsort`` instead sorts with
 the default (SIMD-dispatched) sort and re-sorts by index only the runs of
 equal values.  The stable permutation is the unique sort by (value, index),
 so the result is the same permutation on every dispatch path.
+
+The logistic pool's wide rows, and the blocks in which its member tables are
+filled, run on ``_for_each_block``: the calling thread and a shared pool of
+``min(4, usable CPUs) - 1`` threads, created on first use, each take every
+``workers``-th block.  numpy's sorts and ufuncs release the interpreter lock,
+so the blocks overlap.  Each block does the arithmetic of the serial loop and
+writes only its own slices of outputs allocated beforehand, so every output
+has the same bits on any number of CPUs.  Rows narrower than
+``_PARALLEL_ROW_ENTRIES`` = 2^15 entries and the 0/1 lattice stay on the
+calling thread.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -297,6 +310,84 @@ _LOO_BLOCK_ENTRIES = 1 << 13
 _LATTICE_BLOCK_ENTRIES = 1 << 19
 _LATTICE_LEVEL_ENTRIES = 1 << 13
 
+#: rows at least this wide (a logistic pool row) are swept and audited a row
+#: per block on the block pool.  Narrower tables stay on the calling thread:
+#: threads measured no faster on them end to end, and each thread's own
+#: malloc arena adds to the peak resident set
+_PARALLEL_ROW_ENTRIES = 1 << 15
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+#: threads that share the blocks of one ``_for_each_block`` call, the
+#: calling thread included
+_WORKERS = min(4, _usable_cpus())
+
+_pool: Optional[ThreadPoolExecutor] = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    """Drop the pool in a forked child: the parent's pool threads do not
+    exist there, so a block submitted to them would never run."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _block_pool() -> ThreadPoolExecutor:
+    """The shared pool of ``_WORKERS - 1`` threads, created on first use.  No
+    more threads than that: each thread that runs a block keeps a malloc arena
+    of its own temporaries."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="mlsa-block")
+        return _pool
+
+
+def _run_share(body: Callable[[int], None], starts: Sequence[int]) -> None:
+    for start in starts:
+        body(start)
+
+
+def _for_each_block(body: Callable[[int], None], starts: Sequence[int]) -> None:
+    """``body(start)`` for every start, shared out between the calling thread
+    and the block pool.
+
+    The blocks must be independent: each writes only its own slices of
+    outputs allocated beforehand, with the arithmetic it would do in a plain
+    loop, so the outputs do not depend on how the blocks are shared out.  Of
+    ``workers = min(_WORKERS, len(starts))`` shares, share g takes
+    ``starts[g::workers]``; the calling thread runs share 0 and the pool's
+    ``_WORKERS - 1`` threads the others.  With one worker it is a plain loop.
+    If a block raises, the first exception (share 0's, then the pool's in
+    share order) is raised in the caller, but only once every share has
+    stopped, so no output is returned half written and no block keeps
+    running.  ``body`` must never call ``_for_each_block``: a block that waits
+    on the pool from inside a pool thread can deadlock a one-thread pool.
+    """
+    workers = min(_WORKERS, len(starts))
+    if workers <= 1:
+        _run_share(body, starts)
+        return
+    pool = _block_pool()
+    futures = [pool.submit(_run_share, body, starts[g::workers]) for g in range(1, workers)]
+    try:
+        _run_share(body, starts[::workers])
+    finally:
+        errors = [future.exception() for future in futures]  # waits for each share
+    for error in errors:
+        if error is not None:
+            raise error
+
 
 def _take_along_rows(values: np.ndarray, indices: np.ndarray) -> np.ndarray:
     """``np.take_along_axis(values, indices, axis=-1)`` as one 1-D ``np.take``
@@ -352,12 +443,14 @@ def _loo_level_sums(lm, totals, values, levels, refs=None):
     block's rows adds in sequence, so every sum has the bits of its row's own
     1-D prefix sum, and ``_stable_argsort`` makes the order numpy's stable one
     on every CPU, so those prefix sums add in the same order everywhere.  The
-    logistic pool passes ``losses.T``, whose rows are contiguous.
+    logistic pool passes ``losses.T``, whose rows are contiguous; rows of at
+    least ``_PARALLEL_ROW_ENTRIES`` go to ``_for_each_block``, a row a block.
     """
     counts = np.empty((levels.size, len(lm)), dtype=np.intp)
     sums = np.empty(counts.shape)
     step = max(1, _LOO_BLOCK_ENTRIES // totals.size)
-    for lo in range(0, len(lm), step):
+
+    def sweep(lo):
         rows = slice(lo, lo + step)
         order, ranked = _stable_argsort(totals - lm[rows])
         ref = ranked[:, :1] if refs is None else refs[rows, None]
@@ -367,7 +460,13 @@ def _loo_level_sums(lm, totals, values, levels, refs=None):
         counts[:, rows] = block_counts.T
         prefix = np.cumsum(_take_along_rows(values[rows], order), axis=1)
         sums[:, rows] = np.where(block_counts > 0, _take_along_rows(prefix, block_counts - 1), 0).T
-        del prefix  # not held while the next block is sorted: a logistic row is 0.5 MB
+
+    starts = range(0, len(lm), step)
+    if totals.size >= _PARALLEL_ROW_ENTRIES:
+        _for_each_block(sweep, starts)
+    else:
+        for lo in starts:
+            sweep(lo)
     return counts, sums
 
 

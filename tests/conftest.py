@@ -1,6 +1,7 @@
 """Fixtures shared by the test modules."""
 
 import sys
+import threading
 
 import pytest
 
@@ -25,4 +26,19 @@ def loss_matrix_calls(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "mlsa" and vars(module).get("loss_matrix") is original:
             monkeypatch.setattr(module, "loss_matrix", spy)
+    return calls
+
+
+@pytest.fixture
+def block_pool_calls(monkeypatch):
+    """A list that records every request for ``core._block_pool``, the pool
+    ``core._for_each_block`` submits to, by the requesting thread's name."""
+    calls = []
+    block_pool = core._block_pool
+
+    def spy():
+        calls.append(threading.current_thread().name)
+        return block_pool()
+
+    monkeypatch.setattr(core, "_block_pool", spy)
     return calls

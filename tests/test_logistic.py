@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mlsa.logistic as logistic_module
+from mlsa import core
 from mlsa.audit import GridMismatchError
 from mlsa.core import ToleranceGrid
 from mlsa.generators import make_logistic_problem
@@ -689,6 +690,43 @@ def test_sigmoid_is_bit_identical_to_the_masked_branches():
         out = np.empty(z.shape[::-1]).T
         assert logistic_module._sigmoid(z, out=out) is out
         assert out.tobytes() == masked_sigmoid(z).tobytes()
+
+
+def test_pool_is_byte_identical_on_any_worker_count(monkeypatch, block_pool_calls):
+    problem = make_logistic_problem(9, 2, 1.0, 1.0, np.random.default_rng(36))
+    mc = McConfig(samples_per_level=120_000, seed=37)
+    results = {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(core, "_WORKERS", workers)
+        block_pool_calls.clear()
+        run = run_mlsa_logistic(problem, mc)
+        ws = run.workspace
+        # a gap shrunk below the loss bound, so the sandwich fails somewhere
+        grid = dataclasses.replace(run.output.grid, gap=0.1 * run.output.grid.gap)
+        shrunk = dataclasses.replace(run, output=dataclasses.replace(run.output, grid=grid))
+        tables = (ws.losses, ws.sig, ws.totals, run.output.per_level, run.output.medians)
+        results[workers] = (
+            [a.tobytes() for a in tables],
+            crn_sandwich_report(run),
+            crn_sandwich_report(shrunk),
+        )
+        # the table fill, the sweep and both sandwich checks share out their blocks
+        assert len(block_pool_calls) == (0 if workers == 1 else 4)
+    # rows wide enough for the sweep and the sandwich to use the pool
+    assert ws.totals.size >= core._PARALLEL_ROW_ENTRIES
+    assert results[1][1].violations == 0 < results[1][2].violations
+    assert results[1] == results[2] == results[3]
+
+
+def test_ellipsoid_draws_scale_in_place_with_the_same_bits():
+    geo = build_geometry(make_logistic_problem(12, 3, 1.0, 2.0, np.random.default_rng(8)))
+    rng = np.random.default_rng(9)
+    g = rng.standard_normal((5000, 3))
+    g /= np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 1e-300)
+    radii = rng.random(5000) ** (1.0 / 3)
+    expected = (g * radii[:, None] * geo.R_B) @ geo.A_half_inv
+    got = logistic_module._ellipsoid_draws(geo, 5000, geo.R_B, np.random.default_rng(9))
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_workspace_with_no_member_draws():

@@ -16,10 +16,21 @@ with its tied runs re-sorted, on 1-D arrays and on row blocks.  The
 ``stable_argsort`` tests check it, and the block sweep built on it, against
 numpy's stable sort; run them under ``NPY_DISABLE_CPU_FEATURES`` to cover
 each sort kernel numpy can dispatch to.
+
+Rows as wide as a logistic pool row are swept and audited on
+``core._for_each_block``'s block pool; the block pool tests pin its outputs
+byte for byte at 1, 2 and 3 workers, its errors and a forked child's use of it,
+and that narrow tables and the 0/1 lattice never reach it.
 """
 
 import dataclasses
+import multiprocessing
+import os
+import sys
+import threading
+import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -40,7 +51,9 @@ from mlsa.core import (
     loss_matrix,
     run_mlsa,
 )
-from mlsa.generators import make_logistic_problem
+from mlsa.classification import MAJORITY_VOTE, classification_grid, zero_one_loss
+from mlsa.cli import main
+from mlsa.generators import make_classification_instance, make_logistic_problem
 from mlsa.logistic import McConfig, crn_sandwich_report, run_mlsa_logistic
 from mlsa.regression import MEAN_AGGREGATE, builtin_losses
 
@@ -495,3 +508,155 @@ def test_block_sweep_takes_a_row_wider_than_the_bound_alone(monkeypatch):
     expected_counts, expected_sums = per_row_level_sums(lm, totals, values, levels, refs)
     assert np.array_equal(counts, expected_counts)
     assert sums.tobytes() == expected_sums.tobytes()
+
+
+# ------------------------------------------------------------ block pool
+
+
+def wide_rows(n=6, m=40_000, seed=2):
+    """Rows past ``core._PARALLEL_ROW_ENTRIES``, as wide as a logistic pool
+    row: quarter-valued losses, so the leave-one-out totals tie in long runs,
+    and continuous values to sum, whose sums round differently in any other
+    order."""
+    assert m >= core._PARALLEL_ROW_ENTRIES
+    rng = np.random.default_rng(seed)
+    lm = rng.choice([0.0, 0.25, 0.5, 0.75], size=(n, m))
+    return lm, lm.sum(axis=0), rng.random((n, m)), np.arange(1, 41) / 4.0
+
+
+@pytest.mark.parametrize("given_refs", [False, True], ids=["own-minimum", "refs"])
+def test_wide_rows_are_byte_identical_on_any_worker_count(
+    given_refs, monkeypatch, block_pool_calls
+):
+    lm, totals, values, levels = wide_rows()
+    refs = (totals - lm).min(axis=1) - 0.25 if given_refs else None
+    results = {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(core, "_WORKERS", workers)
+        block_pool_calls.clear()
+        counts, sums = _loo_level_sums(lm, totals, values, levels, refs)
+        # a gap below the loss bound 0.75, so the inclusions fail somewhere
+        bad = _sandwich_violations(lm, totals, levels, 0.25, totals.min(), refs)
+        # the sweep and the sandwich each share their rows out, except on one worker
+        assert len(block_pool_calls) == (0 if workers == 1 else 2)
+        results[workers] = [a.tobytes() for a in (counts, sums, bad)]
+    assert bad.any()
+    assert results[1] == results[2] == results[3]
+    expected_counts, expected_sums = per_row_level_sums(lm, totals, values, levels, refs)
+    expected_bad = sorted_rows_sandwich_violations(lm, totals, levels, 0.25, totals.min(), refs)
+    assert results[1] == [a.tobytes() for a in (expected_counts, expected_sums, expected_bad)]
+
+
+def test_narrow_tables_and_the_lattice_never_use_the_block_pool(monkeypatch, tmp_path):
+    monkeypatch.setattr(core, "_WORKERS", 2)
+
+    def refuse():
+        raise AssertionError("a narrow table reached the block pool")
+
+    monkeypatch.setattr(core, "_block_pool", refuse)
+    # 256-column real-valued tables, as in the cli-sweep benchmark: a job that
+    # raised would make the run exit 1
+    for task, sets in (
+        ("regression", ["class_size=256"]),
+        ("density", ["class_size=256", "space_size=16"]),
+    ):
+        assert main(["run", "--task", task, "--seed", "0", "--out", str(tmp_path / task),
+                     "--set", "n=100", *sets]) == 0
+    # the 0/1 lattice and the audit on a wide bool table: intervals at n = 200
+    inst = make_classification_instance("intervals-1d", 200, 0.1, np.random.default_rng(0))
+    assert inst.table.values.shape == (200, 20_101)
+    assert inst.table.values.dtype == bool
+    grid = classification_grid(2, 200)
+    with mock.patch.object(core, "_lattice_level_sums", wraps=core._lattice_level_sums) as lattice:
+        run_mlsa(inst.table, inst.sample, zero_one_loss(), grid, MAJORITY_VOTE)
+    assert lattice.call_count == 1
+    assert grid_growth_audit(inst.table, inst.sample, zero_one_loss(), grid).good_fraction > 0.5
+    # the spy does catch a wide row
+    lm, totals, values, levels = wide_rows(n=2)
+    with pytest.raises(AssertionError, match="reached the block pool"):
+        _loo_level_sums(lm, totals, values, levels)
+
+
+def test_concurrent_callers_share_one_pool(monkeypatch):
+    # more workers than cores, callers racing to create the pool, and a short
+    # switch interval: one pool is made, and every block writes its slice
+    lm, totals, values, levels = wide_rows(n=8, m=core._PARALLEL_ROW_ENTRIES)
+    expected = [a.tobytes() for a in per_row_level_sums(lm, totals, values, levels)]
+    monkeypatch.setattr(core, "_WORKERS", 4)
+    monkeypatch.setattr(core, "_pool", None)
+    pools = []
+
+    class CountingPool(core.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(args)
+            time.sleep(0.01)  # widens the window in which a second pool could be made
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(core, "ThreadPoolExecutor", CountingPool)
+    results = [None] * 6
+    start = threading.Barrier(len(results))
+
+    def call(k):
+        start.wait(timeout=60)
+        results[k] = [a.tobytes() for a in _loo_level_sums(lm, totals, values, levels)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=call, args=(k,)) for k in range(len(results))]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert results == [expected] * len(results)
+    assert len(pools) == 1
+
+
+@pytest.mark.parametrize("failing", ["caller", "pool"])
+def test_a_failing_block_is_raised_once_every_share_has_stopped(failing, monkeypatch):
+    lm, totals, values, levels = wide_rows()
+    monkeypatch.setattr(core, "_WORKERS", 2)
+    caller = threading.get_ident()
+    stable_argsort = core._stable_argsort
+    finished = []
+
+    def flaky(block):
+        here = "caller" if threading.get_ident() == caller else "pool"
+        if here == failing:
+            raise RuntimeError(f"a block failed on the {here}")
+        time.sleep(0.05)  # the other share is still running when the error is raised
+        result = stable_argsort(block)
+        finished.append(here)
+        return result
+
+    monkeypatch.setattr(core, "_stable_argsort", flaky)
+    with pytest.raises(RuntimeError, match=f"on the {failing}"):
+        _loo_level_sums(lm, totals, values, levels)
+    # six one-row blocks, three a share: the other share ran to its end
+    other = "pool" if failing == "caller" else "caller"
+    assert finished == [other] * 3
+
+
+def test_a_forked_child_sweeps_wide_rows_after_the_parent_used_the_pool(
+    monkeypatch, block_pool_calls
+):
+    lm, totals, values, levels = wide_rows()
+    monkeypatch.setattr(core, "_WORKERS", 2)
+    expected = [a.tobytes() for a in _loo_level_sums(lm, totals, values, levels)]
+    assert len(block_pool_calls) == 1  # the parent's pool thread is running
+
+    def sweep_in_child():
+        got = [a.tobytes() for a in _loo_level_sums(lm, totals, values, levels)]
+        os._exit(0 if got == expected and len(block_pool_calls) == 2 else 1)
+
+    child = multiprocessing.get_context("fork").Process(target=sweep_in_child)
+    child.start()
+    child.join(timeout=30)
+    if child.is_alive():
+        child.kill()
+        child.join()
+        pytest.fail("the forked child hung on the parent's block pool")
+    assert child.exitcode == 0
