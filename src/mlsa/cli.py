@@ -22,9 +22,14 @@ task-specific detail lives in the structured report only.
 ``run``, ``audit`` and ``sweep`` share one job loop: every instance is a job,
 ``--threads`` sets the number of workers, and a job that raises is listed in
 the report's ``[errors]`` section and on stderr while the other jobs' rows are
-still written.  Exit codes: 0 when every certificate passes, 1 when one fails
-or a job raised, 2 on a configuration error (an unknown key, a value list
-outside ``sweep``, a missing task or seed).
+still written.  The workers are forked processes, each with its own block
+pool: a job is many small numpy calls, and job threads would hold the
+interpreter lock between them.  Results come back in job order, so the files
+are the same bits at any ``--threads``; a worker that dies loses only the jobs
+whose results had not come back, which become errors.  Exit codes: 0 when
+every certificate passes, 1 when one fails or a job raised, 2 on a
+configuration error (an unknown key, a value list outside ``sweep``, a missing
+task or seed).
 """
 
 from __future__ import annotations
@@ -523,6 +528,52 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _error(job, exc: BaseException) -> tuple[str, str]:
+    """The ``[errors]`` entry of a job that raised or whose worker died."""
+    index, cfg = job
+    return f"{cfg.task}-{index:04d}", f"{type(exc).__name__}: {exc}"
+
+
+def _job(job, deep_audit: bool):
+    """One ``(index, config)`` job: its ``InstanceResult``, or its error entry.
+
+    At module level, so that a worker process receives it by name.
+    """
+    index, cfg = job
+    try:
+        return run_experiment(cfg, instance_index=index, deep_audit=deep_audit)
+    except Exception as exc:  # one job's error must not lose the others' rows
+        return _error(job, exc)
+
+
+def _run_jobs(jobs: list, deep_audit: bool, threads: int) -> list:
+    """Every job's outcome, in job order, on ``min(threads, jobs)`` forked
+    worker processes; serial with one worker or where fork is missing.
+
+    Each future is read on its own: when a worker dies, the pool fails every
+    job whose result has not come back, and only those become error entries.
+    Fork, not spawn: a spawned worker imports numpy and ``mlsa`` again, about
+    0.25 s, as long as a whole 80-job sweep; a forked child drops the parent's
+    block pool threads (``core._forget_pool``).
+    """
+    workers = min(threads, len(jobs))
+    if workers > 1:
+        import multiprocessing  # 7 ms of imports, paid only by a run that forks
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            context = multiprocessing.get_context("fork")
+            with concurrent.futures.ProcessPoolExecutor(workers, mp_context=context) as pool:
+                futures = [pool.submit(_job, job, deep_audit) for job in jobs]
+            outcomes = []
+            for job, future in zip(jobs, futures):
+                try:
+                    outcomes.append(future.result())
+                except Exception as exc:  # its worker died, or its result could not come back
+                    outcomes.append(_error(job, exc))
+            return outcomes
+    return [_job(job, deep_audit) for job in jobs]
+
+
 def _cmd_run(args) -> int:
     """``run``, ``audit`` and ``sweep``: one job per instance of every combo.
 
@@ -534,21 +585,8 @@ def _cmd_run(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     combos = [ExperimentConfig(**combo) for combo in _expand_sweep(params)]
     jobs = list(enumerate(cfg for cfg in combos for _ in range(cfg.instances)))
-    deep_audit = args.command == "audit"
     t0 = time.perf_counter()
-
-    def _work(job):
-        index, cfg = job
-        try:
-            return run_experiment(cfg, instance_index=index, deep_audit=deep_audit)
-        except Exception as exc:  # one job's error must not lose the others' rows
-            return f"{cfg.task}-{index:04d}", f"{type(exc).__name__}: {exc}"
-
-    if config.threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=config.threads) as pool:
-            outcomes = list(pool.map(_work, jobs))
-    else:
-        outcomes = [_work(job) for job in jobs]
+    outcomes = _run_jobs(jobs, args.command == "audit", config.threads)
     elapsed = time.perf_counter() - t0
     results = [o for o in outcomes if isinstance(o, InstanceResult)]
     errors = [o for o in outcomes if not isinstance(o, InstanceResult)]

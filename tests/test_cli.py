@@ -1,13 +1,20 @@
 """Generators and the command-line harness."""
 
+import concurrent.futures
 import dataclasses
 import hashlib
 import math
+import multiprocessing
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
 
 import mlsa.audit as audit_module
+import mlsa.cli as cli_module
+import mlsa.core as core_module
 import mlsa.linear as linear_module
 import mlsa.logistic as logistic_module
 from mlsa.audit import BoundCertificate
@@ -278,6 +285,134 @@ def test_cli_sweep_keeps_finished_rows_when_a_job_raises(tmp_path, capsys, threa
     assert "[errors]\nclassification-0000 = ValueError: classification grid needs n >= 3" in report
     assert "[run classification-0001]" in report
     assert "classification-0000" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+
+
+def _settled(report: str) -> str:
+    """A report less the lines that name how it was run: workers, directory, time."""
+    run_settings = ("threads = ", "out = ", "total_s = ")
+    return "".join(line for line in report.splitlines(keepends=True)
+                   if not line.startswith(run_settings))
+
+
+def test_cli_sweep_of_every_task_is_byte_identical_on_worker_processes(tmp_path):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("task = classification, regression, density, logistic, vaw\nn = 12\n"
+                   "mc_samples = 2000\ninstances = 2\nseed = 5\n")
+    outs = {threads: tmp_path / threads for threads in ("1", "2")}
+    for threads, out in outs.items():
+        assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                     "--threads", threads]) == 0
+        assert multiprocessing.active_children() == []
+    serial, forked = ((out / "results.csv").read_bytes() for out in outs.values())
+    assert forked == serial and len(serial.splitlines()) == 1 + 10
+    serial, forked = (_settled((out / "report.txt").read_text()) for out in outs.values())
+    assert forked == serial
+
+
+@pytest.mark.parametrize(
+    "task,extra",
+    [
+        ("classification", ["n=25", "noise=0.1"]),
+        ("density", ["n=25", "class_size=4", "space_size=8"]),
+        ("logistic", ["n=8", "mc_samples=2000"]),
+        ("vaw", ["n=15", "d=3"]),
+    ],
+)
+def test_cli_audit_deep_checks_are_byte_identical_on_worker_processes(tmp_path, task, extra):
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        assert main(["audit", "--task", task, "--seed", "7", "--out", str(out), "--threads",
+                     threads, "--set", *extra, "instances=3"]) == 0
+        reports.append(_settled((out / "report.txt").read_text()))
+    assert reports[0] == reports[1]
+    assert reports[0].count("/ certificate ") >= 3 * 2  # the headline and the deep checks
+
+
+def test_cli_logistic_sweep_forks_workers_while_the_block_pool_runs(tmp_path, monkeypatch):
+    # the workers are forked while the parent's block pool thread is alive;
+    # each must build a pool of its own for the member-table fill
+    monkeypatch.setattr(core_module, "_WORKERS", 2)
+    core_module._for_each_block(lambda start: None, [0, 1])
+    assert any(t.name.startswith("mlsa-block") for t in threading.enumerate())
+    out = tmp_path / "out"
+    args = ["sweep", "--task", "logistic", "--seed", "2", "--out", str(out), "--threads", "2",
+            "--set", "n=8", "mc_samples=2000", "instances=3"]
+    codes = []
+    sweep = threading.Thread(target=lambda: codes.append(main(args)), daemon=True)
+    sweep.start()
+    sweep.join(timeout=60)
+    if sweep.is_alive():
+        for child in multiprocessing.active_children():
+            child.kill()
+        pytest.fail("a forked worker hung on the parent's block pool")
+    assert codes == [0]
+    assert len((out / "results.csv").read_text().splitlines()) == 1 + 3
+    assert multiprocessing.active_children() == []
+
+
+def test_cli_one_job_forks_no_worker_process(tmp_path, monkeypatch):
+    built = []
+    executor = concurrent.futures.ProcessPoolExecutor
+
+    def spy(*args, **kwargs):
+        built.append(args)
+        return executor(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
+    common = ["--task", "vaw", "--seed", "3", "--threads", "2", "--set", "n=10", "d=2"]
+    assert main(["sweep", "--out", str(tmp_path / "one"), *common]) == 0
+    assert built == []
+    assert main(["sweep", "--out", str(tmp_path / "two"), *common, "instances=2"]) == 0
+    assert built == [(2,)]
+
+
+def test_cli_sweep_keeps_finished_rows_when_a_worker_dies(tmp_path, capsys, monkeypatch):
+    # job 2's worker exits once every other job is done; the workers inherit
+    # the patch through fork
+    real = cli_module.run_experiment
+
+    def dies_at_two(config, instance_index=0, deep_audit=False):
+        if instance_index == 2:
+            deadline = time.monotonic() + 30
+            while len(list(tmp_path.glob("done-*"))) < 3 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            time.sleep(1.0)  # the other results reach the parent first
+            os._exit(3)
+        result = real(config, instance_index=instance_index, deep_audit=deep_audit)
+        (tmp_path / f"done-{instance_index}").touch()
+        return result
+
+    monkeypatch.setattr(cli_module, "run_experiment", dies_at_two)
+    out = tmp_path / "out"
+    assert main(["sweep", "--task", "classification", "--seed", "3", "--out", str(out),
+                 "--threads", "2", "--set", "n=20", "instances=4"]) == 1
+    rows = (out / "results.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == [
+        "classification-0000", "classification-0001", "classification-0003"
+    ]
+    report = (out / "report.txt").read_text()
+    assert "[errors]\nclassification-0002 = BrokenProcessPool: " in report
+    assert "error classification-0002: BrokenProcessPool: " in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+
+
+def test_cli_failed_certificate_crosses_the_worker_processes(tmp_path, capsys, monkeypatch):
+    real = audit_module.verify_grid_majority_bound
+    monkeypatch.setattr(audit_module, "verify_grid_majority_bound",
+                        lambda *a, **k: dataclasses.replace(real(*a, **k), rhs=-1.0))
+    out = tmp_path / "out"
+    assert main(["sweep", "--task", "regression", "--seed", "4", "--out", str(out),
+                 "--threads", "2", "--set", "n=20", "class_size=6", "instances=2"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    for index, line in enumerate(lines[:2]):
+        assert line.startswith(f"FAIL regression-000{index} ")
+        assert " (grid-majority-loo-bound: slack = -" in line
+    report = (out / "report.txt").read_text()
+    assert "[errors]" not in report
+    assert report.count("\npassed = False\nreason = slack = -") == 2
+    assert multiprocessing.active_children() == []
 
 
 def test_cli_report_aggregates(tmp_path, capsys):
