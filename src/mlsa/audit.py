@@ -25,6 +25,7 @@ from .core import (
     MlsaOutput,
     PredictionTable,
     ToleranceGrid,
+    _column_totals,
     _for_each_block,
     _stable_argsort,
     loss_matrix,
@@ -214,8 +215,9 @@ def _sandwich_violations(lm, totals, levels, delta, ref_full, refs=None) -> np.n
     ``lm`` is a rows x columns loss matrix, float or bool, read in blocks of
     at most ``_SANDWICH_BLOCK_ENTRIES`` entries, on ``core._for_each_block``
     when a row holds at least ``_PARALLEL_ROW_ENTRIES``; ``excl`` takes the
-    dtype of ``totals``, so a bool matrix is read as exact integers with no
-    float copy.
+    dtype of ``totals``, so a bool matrix, whose totals are int32
+    (``core._column_totals``), is read as exact int32 integers with no float
+    copy.
     """
     order_full, ranked_full = _stable_argsort(totals)
     m = ranked_full.size
@@ -280,7 +282,7 @@ def grid_growth_audit(
     if not c_g >= 1:
         raise ValueError(f"growth constant must be at least 1, got {c_g!r}")
     lm = loss_matrix(table, sample, loss)
-    totals = lm.sum(axis=0)
+    totals = _column_totals(lm)
     t_min = totals.min()
     levels = grid.levels
     delta = grid.gap

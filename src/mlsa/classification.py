@@ -106,11 +106,12 @@ def _union_of_intervals_labelings(x: np.ndarray, k: int) -> np.ndarray:
         raise ValueError(
             f"enumeration would produce ~{total} labelings; reduce n or k"
         )
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty_like(order)
-    ranks[order] = np.arange(n)
+    # int32 ranks and fenceposts: the table-sized comparisons read half the
+    # bytes of int64 ones
+    ranks = np.empty(n, dtype=np.int32)
+    ranks[np.argsort(x, kind="stable")] = np.arange(n, dtype=np.int32)
     # fencepost pairs (a, b) mark a block of ones covering sorted positions a..b-1
-    starts, ends = np.triu_indices(n + 1, k=1)
+    starts, ends = (fence.astype(np.int32) for fence in np.triu_indices(n + 1, k=1))
     labelings = np.zeros((n, total), dtype=bool)
     single = labelings[:, 1:1 + starts.size]
     np.greater_equal(ranks[:, None], starts, out=single)

@@ -21,7 +21,10 @@ gather and one prefix sum per block, 32 rows of a 256-column table, or one
 logistic pool row of about 68k draws.  When the loss matrix and the table are
 both bool, ``_lattice_level_sums`` reads every size and vote sum off exact
 integer sums over columns grouped by their full-sample total instead (the 0/1
-lattice), bit-identical to the sorted sweep's.  The growth audit's and the CRN
+lattice), bit-identical to the sorted sweep's.  It reads one byte per entry:
+each row block is packed once into a uint8 code of vote and loss and gathered
+once into group order.  A bool loss matrix's column totals are int32 counts
+summed a byte per entry (``_column_totals``).  The growth audit's and the CRN
 report's sandwich check sorts only the full-sample totals
 (``audit._sandwich_violations``).
 
@@ -299,14 +302,24 @@ def loss_matrix(table: PredictionTable, sample: LabeledSample, loss: LossModel) 
     return lm
 
 
+def _column_totals(lm: np.ndarray) -> np.ndarray:
+    """Full-sample totals of a loss matrix, one per column.  A bool matrix is
+    read a byte per entry into int32 counts, exact below 2^31 rows; a float
+    matrix is summed as it is."""
+    if lm.dtype == bool:
+        return lm.view(np.uint8).sum(axis=0, dtype=np.int32)
+    return lm.sum(axis=0)
+
+
 #: bound on the entries of one row block's rows x columns temporaries in
 #: ``_loo_level_sums`` (70-90 bytes per entry in all): a narrow table is swept
 #: a few dozen rows at a time, a logistic pool row alone
 _LOO_BLOCK_ENTRIES = 1 << 13
 
 #: bounds on one row block of ``_lattice_level_sums``: its rows x columns
-#: masks and their permuted int32 copies, and its levels x rows arrays (about
-#: 80 bytes per entry in all, so about 0.65 MB)
+#: byte code, its permuted copy and one mask of that copy at a time (at most
+#: 3 bytes per entry, so 1.5 MB), and its levels x rows arrays (about 80
+#: bytes per entry in all, so about 0.65 MB)
 _LATTICE_BLOCK_ENTRIES = 1 << 19
 _LATTICE_LEVEL_ENTRIES = 1 << 13
 
@@ -482,7 +495,10 @@ def _lattice_level_sums(lm, totals, values, levels):
     and vote sum are sums of integer group sums, so they equal the sorted
     sweep's prefix sums exactly.  Rows go in blocks of at most
     ``_LATTICE_BLOCK_ENTRIES`` rows x columns and ``_LATTICE_LEVEL_ENTRIES``
-    levels x rows; a block's group sums are groups x rows.
+    levels x rows.  Each block is packed once into a byte code per entry, the
+    vote in bit 0 and the loss in bit 1, and gathered once into group order;
+    its loss, vote and vote-and-loss group sums, rows x groups, are int32
+    ``reduceat`` sums of masks of that code.
     """
     order = np.argsort(totals, kind="stable")
     ranked = totals[order]
@@ -493,13 +509,13 @@ def _lattice_level_sums(lm, totals, values, levels):
     next_total = np.append(group_totals, np.inf)
 
     def group_sums(mask):
-        return np.add.reduceat(mask.T[order], starts, axis=0, dtype=np.int32)
+        return np.add.reduceat(mask, starts, axis=1, dtype=np.int32)
 
     def level_sums(within_sums, edge_sums, at, reached):
         # the groups within add whole, the next group its loss-1 columns where
-        # in reach; ``at`` is (within, row) as a flat position in a (groups +
-        # 1) x rows array, one ``np.take`` for all rows
-        edge = np.concatenate((edge_sums, np.zeros_like(edge_sums[:1])))
+        # in reach; ``at`` is (row, within) as a flat position in a rows x
+        # (groups + 1) array, one ``np.take`` for all rows
+        edge = np.concatenate((edge_sums, np.zeros_like(edge_sums[:, :1])), axis=1)
         return within_sums + np.where(reached, np.take(edge, at), 0)
 
     counts = np.empty((levels.size, len(lm)), dtype=np.intp)
@@ -508,17 +524,20 @@ def _lattice_level_sums(lm, totals, values, levels):
                       _LATTICE_LEVEL_ENTRIES // levels.size))
     for lo in range(0, len(lm), step):
         rows = slice(lo, lo + step)
-        loss, votes = lm[rows], values[rows]
-        ones = group_sums(loss)
+        loss = lm[rows].view(np.uint8)
+        code = np.add(loss, loss)  # a uint8 add; np.left_shift has no fast uint8 loop
+        code |= values[rows].view(np.uint8)
+        code = np.take(code, order, axis=1)
+        ones = group_sums(code >= 2)
         # x: each row's smallest leave-one-out total plus each level
-        x = group_totals[0] - (ones[0] > 0) + levels[:, None]
+        x = group_totals[0] - (ones[:, 0] > 0) + levels[:, None]
         within = np.searchsorted(group_totals, x, side="right")
         reached = next_total[within] - 1.0 <= x
-        at = within * ones.shape[1] + np.arange(ones.shape[1])
+        at = within + np.arange(len(ones)) * (ones.shape[1] + 1)
         counts[:, rows] = level_sums(before[within], ones, at, reached)
-        prefix = np.cumsum(group_sums(votes), axis=0)
-        prefix = np.concatenate((np.zeros_like(prefix[:1]), prefix))
-        sums[:, rows] = level_sums(np.take(prefix, at), group_sums(votes & loss), at, reached)
+        prefix = np.cumsum(group_sums(code & 1), axis=1)
+        prefix = np.concatenate((np.zeros_like(prefix[:, :1]), prefix), axis=1)
+        sums[:, rows] = level_sums(np.take(prefix, at), group_sums(code == 3), at, reached)
     return counts, sums
 
 
@@ -604,7 +623,7 @@ def run_mlsa(
             f"grid gap {grid.gap} must equal the loss bound {loss.delta_bound}"
         )
     lm = loss_matrix(table, sample, loss)
-    totals = lm.sum(axis=0)
+    totals = _column_totals(lm)
     zero_one = lm.dtype == bool and table.values.dtype == bool
     sweep = _lattice_level_sums if zero_one else _loo_level_sums
     per_level = agg.combine(*sweep(lm, totals, table.values, grid.levels))

@@ -1,5 +1,6 @@
 """Classification task: vote rule, grids, restriction enumeration, certificate."""
 
+import hashlib
 import math
 from itertools import product
 
@@ -191,6 +192,23 @@ def test_distinct_by_construction_families_need_no_dedup(descriptor, n):
     x = np.random.default_rng(n).permutation(n).astype(float)
     values = restrict_class(descriptor, x).values
     assert np.array_equal(values, _dedupe_columns(values))
+
+
+@pytest.mark.parametrize(
+    "descriptor, n, k, digest",
+    [
+        ("intervals-1d", 200, None,
+         "2dc9595b40d24e603362a23ec7b6e2734c6fc65c8a090b3312e2f592da626ee5"),
+        ("unions-of-k-intervals", 30, 2,
+         "30494ece9e5115406eee965c255d9f21acdabd122749cc7c4d406035a839c29f"),
+    ],
+)
+def test_interval_tables_keep_their_bytes(descriptor, n, k, digest):
+    # column order sets the stable order and so every output bit; the
+    # brute-force tests above compare sets of columns and miss a reordering
+    values = restrict_class(descriptor, np.random.default_rng(16).random(n), k=k).values
+    assert values.dtype == bool
+    assert hashlib.sha256(values.tobytes()).hexdigest() == digest
 
 
 def test_restriction_rejects_tied_covariates():

@@ -3,16 +3,19 @@
 When the loss matrix and the table are bool, run_mlsa reads every count and
 vote sum off column groups of equal full-sample total (the 0/1 lattice).  The
 growth audit has one sandwich kernel, ``audit._sandwich_violations``, which
-reads a bool loss matrix as exact integer totals.  The same 0-1 loss returning
-float gives a float loss matrix on the same inputs: run_mlsa then takes the
-sorted sweep and the audit feeds the kernel floats, and the outputs
-must agree byte for byte.  Spies check which path each side took.
+reads a bool loss matrix as exact integer totals.  The same bool loss
+returning float gives a float loss matrix on the same inputs: run_mlsa then
+takes the sorted sweep and the audit feeds the kernel floats, and the outputs
+must agree byte for byte.  Spies check which path each side took.  Most
+tables use the 0-1 loss, whose loss bit is always the vote XOR the label;
+other bool losses check that the lattice reads the two bits apart.
 """
 
 from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,12 +33,28 @@ from mlsa.core import (
 from mlsa.generators import make_classification_instance
 from mlsa.regression import MEAN_AGGREGATE
 
-#: the 0-1 loss with a float result, which takes the sorted path
-FLOAT_ZERO_ONE = LossModel(
-    pointwise=lambda p, y: (p != y).astype(float),
-    delta_bound=1.0,
-    name="zero_one_float",
-)
+def float_twin(loss):
+    """The bool loss ``loss`` with a float result, which takes the sorted path."""
+    return LossModel(
+        pointwise=lambda p, y: loss.pointwise(p, y).astype(float),
+        delta_bound=loss.delta_bound,
+        name=f"{loss.name}_float",
+    )
+
+
+FLOAT_ZERO_ONE = float_twin(zero_one_loss())
+
+#: bool losses that are not the vote XOR the label: false positives only, and
+#: two that are constant on each row (whatever the vote), so that every
+#: (vote, loss) pair occurs at a row
+#: two that are constant on each row (whatever the vote), so that every
+#: (vote, loss) pair occurs at a row.  They compare with ``p == 1``, not
+#: ``p & ...``, because run_mlsa also evaluates them at the float medians
+OTHER_BOOL_LOSSES = [
+    LossModel(pointwise=lambda p, y: (p == 1) & (y == 0), delta_bound=1.0, name="false_positive"),
+    LossModel(pointwise=lambda p, y: (y == 1) | (p != p), delta_bound=1.0, name="label_one"),
+    LossModel(pointwise=lambda p, y: p == p, delta_bound=1.0, name="always"),
+]
 
 
 @contextmanager
@@ -55,9 +74,11 @@ def kernel_calls():
         yield lambda: (lattice.call_count, dtypes)
 
 
-def assert_paths_agree(values, labels, levels, audit_gap=1.0, agg=MAJORITY_VOTE):
-    """Compare both paths; the audit also runs at ``audit_gap``, where a gap
-    below the loss bound lets the sandwich fail."""
+def assert_paths_agree(values, labels, levels, audit_gap=1.0, agg=MAJORITY_VOTE,
+                       loss=zero_one_loss()):
+    """Compare both paths of the bool loss ``loss`` with its float twin; the
+    audit also runs at ``audit_gap``, where a gap below the loss bound lets
+    the sandwich fail."""
     table = PredictionTable(np.asarray(values, dtype=float), keep_duplicates=True)
     assert table.values.dtype == bool
     sample = LabeledSample(np.asarray(labels, dtype=float))
@@ -70,16 +91,17 @@ def assert_paths_agree(values, labels, levels, audit_gap=1.0, agg=MAJORITY_VOTE)
             audits = [grid_growth_audit(table, sample, loss, g) for g in (grid, audit_grid)]
         return output, audits, calls()
 
-    fast, fast_audits, fast_calls = run(zero_one_loss())
-    ref, ref_audits, ref_calls = run(FLOAT_ZERO_ONE)
+    twin = float_twin(loss)
+    fast, fast_audits, fast_calls = run(loss)
+    ref, ref_audits, ref_calls = run(twin)
     assert fast_calls == (1, [np.dtype(bool)] * 2)
     assert ref_calls == (0, [np.dtype(float)] * 2)
     assert fast.per_level.tobytes() == ref.per_level.tobytes()
     assert fast.medians.tobytes() == ref.medians.tobytes()
     assert fast.loo_error == ref.loo_error
     assert fast_audits == ref_audits
-    for output, loss in ((fast, zero_one_loss()), (ref, FLOAT_ZERO_ONE)):
-        erm = float(loss_matrix(table, sample, loss).sum(axis=0).min())
+    for output, evaluated in ((fast, loss), (ref, twin)):
+        erm = float(loss_matrix(table, sample, evaluated).sum(axis=0).min())
         assert output.erm_loss.hex() == erm.hex()
     return fast_audits
 
@@ -179,3 +201,37 @@ def test_lattice_matches_sorted_path_at_benchmark_size():
     assert_paths_agree(
         inst.table.values, inst.sample.responses, classification_grid(2, 60).levels
     )
+
+
+@settings(deadline=None, max_examples=60)
+@given(problem=zero_one_problems(), loss=st.sampled_from(OTHER_BOOL_LOSSES),
+       block=st.sampled_from([1, 7, 1 << 19]))
+def test_lattice_matches_sorted_path_for_other_bool_losses(problem, loss, block):
+    with mock.patch.object(core, "_LATTICE_BLOCK_ENTRIES", block):
+        assert_paths_agree(*problem, loss=loss)
+
+
+@pytest.mark.parametrize("loss", OTHER_BOOL_LOSSES, ids=lambda loss: loss.name)
+def test_lattice_other_bool_losses_at_benchmark_size(loss):
+    # levels below the gap too: there a level set takes only part of a group
+    inst = make_classification_instance("intervals-1d", 40, 0.2, np.random.default_rng(8))
+    levels = np.r_[0.0, 0.5, classification_grid(2, 40).levels]
+    assert_paths_agree(inst.table.values, inst.sample.responses, levels, loss=loss)
+
+
+@pytest.mark.parametrize("rows", [300, 70_000])
+def test_lattice_column_totals_do_not_wrap(rows):
+    # more rows than uint8 (255) and uint16 (65,535) can count
+    lm = np.ones((rows, 2), dtype=bool)
+    totals = core._column_totals(lm)
+    assert totals.dtype == np.int32
+    assert totals.tolist() == lm.sum(axis=0).tolist() == [rows, rows]
+    table = PredictionTable(lm, keep_duplicates=True)
+    sample = LabeledSample(np.zeros(rows))
+    grid = ToleranceGrid(levels=np.array([1.0, 2.0, 3.0]), gap=1.0)
+    with kernel_calls() as calls:
+        fast = run_mlsa(table, sample, zero_one_loss(), grid, MAJORITY_VOTE)
+    assert calls()[0] == 1
+    ref = run_mlsa(table, sample, FLOAT_ZERO_ONE, grid, MAJORITY_VOTE)
+    assert fast.erm_loss.hex() == ref.erm_loss.hex() == float(rows).hex()
+    assert fast.per_level.tobytes() == ref.per_level.tobytes()

@@ -45,6 +45,7 @@ from mlsa.core import (
     LabeledSample,
     PredictionTable,
     ToleranceGrid,
+    _column_totals,
     _loo_level_sums,
     empirical_loss,
     level_set,
@@ -176,15 +177,15 @@ def sorted_rows_sandwich_violations(lm, totals, levels, delta, ref_full, refs=No
 @st.composite
 def sandwich_problems(draw):
     """A loss matrix with quarter-valued (long ties), continuous or bool 0/1
-    entries (int64 totals, as the 0-1 loss gives), levels, a gap down to a
-    tenth of the loss bound, and references that are the rows' own minima or
-    given, at or below them."""
+    entries (int32 totals, as ``_column_totals`` gives the 0-1 loss), levels,
+    a gap down to a tenth of the loss bound, and references that are the
+    rows' own minima or given, at or below them."""
     n = draw(st.integers(1, 8))
     m = draw(st.integers(1, 40))
     entries = draw(st.sampled_from(
         [QUARTERS, st.floats(0.0, 1.0, allow_subnormal=False), st.booleans()]))
     lm = np.array(draw(st.lists(entries, min_size=n * m, max_size=n * m))).reshape(n, m)
-    totals = lm.sum(axis=0)
+    totals = _column_totals(lm)
     steps = draw(st.lists(st.integers(0, 4 * n + 4), min_size=1, max_size=8, unique=True))
     levels = np.array(sorted(steps)) / 4.0
     delta = draw(st.sampled_from([0.1, 0.25, 0.5, 1.0]))
