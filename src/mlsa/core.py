@@ -16,10 +16,10 @@ level set, levels x rows, off one of two sweeps picked from the dtypes, then
 calls the rule's ``combine`` once on them.  The sorted sweep
 (``_loo_level_sums``, shared with the logistic Monte Carlo pool) sorts the
 leave-one-out totals of every row in blocks of at most ``_LOO_BLOCK_ENTRIES``
-= 2^13 rows x columns entries: one sort, one repair of the tied runs, one
-gather and one prefix sum per block, 32 rows of a 256-column table, or one
-logistic pool row of about 68k draws.  When the loss matrix and the table are
-both bool, ``_lattice_level_sums`` reads every size and vote sum off exact
+= 2^13 rows x columns entries: one sort, one gather and one prefix sum per
+block, 32 rows of a 256-column table, or one logistic pool row of about 68k
+draws.  When the loss matrix and the table are both bool,
+``_lattice_level_sums`` reads every size and vote sum off exact
 integer sums over columns grouped by their full-sample total instead (the 0/1
 lattice), bit-identical to the sorted sweep's.  It reads one byte per entry:
 each row block is packed once into a uint8 code of vote and loss and gathered
@@ -30,13 +30,13 @@ report's sandwich check sorts only the full-sample totals
 
 The sorted path needs numpy's stable order, because its prefix sums add the
 tied columns in index order.  ``np.argsort(kind="stable")`` is a merge sort
-that skips numpy's SIMD sort kernels; ``_stable_argsort`` instead sorts with
-the default (SIMD-dispatched) sort and re-sorts by index only the runs of
-equal values.  The stable permutation is the unique sort by (value, index),
-so the result is the same permutation on every dispatch path.
+that skips numpy's SIMD sort kernels; ``_stable_argsort``, which gives every
+stable order in the package, instead sorts unique packed (value, index) keys
+with the default (SIMD-dispatched) sort: every dispatch path gives the same
+permutation, with ties in index order.
 
-The logistic pool's wide rows, and the blocks in which its member tables are
-filled, run on ``_for_each_block``: the calling thread and a shared pool of
+The logistic pool's wide rows, H_A screen and member-table fill run on
+``_for_each_block``: the calling thread and a shared pool of
 ``min(4, usable CPUs) - 1`` threads, created on first use, each take every
 ``workers``-th block.  numpy's sorts and ufuncs release the interpreter lock,
 so the blocks overlap.  Each block does the arithmetic of the serial loop and
@@ -84,11 +84,14 @@ class LossBoundError(ValueError):
 
 
 def _dedupe_columns(values: np.ndarray) -> np.ndarray:
-    """Drop duplicate columns, keeping the first occurrence of each labeling."""
+    """Drop duplicate columns, keeping the first occurrence of each labeling.
+    A bool table comes back row-major, for the row-block kernels; a float one
+    keeps the layout of ``values[:, keep]``, in which its column sums round."""
     # bool labelings pack to bytes, much cheaper to compare
     columns = np.packbits(values.T, axis=1) if values.dtype == bool else values.T
     _, first = np.unique(columns, axis=0, return_index=True)
-    return values[:, np.sort(first)]
+    keep = np.sort(first)
+    return np.take(values, keep, axis=1) if values.dtype == bool else values[:, keep]
 
 
 @dataclass(frozen=True)
@@ -182,14 +185,20 @@ class LossModel:
 
     def evaluate(self, predictions, responses) -> np.ndarray:
         """Losses over the broadcast shape of the inputs; ``pointwise`` must
-        be vectorized and return that shape.  Bool predictions and a bool
-        result stay bool; all else is float64."""
+        be vectorized, take float predictions too, and return that shape.
+        Bool predictions and a bool result stay bool; all else is float64."""
         predictions = np.asarray(predictions)
         if predictions.dtype != bool:
             predictions = np.asarray(predictions, dtype=float)
         responses = np.asarray(responses, dtype=float)
         shape = np.broadcast_shapes(predictions.shape, responses.shape)
-        out = np.asarray(self.pointwise(predictions, responses))
+        try:
+            out = np.asarray(self.pointwise(predictions, responses))
+        except TypeError as error:
+            if predictions.dtype == bool:
+                raise
+            raise ValueError(f"loss {self.name or 'pointwise'!r} must accept float "
+                             f"predictions: {error}") from error
         if out.dtype != bool:
             out = np.asarray(out, dtype=float)
         if out.shape != shape:
@@ -411,37 +420,46 @@ def _take_along_rows(values: np.ndarray, indices: np.ndarray) -> np.ndarray:
 
 
 def _stable_argsort(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exactly ``np.argsort(values, axis=-1, kind="stable")``, from the default sort.
-
-    The stable permutation is the unique sort by (value, index), so it is
-    enough to sort by value with numpy's default (SIMD-dispatched) sort and
-    then re-sort the indices inside each run of equal values.  Adjacent NaNs
-    count as equal; numpy sorts them last either way.  Runs are found on the
-    sorted values, and only their positions are re-sorted, by the unique
-    integer key (run, index) (``_sort_tied_runs``), so a row without ties
-    pays one comparison pass for the exactness.  It returns the order and the
-    sorted values, which equal the values taken in that order under ``==``.
+    """Exactly ``np.argsort(values, axis=-1, kind="stable")``, from one sort
+    of packed keys: each entry's value bits (order-preserving, less the row's
+    smallest; ``-0.0`` as ``+0.0``, every NaN one top key) above its index in
+    the low ``ceil(log2 m)`` bits.  The keys are unique, so every sort kernel
+    orders them alike, ties by index.  Value bits that do not fit are shifted
+    out into buckets, monotone and in index order inside, so a row is in
+    stable order exactly where its sorted values never decrease; other rows
+    go to ``_stable_fallback`` (no NaN shares a bucket: its key is 2^52 above
+    ``+inf``'s).  Returns the order and the sorted values.
     """
-    order = np.argsort(values, axis=-1)
+    shape, m = values.shape, values.shape[-1]
+    values = values.reshape(-1, m)
+    index_bits = (m - 1).bit_length()
+    if values.dtype.kind == "f":
+        key = np.add(values, 0.0).view(np.int64)  # -0.0 + 0.0 is +0.0
+        np.copyto(key, np.iinfo(np.int64).max, where=np.isnan(values))
+        if key.min() < 0:  # a negative float orders by its flipped magnitude bits
+            key ^= (key >> 63) & np.iinfo(np.int64).max
+    else:
+        key = values.astype(np.int64)
+    key -= key.min(axis=1, keepdims=True)  # in place: the keys become the order
+    key = key.view(np.uint64)
+    shift = max(0, int(key.max()).bit_length() + index_bits - 64)
+    key >>= shift
+    key <<= index_bits
+    key |= np.arange(m, dtype=np.uint64)
+    key.sort(axis=1)
+    key &= np.uint64((1 << index_bits) - 1)
+    order = key.view(np.intp)
     ranked = _take_along_rows(values, order)
-    tie = ranked[..., 1:] == ranked[..., :-1]
-    if ranked.dtype.kind == "f" and ranked.size and np.isnan(ranked[..., -1]).any():
-        tie |= np.isnan(ranked[..., 1:]) & np.isnan(ranked[..., :-1])
-    if tie.any():
-        _sort_tied_runs(order, tie)
-    return order, ranked
+    unstable = (ranked[:, 1:] < ranked[:, :-1]).any(axis=1)
+    if unstable.any():
+        _stable_fallback(values, order, ranked, unstable)
+    return order.reshape(shape), ranked.reshape(shape)
 
 
-def _sort_tied_runs(order: np.ndarray, tie: np.ndarray) -> None:
-    """Sort each row of ``order`` in place inside each run of positions joined
-    by ``tie`` (``tie[..., k]``: positions k and k + 1 hold equal values), all
-    rows in one sort of the flattened block, with a run break at each row end."""
-    m, flat = order.shape[-1], order.reshape(-1)  # a view: argsort's order is contiguous
-    tie = np.concatenate((tie, np.zeros_like(tie[..., :1])), axis=-1).reshape(-1)
-    pos = np.flatnonzero(tie | np.r_[False, tie[:-1]])
-    run = np.cumsum(~np.r_[False, tie[:-1]][pos])
-    # (run, index) as one integer: run * m + index < (order.size + 1) * m
-    flat[pos] = np.sort(run * m + flat[pos]) % m
+def _stable_fallback(values, order, ranked, rows) -> None:
+    """numpy's stable sort of the rows whose buckets collided, in place."""
+    order[rows] = np.argsort(values[rows], axis=1, kind="stable")
+    ranked[rows] = _take_along_rows(values[rows], order[rows])
 
 
 def _loo_level_sums(lm, totals, values, levels, refs=None):
@@ -500,8 +518,7 @@ def _lattice_level_sums(lm, totals, values, levels):
     its loss, vote and vote-and-loss group sums, rows x groups, are int32
     ``reduceat`` sums of masks of that code.
     """
-    order = np.argsort(totals, kind="stable")
-    ranked = totals[order]
+    order, ranked = _stable_argsort(totals)
     starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
     group_totals = ranked[starts]
     # the number of columns in the groups before each group, then in all

@@ -12,9 +12,8 @@ A-distance, lambda_min (|theta| - r)^2 below and the radial projection's
 (1 - r/|theta|)^2 theta'A theta above; only draws whose bounds fall within a
 narrow band around the threshold go to the bisection of
 ``min_ball_distance_sq``, which stays the exact arbiter, so the mask equals
-bisecting every draw.  The member draws' loss tables are filled in fixed
-blocks of rows, shared out between the calling thread and the block pool of
-``core._for_each_block``.
+bisecting every draw.  The screen and the fill of the member draws' loss
+tables run in fixed blocks on the block pool of ``core._for_each_block``.
 
 Measure and aggregate estimates use plain rejection sampling from mu_B with
 common random numbers across every (tolerance, index) cell, which makes the
@@ -231,9 +230,10 @@ def min_ball_distance_sq(
 
     Points inside the ball are at distance zero; otherwise the constrained
     projection is found by bisection on the Lagrange multiplier of the norm
-    constraint in the eigenbasis of A.  This is the exact arbiter of H_A
-    membership: ``_in_HA`` settles most draws by closed-form bounds on this
-    distance and sends only the draws those bounds leave undecided here.
+    constraint in the eigenbasis of A: 100 halvings, or fewer once one leaves
+    every bracket as it was, as all later ones would.  This is the exact
+    arbiter of H_A membership: ``_in_HA`` settles most draws by closed-form
+    bounds on this distance and sends only the draws they leave undecided here.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     norms = np.linalg.norm(thetas, axis=1)
@@ -250,8 +250,10 @@ def min_ball_distance_sq(
         mid = 0.5 * (lo + hi)
         proj = a * coords / (a + mid[:, None])
         too_big = (proj**2).sum(axis=1) > r * r
-        lo = np.where(too_big, mid, lo)
-        hi = np.where(too_big, hi, mid)
+        lo_next, hi_next = np.where(too_big, mid, lo), np.where(too_big, hi, mid)
+        if np.array_equal(lo_next, lo) and np.array_equal(hi_next, hi):
+            break
+        lo, hi = lo_next, hi_next
     lam = 0.5 * (lo + hi)
     scaled = lam[:, None] * coords / (a + lam[:, None])
     out[outside] = (a * scaled**2).sum(axis=1)
@@ -279,17 +281,18 @@ _BAND_REL = 1e-9
 # two threads raised a process's peak resident set over one thread's by
 # 2.4 MB with 512-row blocks, 2.7 MB with 2,048 and 8.0 MB with 4,096.
 _CHUNK_ROWS = 512
+_SCREEN_ROWS = 8192  # draws per block of ``_in_HA``, a few floats each
 
 
 def _distance_bounds(
     geometry: LogisticGeometry, r: float, thetas: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form (lower, upper) bounds on ``min_ball_distance_sq`` outside the ball.
+    """Closed-form (lower, upper) bounds on ``min_ball_distance_sq``; 0 in the ball.
 
     lambda_min (|theta| - r)^2 <= D <= (1 - r/|theta|)^2 theta'A theta; the
     right side is the distance to the radial projection onto the sphere.
     """
-    norms = np.linalg.norm(thetas, axis=1)
+    norms = np.maximum(np.linalg.norm(thetas, axis=1), r)
     excess = norms - r
     upper = (excess / norms) ** 2 * ((thetas @ geometry.A) * thetas).sum(axis=1)
     return geometry.lambda_min * excess**2, upper
@@ -300,17 +303,24 @@ def _in_HA(
 ) -> np.ndarray:
     """H_A membership, ``min_ball_distance_sq(geometry, r, thetas) <= thr``.
 
-    A draw inside the ball is a member.  Outside it, a draw whose upper bound
-    is at most thr less the margin is a member, one whose lower bound exceeds
-    thr plus the margin is not, and only the draws left in between go to the
-    bisection, whose verdict is final.
+    A draw whose upper bound is at most thr less the margin is a member (every
+    draw inside the ball is), one whose lower bound exceeds thr plus the
+    margin is not, and only the draws left in between go to one bisection,
+    whose verdict is final.  The bounds, taken in blocks on the block pool,
+    only route draws, so the mask does not depend on the blocks.
     """
-    outside = np.flatnonzero(np.linalg.norm(thetas, axis=1) > r)
-    member = np.ones(thetas.shape[0], dtype=bool)
-    lower, upper = _distance_bounds(geometry, r, thetas[outside])
+    member = np.empty(thetas.shape[0], dtype=bool)
+    band = np.empty(thetas.shape[0], dtype=bool)
     margin = _BAND_REL * thr
-    member[outside] = upper <= thr - margin
-    band = outside[(upper > thr - margin) & (lower <= thr + margin)]
+
+    def screen(start):
+        block = slice(start, start + _SCREEN_ROWS)
+        lower, upper = _distance_bounds(geometry, r, thetas[block])
+        member[block] = upper <= thr - margin
+        band[block] = (upper > thr - margin) & (lower <= thr + margin)
+
+    _for_each_block(screen, range(0, thetas.shape[0], _SCREEN_ROWS))
+    band = np.flatnonzero(band)
     member[band] = min_ball_distance_sq(geometry, r, thetas[band]) <= thr
     return member
 

@@ -194,6 +194,30 @@ def test_distinct_by_construction_families_need_no_dedup(descriptor, n):
     assert np.array_equal(values, _dedupe_columns(values))
 
 
+def test_deduplicated_bool_tables_are_row_major_with_the_same_outputs():
+    rng = np.random.default_rng(18)
+    table = restrict_class("unions-of-k-intervals", rng.random(40), k=2)
+    # the deduplicated table's rows are contiguous
+    assert table.values.dtype == bool and table.values.flags.c_contiguous
+    # the column-major layout the deduplication used to return
+    fortran = PredictionTable(table.values, keep_duplicates=True)
+    object.__setattr__(fortran, "values", np.asfortranarray(table.values))
+    assert not fortran.values.flags.c_contiguous
+    sample = LabeledSample(rng.integers(0, 2, 40))
+    loss, grid = zero_one_loss(), classification_grid(4, 40)
+
+    def outputs(t):
+        out = run_mlsa(t, sample, loss, grid, MAJORITY_VOTE)
+        records = grid_growth_audit(t, sample, loss, grid).levels
+        return [out.per_level.tobytes(), out.medians.tobytes(), out.loo_error, out.erm_loss,
+                records]
+
+    assert outputs(table) == outputs(fortran)
+    # a float table keeps the layout its column sums were rounded in
+    floats = PredictionTable(rng.choice([0.25, 0.5], size=(6, 40)))
+    assert floats.n_hypotheses < 40 and floats.values.flags.f_contiguous
+
+
 @pytest.mark.parametrize(
     "descriptor, n, k, digest",
     [

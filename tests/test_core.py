@@ -204,6 +204,19 @@ def test_loss_returning_a_scalar_is_rejected_not_vectorized():
     assert float(flat.evaluate(0.0, 1.0)) == 0.5  # scalar inputs, scalar shape
 
 
+def test_loss_for_bool_predictions_only_is_refused_at_float_ones_by_name():
+    # bitwise operators work on a bool table, not on the float medians
+    bitwise = LossModel(pointwise=lambda p, y: p & (y == 0), delta_bound=1.0, name="bitwise")
+    table = PredictionTable(np.array([[1, 0], [0, 1], [1, 1]], dtype=bool))
+    sample = LabeledSample([0.0, 1.0, 0.0])
+    assert loss_matrix(table, sample, bitwise).dtype == bool
+    grid = ToleranceGrid(levels=np.array([1.0]), gap=1.0)
+    with pytest.raises(ValueError, match="'bitwise' must accept float predictions"):
+        run_mlsa(table, sample, bitwise, grid, MAJORITY_VOTE)
+    with pytest.raises(ValueError, match="'bitwise' must accept float predictions"):
+        bitwise.evaluate(np.array([0.5, 1.0]), np.array([0.0, 1.0]))
+
+
 # ------------------------------------------------------------- empirical_loss
 
 

@@ -322,6 +322,57 @@ def test_membership_screen_sends_only_the_band_to_bisection(monkeypatch):
     assert len(rows) == 1 and rows[0] < 0.05 * outside
 
 
+def hundred_halvings(geometry, r, thetas):
+    """``min_ball_distance_sq`` as it was first written: always 100 halvings."""
+    norms = np.linalg.norm(thetas, axis=1)
+    out = np.zeros(thetas.shape[0])
+    outside = norms > r
+    coords = thetas[outside] @ geometry.eigvecs
+    a = geometry.eigvals[None, :]
+    lo = np.zeros(coords.shape[0])
+    hi = geometry.eigvals[-1] * (norms[outside] / r - 1.0) * (1.0 + 1e-12) + 1e-300
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        too_big = ((a * coords / (a + mid[:, None])) ** 2).sum(axis=1) > r * r
+        lo = np.where(too_big, mid, lo)
+        hi = np.where(too_big, hi, mid)
+    lam = 0.5 * (lo + hi)
+    scaled = lam[:, None] * coords / (a + lam[:, None])
+    out[outside] = (a * scaled**2).sum(axis=1)
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_bisection_stops_early_with_the_bits_of_100_halvings(d):
+    rng = np.random.default_rng(70 + d)
+    eigvals = np.sort(0.5 * 10.0 ** (3.0 * rng.random(d)))
+    geo = spectral_geometry(eigvals, seed=d)
+    r, thr = 1.0, 1.0 + 1e-12
+    # draws in the screen's band, whose distances sit at the threshold, and
+    # draws inside the ball and far outside it
+    thetas = np.vstack([draws_near_level(geo, r, thr, rng, 200),
+                        rng.uniform(-5.0, 5.0, size=(200, d))])
+    got = min_ball_distance_sq(geo, r, thetas)
+    assert got.tobytes() == hundred_halvings(geo, r, thetas).tobytes()
+    assert (got == 0).any() and (got > 2 * thr).any()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_membership_screen_in_blocks_matches_bisection(workers, monkeypatch, block_pool_calls):
+    problem = make_logistic_problem(50, 2, 1.0, 1.0, np.random.default_rng(62))
+    geo = build_geometry(problem)
+    thr = problem.r * problem.R + 1e-12
+    monkeypatch.setattr(core, "_WORKERS", workers)
+    monkeypatch.setattr(logistic_module, "_SCREEN_ROWS", 1000)
+    # a short last block
+    thetas = sample_muB(geo, 5_321, seed=63)
+    expected = min_ball_distance_sq(geo, problem.r, thetas) <= thr
+    member = logistic_module._in_HA(geo, problem.r, thetas, thr)
+    assert np.array_equal(member, expected)
+    assert 0 < member.sum() < member.size
+    assert len(block_pool_calls) == workers - 1
+
+
 # ------------------------------------------------------------------- sampling
 
 
@@ -704,14 +755,16 @@ def test_pool_is_byte_identical_on_any_worker_count(monkeypatch, block_pool_call
         # a gap shrunk below the loss bound, so the sandwich fails somewhere
         grid = dataclasses.replace(run.output.grid, gap=0.1 * run.output.grid.gap)
         shrunk = dataclasses.replace(run, output=dataclasses.replace(run.output, grid=grid))
-        tables = (ws.losses, ws.sig, ws.totals, run.output.per_level, run.output.medians)
+        tables = (ws.member, ws.losses, ws.sig, ws.totals, run.output.per_level,
+                  run.output.medians)
         results[workers] = (
             [a.tobytes() for a in tables],
             crn_sandwich_report(run),
             crn_sandwich_report(shrunk),
         )
-        # the table fill, the sweep and both sandwich checks share out their blocks
-        assert len(block_pool_calls) == (0 if workers == 1 else 4)
+        # the H_A screen, the table fill, the sweep and both sandwich checks
+        # share out their blocks
+        assert len(block_pool_calls) == (0 if workers == 1 else 5)
     # rows wide enough for the sweep and the sandwich to use the pool
     assert ws.totals.size >= core._PARALLEL_ROW_ENTRIES
     assert results[1][1].violations == 0 < results[1][2].violations

@@ -11,11 +11,12 @@ as integer totals.  Tables take quarter-valued entries, so losses and totals
 are exact dyadic rationals: ties are frequent, and every threshold form agrees
 exactly with the oracles' ``totals <= min + t``.
 
-The sweep's order comes from ``core._stable_argsort``, numpy's default sort
-with its tied runs re-sorted, on 1-D arrays and on row blocks.  The
-``stable_argsort`` tests check it, and the block sweep built on it, against
-numpy's stable sort; run them under ``NPY_DISABLE_CPU_FEATURES`` to cover
-each sort kernel numpy can dispatch to.
+The sweep's order comes from ``core._stable_argsort``, one default sort of
+unique packed (value, index) keys, on 1-D arrays and on row blocks, with
+numpy's stable sort as the fallback for a row whose shifted value buckets
+collide out of order.  The ``stable_argsort`` tests check it, its fallback,
+and the block sweep built on it, against numpy's stable sort; run them under
+``NPY_DISABLE_CPU_FEATURES`` to cover each sort kernel numpy can dispatch to.
 
 Rows as wide as a logistic pool row are swept and audited on
 ``core._for_each_block``'s block pool; the block pool tests pin its outputs
@@ -265,30 +266,48 @@ def arrays(dtype, elements):
     return st.builds(lambda a, layout: layout(a), drawn, layouts)
 
 
+@pytest.fixture
+def fallback_rows(monkeypatch):
+    """A list that records, per call of ``core._stable_fallback``, how many
+    rows it sorted again."""
+    rows = []
+    stable_fallback = core._stable_fallback
+
+    def spy(values, order, ranked, unstable):
+        rows.append(int(unstable.sum()))
+        stable_fallback(values, order, ranked, unstable)
+
+    monkeypatch.setattr(core, "_stable_fallback", spy)
+    return rows
+
+
+def check_stable_argsort(values, fallback_rows, outcomes):
+    """``_stable_argsort`` against numpy's stable sort; records whether the
+    input had ties and whether the fallback ran on it."""
+    calls = len(fallback_rows)
+    got, ranked = core._stable_argsort(values)
+    expected, expected_ranked = numpy_stable_argsort(values)
+    assert got.dtype == np.intp
+    assert np.array_equal(got, expected)
+    # equal under ==: a tied run may hold both zeros, or NaNs, in another order
+    assert np.array_equal(ranked, expected_ranked, equal_nan=values.dtype.kind == "f")
+    ties = expected_ranked[..., 1:] == expected_ranked[..., :-1]
+    outcomes.append((bool(ties.any()), len(fallback_rows) > calls))
+
+
 @pytest.mark.parametrize("dtype, elements", [(np.float64, FLOATS), (np.int64, INTS)])
-def test_stable_argsort_equals_numpy_stable_sort(dtype, elements, monkeypatch):
-    repairs = []
-    sort_tied_runs = core._sort_tied_runs
-
-    def spy(order, tie):
-        repairs.append(tie.sum())
-        sort_tied_runs(order, tie)
-
-    monkeypatch.setattr(core, "_sort_tied_runs", spy)
+def test_stable_argsort_equals_numpy_stable_sort(dtype, elements, fallback_rows):
+    outcomes = []
 
     @settings(deadline=None, max_examples=200)
     @given(values=arrays(dtype, elements))
     def check(values):
-        got, ranked = core._stable_argsort(values)
-        expected, expected_ranked = numpy_stable_argsort(values)
-        assert got.dtype == np.intp
-        assert np.array_equal(got, expected)
-        # equal under ==: a tied run may hold both zeros, or NaNs, in another order
-        assert np.array_equal(ranked, expected_ranked, equal_nan=values.dtype.kind == "f")
+        check_stable_argsort(values, fallback_rows, outcomes)
 
     check()
-    # the tie repair ran, so the check above is not vacuous
-    assert repairs
+    # the packed keys alone put tied values in index order, so the check
+    # above is not vacuous
+    assert (True, False) in outcomes
 
 
 def tie_heavy_problem(seed=0, n=40, m=600):
@@ -307,7 +326,7 @@ def test_stable_argsort_keeps_every_sweep_and_audit_byte_identical(monkeypatch):
     lm = loss_matrix(table, sample, loss)
     totals = lm.sum(axis=0)
     # the default sort leaves some row's ties out of index order, so the
-    # repair is what makes the results below equal
+    # index bits of the keys are what make the results below equal
     assert any(
         not np.array_equal(np.argsort(totals - row), numpy_stable_argsort(totals - row)[0])
         for row in lm
@@ -363,15 +382,7 @@ def test_stable_argsort_keeps_the_logistic_pool_byte_identical(monkeypatch):
     assert violations == expected_violations
 
 
-def test_stable_argsort_on_row_blocks_equals_numpy_stable_sort(monkeypatch):
-    repairs = []
-    sort_tied_runs = core._sort_tied_runs
-
-    def spy(order, tie):
-        repairs.append(tie.sum())
-        sort_tied_runs(order, tie)
-
-    monkeypatch.setattr(core, "_sort_tied_runs", spy)
+def test_stable_argsort_on_row_blocks_equals_numpy_stable_sort(fallback_rows):
     shapes = st.tuples(st.integers(1, 12), st.integers(1, 200))
     blocks = st.one_of(
         hnp.arrays(np.float64, shapes, elements=FLOATS),
@@ -379,18 +390,37 @@ def test_stable_argsort_on_row_blocks_equals_numpy_stable_sort(monkeypatch):
         # every row one value, the same in each row: tied runs end where rows meet
         st.builds(lambda shape, v: np.full(shape, v), shapes, TIE_FLOATS),
     )
+    outcomes = []
 
     @settings(deadline=None, max_examples=200)
     @given(values=blocks)
     def check(values):
-        got, ranked = core._stable_argsort(values)
-        expected, expected_ranked = numpy_stable_argsort(values)
-        assert got.dtype == np.intp
-        assert np.array_equal(got, expected)
-        assert np.array_equal(ranked, expected_ranked, equal_nan=values.dtype.kind == "f")
+        check_stable_argsort(values, fallback_rows, outcomes)
 
     check()
-    assert repairs
+    assert (True, False) in outcomes
+
+
+# A value span too wide to sit above the 2 index bits of 4 columns, so the
+# keys are shifted right, and two neighbouring values, out of index order,
+# that land in one bucket: 1.0 and the next float up (a shift of 1), 4 and 5
+# (a shift of 2)
+COLLIDING_ROWS = {
+    "float": np.array([0.0, 1e300, np.nextafter(1.0, 2.0), 1.0]),
+    "int": np.array([-(2**63), 2**63 - 1, 5, 4]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(COLLIDING_ROWS))
+@pytest.mark.parametrize("layout", ["row", "block"])
+def test_stable_argsort_falls_back_where_buckets_collide(kind, layout, fallback_rows):
+    row = COLLIDING_ROWS[kind]
+    # a second row whose buckets keep the value order: only the first falls back
+    values = row if layout == "row" else np.vstack([row, np.sort(row)])
+    outcomes = []
+    check_stable_argsort(values, fallback_rows, outcomes)
+    assert fallback_rows == [1]
+    assert outcomes == [(False, True)]
 
 
 # ------------------------------------------------------- row-block sweep
