@@ -17,7 +17,6 @@ from typing import Optional
 import numpy as np
 
 from .core import (
-    _PARALLEL_ROW_ENTRIES,
     NUMERIC_TOL,
     AggregationRule,
     LabeledSample,
@@ -213,8 +212,8 @@ def _sandwich_violations(lm, totals, levels, delta, ref_full, refs=None) -> np.n
     so each row takes one maximum and one minimum per segment
     (``reduceat``), and their running maximum and minimum over the segments.
     ``lm`` is a rows x columns loss matrix, float or bool, read in blocks of
-    at most ``_SANDWICH_BLOCK_ENTRIES`` entries, on ``core._for_each_block``
-    when a row holds at least ``_PARALLEL_ROW_ENTRIES``; ``excl`` takes the
+    at most ``_SANDWICH_BLOCK_ENTRIES`` entries, on ``core._for_each_block``,
+    which shares out rows as wide as a logistic pool row; ``excl`` takes the
     dtype of ``totals``, so a bool matrix, whose totals are int32
     (``core._column_totals``), is read as exact int32 integers with no float
     copy.
@@ -248,12 +247,7 @@ def _sandwich_violations(lm, totals, levels, delta, ref_full, refs=None) -> np.n
         np.maximum.reduceat(excl, cuts, axis=1, out=prefix_max[block])
         np.minimum.reduceat(excl, cuts, axis=1, out=suffix_min[block])
 
-    starts = range(0, len(lm), step)
-    if m >= _PARALLEL_ROW_ENTRIES:
-        _for_each_block(segment_extremes, starts)
-    else:
-        for lo in starts:
-            segment_extremes(lo)
+    _for_each_block(segment_extremes, range(0, len(lm), step), m)
     np.maximum.accumulate(prefix_max, axis=1, out=prefix_max)
     np.minimum.accumulate(suffix_min[:, ::-1], axis=1, out=suffix_min[:, ::-1])
     ref = suffix_min[:, :1] if refs is None else refs[:, None]

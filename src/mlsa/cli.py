@@ -22,14 +22,13 @@ task-specific detail lives in the structured report only.
 ``run``, ``audit`` and ``sweep`` share one job loop: every instance is a job,
 ``--threads`` sets the number of workers, and a job that raises is listed in
 the report's ``[errors]`` section and on stderr while the other jobs' rows are
-still written.  The workers are forked processes, each with its own block
-pool: a job is many small numpy calls, and job threads would hold the
-interpreter lock between them.  Results come back in job order, so the files
-are the same bits at any ``--threads``; a worker that dies loses only the jobs
-whose results had not come back, which become errors.  Exit codes: 0 when
-every certificate passes, 1 when one fails or a job raised, 2 on a
-configuration error (an unknown key, a value list outside ``sweep``, a missing
-task or seed).
+still written.  The workers are forked processes: a job is many small numpy
+calls, and job threads would hold the interpreter lock between them.  Results
+come back in job order, so the files are the same bits at any ``--threads``;
+a worker that dies loses only the jobs whose results had not come back, which
+become errors.  Exit codes: 0 when every certificate passes, 1 when one fails
+or a job raised, 2 on a configuration error (an unknown key, a value list
+outside ``sweep``, a missing task or seed).
 """
 
 from __future__ import annotations
@@ -553,8 +552,9 @@ def _run_jobs(jobs: list, deep_audit: bool, threads: int) -> list:
     Each future is read on its own: when a worker dies, the pool fails every
     job whose result has not come back, and only those become error entries.
     Fork, not spawn: a spawned worker imports numpy and ``mlsa`` again, about
-    0.25 s, as long as a whole 80-job sweep; a forked child drops the parent's
-    block pool threads (``core._forget_pool``).
+    0.25 s, as long as a whole 80-job sweep.  No thread of the parent needs to
+    exist in the child: ``core._for_each_block`` joins its threads before it
+    returns.
     """
     workers = min(threads, len(jobs))
     if workers > 1:

@@ -167,10 +167,15 @@ def mlsa_for_density(dclass: DensityClass, observations) -> MlsaOutput:
     return run_mlsa(table, sample, loss, grid, MEAN_AGGREGATE)
 
 
-def _erm_loss(dclass: DensityClass, obs: np.ndarray) -> float:
+def _log_loss_totals(dclass: DensityClass, obs: np.ndarray) -> np.ndarray:
+    """Each density's log loss summed over the observations, in class-row
+    order; inf where a density gives an observation probability 0."""
     with np.errstate(divide="ignore"):
-        totals = -np.log(dclass.probs[:, obs]).sum(axis=1)
-    return float(totals.min())
+        return -np.log(dclass.probs[:, obs]).sum(axis=1)
+
+
+def _erm_loss(dclass: DensityClass, obs: np.ndarray) -> float:
+    return float(_log_loss_totals(dclass, obs).min())
 
 
 def verify_density_bound(
@@ -253,8 +258,7 @@ def smoothing_inflation(
     """
     obs = _check_observations(original, observations)
     n = obs.size
-    with np.errstate(divide="ignore"):
-        totals = -np.log(original.probs[:, obs]).sum(axis=1)
+    totals = _log_loss_totals(original, obs)
     best = int(np.argmin(totals))
     inflated = float(-np.log(smoothed.probs[best, obs]).sum())
     return BoundCertificate(

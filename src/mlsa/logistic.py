@@ -13,7 +13,8 @@ A-distance, lambda_min (|theta| - r)^2 below and the radial projection's
 narrow band around the threshold go to the bisection of
 ``min_ball_distance_sq``, which stays the exact arbiter, so the mask equals
 bisecting every draw.  The screen and the fill of the member draws' loss
-tables run in fixed blocks on the block pool of ``core._for_each_block``.
+tables run in fixed blocks on ``core._for_each_block``, which shares them out
+between threads when there are at least ``core._PARALLEL_ROW_ENTRIES`` draws.
 
 Measure and aggregate estimates use plain rejection sampling from mu_B with
 common random numbers across every (tolerance, index) cell, which makes the
@@ -130,6 +131,12 @@ def per_sample_losses(problem: LogisticProblem, thetas: np.ndarray) -> np.ndarra
     return np.logaddexp(0.0, -z)
 
 
+def _gradient(X: np.ndarray, y: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Gradient of the summed losses -log sigmoid(y_i x_i' theta) at theta."""
+    z = y * (X @ theta)
+    return -(X * (y * _sigmoid(-z))[:, None]).sum(axis=0)
+
+
 def fit_erm(
     problem: LogisticProblem,
     exclude: Optional[int] = None,
@@ -157,9 +164,7 @@ def fit_erm(
     step = 4.0 / lam_max
     theta = np.zeros(problem.d)
     for _ in range(max_iter):
-        z = y * (X @ theta)
-        grad = -(X * (y * _sigmoid(-z))[:, None]).sum(axis=0)
-        candidate = theta - step * grad
+        candidate = theta - step * _gradient(X, y, theta)
         norm = np.linalg.norm(candidate)
         if norm > r:
             candidate = candidate * (r / norm)
@@ -203,8 +208,6 @@ def build_geometry(problem: LogisticProblem, tol: float = 1e-8) -> LogisticGeome
     A_half = eigvecs @ np.diag(np.sqrt(eigvals)) @ eigvecs.T
     A_half_inv = eigvecs @ np.diag(1.0 / np.sqrt(eigvals)) @ eigvecs.T
     theta_star = fit_erm(problem, tol=tol)
-    z = y * (X @ theta_star)
-    grad_star = -(X * (y * _sigmoid(-z))[:, None]).sum(axis=0)
     rR = problem.r * problem.R
     R_B = math.sqrt(problem.n) * rR + 2.0 * math.sqrt(rR)
     delta = 1.0 + rR + math.sqrt(rR / lambda_min) * problem.R
@@ -216,7 +219,7 @@ def build_geometry(problem: LogisticProblem, tol: float = 1e-8) -> LogisticGeome
         A_half=A_half,
         A_half_inv=A_half_inv,
         theta_star=theta_star,
-        grad_star=grad_star,
+        grad_star=_gradient(X, y, theta_star),
         erm_loss=float(per_sample_losses(problem, theta_star[None, :]).sum()),
         R_B=R_B,
         delta=delta,
@@ -276,10 +279,11 @@ _BAND_REL = 1e-9
 
 # Member draws per block when the (members, n) loss tables are filled, so that
 # z and the ufunc temporaries never exceed one block.  The blocks of
-# ``build_workspace`` run on ``core._for_each_block``, where every thread
-# keeps its own malloc arena of block temporaries.  At n = 50 and 2e5 draws,
-# two threads raised a process's peak resident set over one thread's by
-# 2.4 MB with 512-row blocks, 2.7 MB with 2,048 and 8.0 MB with 4,096.
+# ``build_workspace`` run on ``core._for_each_block``, where every thread that
+# a wide pool's fill opens keeps its own malloc arena of block temporaries.
+# At n = 50 and 2e5 draws, two threads raised a process's peak resident set
+# over one thread's by 2.4 MB with 512-row blocks, 2.7 MB with 2,048 and
+# 8.0 MB with 4,096.
 _CHUNK_ROWS = 512
 _SCREEN_ROWS = 8192  # draws per block of ``_in_HA``, a few floats each
 
@@ -306,8 +310,9 @@ def _in_HA(
     A draw whose upper bound is at most thr less the margin is a member (every
     draw inside the ball is), one whose lower bound exceeds thr plus the
     margin is not, and only the draws left in between go to one bisection,
-    whose verdict is final.  The bounds, taken in blocks on the block pool,
-    only route draws, so the mask does not depend on the blocks.
+    whose verdict is final.  The bounds, taken in blocks on
+    ``core._for_each_block``, only route draws, so the mask does not depend on
+    the blocks.
     """
     member = np.empty(thetas.shape[0], dtype=bool)
     band = np.empty(thetas.shape[0], dtype=bool)
@@ -319,7 +324,7 @@ def _in_HA(
         member[block] = upper <= thr - margin
         band[block] = (upper > thr - margin) & (lower <= thr + margin)
 
-    _for_each_block(screen, range(0, thetas.shape[0], _SCREEN_ROWS))
+    _for_each_block(screen, range(0, thetas.shape[0], _SCREEN_ROWS), thetas.shape[0])
     band = np.flatnonzero(band)
     member[band] = min_ball_distance_sq(geometry, r, thetas[band]) <= thr
     return member
@@ -371,9 +376,10 @@ class McWorkspace:
     per index: ``losses`` and ``sig`` are transposed views of (n, members)
     arrays, so the row ``losses.T[i]`` that the leave-one-out sweep and the
     sandwich read for index i is contiguous.  The tables are filled, and
-    their rows swept and audited, in independent blocks on the calling thread
-    and the block pool (``core._for_each_block``); each block writes only its
-    own rows, so every bit is the same on any number of CPUs.  Reference
+    their rows swept and audited, in independent blocks on
+    ``core._for_each_block``, which shares a wide pool's blocks out between
+    the calling thread and threads of its own; each block writes only its own
+    rows, so every bit is the same on any number of CPUs.  Reference
     losses come from the best of all fitted minimizers (full-sample and every
     leave-one-out fit evaluated on each objective), so that solver
     suboptimality can never break the nestedness of accepted sets.
@@ -417,7 +423,7 @@ def build_workspace(
         totals[block] = z.sum(axis=1)
         losses[block] = z
 
-    _for_each_block(fill, range(0, rows.size, _CHUNK_ROWS))
+    _for_each_block(fill, range(0, rows.size, _CHUNK_ROWS), rows.size)
     candidates = np.vstack([geometry.theta_star[None, :], theta_star_minus])
     cand_losses = per_sample_losses(problem, candidates)
     cand_totals = cand_losses.sum(axis=1)
@@ -467,6 +473,12 @@ def run_mlsa_logistic(problem: LogisticProblem, mc: McConfig) -> LogisticRun:
     geometry = build_geometry(problem)
     workspace = build_workspace(geometry, problem, mc)
     grid = logistic_grid(geometry, problem)
+    if workspace.totals.size == 0:
+        raise InsufficientAcceptanceError(
+            f"the pool is empty: none of the {workspace.k} draws lies in H_A "
+            f"(samples_per_level={mc.samples_per_level}, need {mc.min_accepted}); "
+            "increase samples_per_level"
+        )
     counts, sums = _loo_level_sums(
         workspace.losses.T, workspace.totals, workspace.sig.T, grid.levels, workspace.ref_excl
     )

@@ -31,14 +31,14 @@ def loss_matrix_calls(monkeypatch):
 
 @pytest.fixture
 def block_pool_calls(monkeypatch):
-    """A list that records every request for ``core._block_pool``, the pool
-    ``core._for_each_block`` submits to, by the requesting thread's name."""
+    """A list that records every executor ``core._for_each_block`` opens, one
+    per call that shares its blocks out, by the opening thread's name."""
     calls = []
-    block_pool = core._block_pool
 
-    def spy():
-        calls.append(threading.current_thread().name)
-        return block_pool()
+    class Spy(core.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            calls.append(threading.current_thread().name)
+            super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(core, "_block_pool", spy)
+    monkeypatch.setattr(core, "ThreadPoolExecutor", Spy)
     return calls

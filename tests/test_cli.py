@@ -331,11 +331,17 @@ def test_cli_audit_deep_checks_are_byte_identical_on_worker_processes(tmp_path, 
 
 
 def test_cli_logistic_sweep_forks_workers_while_the_block_pool_runs(tmp_path, monkeypatch):
-    # the workers are forked while the parent's block pool thread is alive;
-    # each must build a pool of its own for the member-table fill
+    # the workers are forked while a block thread of the parent is alive, held
+    # inside a call on another thread; each opens threads of its own for the
+    # loops of its logistic pool
     monkeypatch.setattr(core_module, "_WORKERS", 2)
-    core_module._for_each_block(lambda start: None, [0, 1])
-    assert any(t.name.startswith("mlsa-block") for t in threading.enumerate())
+    monkeypatch.setattr(core_module, "_PARALLEL_ROW_ENTRIES", 1)
+    release = threading.Event()
+    holder = threading.Thread(target=core_module._for_each_block,
+                              args=(lambda start: start == 0 or release.wait(60), [0, 1], 1))
+    holder.start()
+    while not any(t.name.startswith("mlsa-block") for t in threading.enumerate()):
+        time.sleep(0.001)
     out = tmp_path / "out"
     args = ["sweep", "--task", "logistic", "--seed", "2", "--out", str(out), "--threads", "2",
             "--set", "n=8", "mc_samples=2000", "instances=3"]
@@ -343,13 +349,16 @@ def test_cli_logistic_sweep_forks_workers_while_the_block_pool_runs(tmp_path, mo
     sweep = threading.Thread(target=lambda: codes.append(main(args)), daemon=True)
     sweep.start()
     sweep.join(timeout=60)
+    release.set()
+    holder.join(timeout=60)
     if sweep.is_alive():
         for child in multiprocessing.active_children():
             child.kill()
-        pytest.fail("a forked worker hung on the parent's block pool")
+        pytest.fail("a forked worker hung on the parent's block threads")
     assert codes == [0]
     assert len((out / "results.csv").read_text().splitlines()) == 1 + 3
     assert multiprocessing.active_children() == []
+    assert not holder.is_alive()
 
 
 def test_cli_one_job_forks_no_worker_process(tmp_path, monkeypatch):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -363,6 +364,7 @@ def test_membership_screen_in_blocks_matches_bisection(workers, monkeypatch, blo
     geo = build_geometry(problem)
     thr = problem.r * problem.R + 1e-12
     monkeypatch.setattr(core, "_WORKERS", workers)
+    monkeypatch.setattr(core, "_PARALLEL_ROW_ENTRIES", 1000)  # threads for 5,321 draws
     monkeypatch.setattr(logistic_module, "_SCREEN_ROWS", 1000)
     # a short last block
     thetas = sample_muB(geo, 5_321, seed=63)
@@ -771,6 +773,18 @@ def test_pool_is_byte_identical_on_any_worker_count(monkeypatch, block_pool_call
     assert results[1] == results[2] == results[3]
 
 
+def test_no_block_thread_outlives_a_logistic_run(monkeypatch, block_pool_calls):
+    monkeypatch.setattr(core, "_WORKERS", 2)
+    monkeypatch.setattr(core, "_PARALLEL_ROW_ENTRIES", 1)  # threads for every shared loop
+    problem = make_logistic_problem(8, 2, 1.0, 1.0, np.random.default_rng(33))
+    # 17,627 member draws: the sandwich too reads its 8 rows in several blocks
+    run = run_mlsa_logistic(problem, McConfig(samples_per_level=60_000, seed=34))
+    crn_sandwich_report(run)
+    # the H_A screen, the table fill, the sweep and the sandwich opened threads
+    assert len(block_pool_calls) == 4
+    assert not any(t.name.startswith("mlsa-block") for t in threading.enumerate())
+
+
 def test_ellipsoid_draws_scale_in_place_with_the_same_bits():
     geo = build_geometry(make_logistic_problem(12, 3, 1.0, 2.0, np.random.default_rng(8)))
     rng = np.random.default_rng(9)
@@ -790,6 +804,13 @@ def test_workspace_with_no_member_draws():
     assert not ws.member.any() and ws.k == 100
     assert ws.losses.shape == ws.sig.shape == (0, problem.n)
     assert ws.totals.shape == (0,)
+
+
+def test_run_with_no_member_draws_names_the_empty_pool():
+    problem = make_logistic_problem(20, 8, 0.1, 0.1, np.random.default_rng(5))
+    with pytest.raises(InsufficientAcceptanceError,
+                       match=r"pool is empty.*samples_per_level=100\b"):
+        run_mlsa_logistic(problem, McConfig(samples_per_level=100, seed=1))
 
 
 def test_probabilities_strictly_inside_unit_interval():

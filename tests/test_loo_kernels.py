@@ -19,9 +19,11 @@ and the block sweep built on it, against numpy's stable sort; run them under
 ``NPY_DISABLE_CPU_FEATURES`` to cover each sort kernel numpy can dispatch to.
 
 Rows as wide as a logistic pool row are swept and audited on
-``core._for_each_block``'s block pool; the block pool tests pin its outputs
-byte for byte at 1, 2 and 3 workers, its errors and a forked child's use of it,
-and that narrow tables and the 0/1 lattice never reach it.
+``core._for_each_block``, which shares them out between the calling thread and
+threads it opens and joins for that call only; the block pool tests pin its
+outputs byte for byte at 1, 2 and 3 workers, its errors, that no thread
+outlives a call, a forked child's use of it, and that narrow tables and the
+0/1 lattice never open a thread.
 """
 
 import dataclasses
@@ -581,15 +583,17 @@ def test_wide_rows_are_byte_identical_on_any_worker_count(
 def test_narrow_tables_and_the_lattice_never_use_the_block_pool(monkeypatch, tmp_path):
     monkeypatch.setattr(core, "_WORKERS", 2)
 
-    def refuse():
-        raise AssertionError("a narrow table reached the block pool")
+    def refuse(*args, **kwargs):
+        raise AssertionError("a narrow table opened block threads")
 
-    monkeypatch.setattr(core, "_block_pool", refuse)
-    # 256-column real-valued tables, as in the cli-sweep benchmark: a job that
-    # raised would make the run exit 1
+    monkeypatch.setattr(core, "ThreadPoolExecutor", refuse)
+    # 256-column real-valued tables, as in the cli-sweep benchmark, and the
+    # CLI's default logistic pool of 20,000 draws: a job that raised would
+    # make the run exit 1
     for task, sets in (
         ("regression", ["class_size=256"]),
         ("density", ["class_size=256", "space_size=16"]),
+        ("logistic", ["mc_samples=20000"]),
     ):
         assert main(["run", "--task", task, "--seed", "0", "--out", str(tmp_path / task),
                      "--set", "n=100", *sets]) == 0
@@ -604,26 +608,21 @@ def test_narrow_tables_and_the_lattice_never_use_the_block_pool(monkeypatch, tmp
     assert grid_growth_audit(inst.table, inst.sample, zero_one_loss(), grid).good_fraction > 0.5
     # the spy does catch a wide row
     lm, totals, values, levels = wide_rows(n=2)
-    with pytest.raises(AssertionError, match="reached the block pool"):
+    with pytest.raises(AssertionError, match="opened block threads"):
         _loo_level_sums(lm, totals, values, levels)
 
 
-def test_concurrent_callers_share_one_pool(monkeypatch):
-    # more workers than cores, callers racing to create the pool, and a short
-    # switch interval: one pool is made, and every block writes its slice
+def block_threads():
+    return [t.name for t in threading.enumerate() if t.name.startswith("mlsa-block")]
+
+
+def test_concurrent_callers_share_one_pool(monkeypatch, block_pool_calls):
+    # more workers than cores, racing callers and a short switch interval:
+    # each call opens its own threads, every block writes its slice, and no
+    # thread outlives its call
     lm, totals, values, levels = wide_rows(n=8, m=core._PARALLEL_ROW_ENTRIES)
     expected = [a.tobytes() for a in per_row_level_sums(lm, totals, values, levels)]
     monkeypatch.setattr(core, "_WORKERS", 4)
-    monkeypatch.setattr(core, "_pool", None)
-    pools = []
-
-    class CountingPool(core.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(args)
-            time.sleep(0.01)  # widens the window in which a second pool could be made
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(core, "ThreadPoolExecutor", CountingPool)
     results = [None] * 6
     start = threading.Barrier(len(results))
 
@@ -643,7 +642,8 @@ def test_concurrent_callers_share_one_pool(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(caller.is_alive() for caller in callers)
     assert results == [expected] * len(results)
-    assert len(pools) == 1
+    assert len(block_pool_calls) == len(results)
+    assert block_threads() == []
 
 
 @pytest.mark.parametrize("failing", ["caller", "pool"])
@@ -669,6 +669,7 @@ def test_a_failing_block_is_raised_once_every_share_has_stopped(failing, monkeyp
     # six one-row blocks, three a share: the other share ran to its end
     other = "pool" if failing == "caller" else "caller"
     assert finished == [other] * 3
+    assert block_threads() == []
 
 
 def test_a_forked_child_sweeps_wide_rows_after_the_parent_used_the_pool(
@@ -677,7 +678,7 @@ def test_a_forked_child_sweeps_wide_rows_after_the_parent_used_the_pool(
     lm, totals, values, levels = wide_rows()
     monkeypatch.setattr(core, "_WORKERS", 2)
     expected = [a.tobytes() for a in _loo_level_sums(lm, totals, values, levels)]
-    assert len(block_pool_calls) == 1  # the parent's pool thread is running
+    assert len(block_pool_calls) == 1  # the parent's call opened block threads
 
     def sweep_in_child():
         got = [a.tobytes() for a in _loo_level_sums(lm, totals, values, levels)]
@@ -689,5 +690,5 @@ def test_a_forked_child_sweeps_wide_rows_after_the_parent_used_the_pool(
     if child.is_alive():
         child.kill()
         child.join()
-        pytest.fail("the forked child hung on the parent's block pool")
+        pytest.fail("the forked child hung sweeping wide rows")
     assert child.exitcode == 0
