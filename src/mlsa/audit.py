@@ -26,6 +26,8 @@ from .core import (
     ToleranceGrid,
     _column_totals,
     _for_each_block,
+    _group_starts,
+    _group_sums,
     _stable_argsort,
     loss_matrix,
     run_mlsa,
@@ -192,62 +194,76 @@ def check_aggregation_stability(
 _SANDWICH_BLOCK_ENTRIES = 1 << 16
 
 
-def _sandwich_violations(lm, totals, levels, delta, ref_full, refs=None) -> np.ndarray:
+def _sandwich_violations(lm, totals, levels, delta, ref_full, refs=None,
+                         full_order=None) -> np.ndarray:
     """Per level, the number of rows where the lower inclusion fails plus the
     number where the upper one fails.
 
     The full-sample set at t holds the columns with ``totals <= ref_full + t``,
     row i's leave-one-out set those with ``excl <= ref + t``, where ``excl =
     totals - lm[i]`` and ``ref`` is ``refs[i]`` or the smallest ``excl``.
-    Only the full-sample totals are sorted, once, and every row is read in
-    that order.  Lower: every column in the full-sample set at t - delta, a
-    prefix of the order, has ``excl - ref <= t``, checked only where t - delta
-    >= 0; its largest ``excl - ref`` is the prefix maximum of ``excl`` less
-    ``ref``, exact because subtracting a constant is monotone in floating
-    point.  Upper: no column above the full-sample set at t + delta, a suffix
-    of the order, lies in the leave-one-out set at t, so the suffix minimum of
-    ``excl`` exceeds ``ref + t``.  Both sets are whole runs of tied totals, so
-    the counts do not depend on the order within ties.  The prefixes and
-    suffixes of all levels are unions of the segments between their bounds,
-    so each row takes one maximum and one minimum per segment
-    (``reduceat``), and their running maximum and minimum over the segments.
-    ``lm`` is a rows x columns loss matrix, float or bool, read in blocks of
-    at most ``_SANDWICH_BLOCK_ENTRIES`` entries, on ``core._for_each_block``,
-    which shares out rows as wide as a logistic pool row; ``excl`` takes the
-    dtype of ``totals``, so a bool matrix, whose totals are int32
-    (``core._column_totals``), is read as exact int32 integers with no float
-    copy.
+    Only the full-sample totals are sorted, once (``full_order`` is that sort,
+    ``_stable_argsort(totals)``, when the caller has it), and every row is
+    read in that order.  Lower: every column in the full-sample set at t -
+    delta, a prefix of the order, has ``excl - ref <= t``, checked only where
+    t - delta >= 0; its largest ``excl - ref`` is the prefix maximum of
+    ``excl`` less ``ref``, exact because subtracting a constant is monotone
+    in floating point.  Upper: no column above the full-sample set at t +
+    delta, a suffix of the order, lies in the leave-one-out set at t, so the
+    suffix minimum of ``excl`` exceeds ``ref + t``.  Both sets are whole runs
+    of tied totals, so the counts do not depend on the order within ties.
+    The prefixes and suffixes of all levels are unions of segments of the
+    order, so each row takes one maximum and one minimum per segment, and
+    their running maximum and minimum over the segments.
+
+    Two readers give the per-segment extremes.  A bool ``lm``, whose totals
+    are integers (int32 from ``core._column_totals``), is read hypothesis-major
+    by ``core._group_sums``: the segments are the groups of tied totals, and
+    with strictly increasing totals ``T_g`` group g's largest ``excl`` at a
+    row is ``T_g - (ones == size_g)`` and its smallest ``T_g - (ones > 0)``,
+    from the row's count ``ones`` of loss-1 columns in the group; all exact
+    integers.  A float ``lm`` takes one ``reduceat`` maximum and minimum per
+    segment between the levels' bounds, in row blocks of at most
+    ``_SANDWICH_BLOCK_ENTRIES`` entries on ``core._for_each_block``, which
+    shares out rows as wide as a logistic pool row.
     """
-    order_full, ranked_full = _stable_argsort(totals)
+    order_full, ranked_full = _stable_argsort(totals) if full_order is None else full_order
     m = ranked_full.size
     # the full-sample set at t - delta is the prefix [0, below)
     below = np.searchsorted(ranked_full, ref_full + (levels - delta), side="right")
     checkable = (levels - delta >= -NUMERIC_TOL) & (below > 0)
     # the columns above the full-sample set at t + delta are the suffix [above, m)
     above = np.searchsorted(ranked_full - ref_full, levels + delta + NUMERIC_TOL, side="right")
-    # deduplicated by hand: a process's first np.unique call adds about 1.3 MB
-    # to its resident set, the logistic pool's peak included
-    bounds = np.sort(np.r_[0, below, above])
-    cuts = bounds[(bounds < m) & np.r_[True, bounds[1:] != bounds[:-1]]]
+    # per row, each segment's largest and smallest excl
+    if lm.dtype == bool:
+        cuts = _group_starts(ranked_full)
+        ones = _group_sums(order_full, cuts, np.ascontiguousarray(lm.T))[0].T
+        group_totals = ranked_full[cuts]
+        prefix_max = group_totals - (ones == np.diff(cuts, append=m))
+        suffix_min = group_totals - (ones > 0)
+    else:
+        # deduplicated by hand: a process's first np.unique call adds about
+        # 1.3 MB to its resident set, the logistic pool's peak included
+        bounds = np.sort(np.r_[0, below, above])
+        cuts = bounds[(bounds < m) & np.r_[True, bounds[1:] != bounds[:-1]]]
+        prefix_max, suffix_min = np.empty((2, len(lm), cuts.size), dtype=ranked_full.dtype)
+        step = max(1, _SANDWICH_BLOCK_ENTRIES // m)
+
+        def segment_extremes(lo):
+            block = slice(lo, lo + step)
+            excl = np.take(lm[block], order_full, axis=1)
+            np.subtract(ranked_full, excl, out=excl)
+            np.maximum.reduceat(excl, cuts, axis=1, out=prefix_max[block])
+            np.minimum.reduceat(excl, cuts, axis=1, out=suffix_min[block])
+
+        _for_each_block(segment_extremes, range(0, len(lm), step), m)
     # the last segment of each prefix and the first of each suffix; an empty
     # suffix (past the last segment) has nothing to check
     prefix_end = np.searchsorted(cuts, below) - 1
     suffix_start = np.searchsorted(cuts, above)
     upper_checked = suffix_start < cuts.size
     suffix_start = np.minimum(suffix_start, cuts.size - 1)
-    # per row, each segment's largest and smallest excl, then in place their
-    # running maximum from the left and minimum from the right
-    prefix_max, suffix_min = np.empty((2, len(lm), cuts.size), dtype=ranked_full.dtype)
-    step = max(1, _SANDWICH_BLOCK_ENTRIES // m)
-
-    def segment_extremes(lo):
-        block = slice(lo, lo + step)
-        excl = np.take(lm[block], order_full, axis=1).astype(ranked_full.dtype, copy=False)
-        np.subtract(ranked_full, excl, out=excl)
-        np.maximum.reduceat(excl, cuts, axis=1, out=prefix_max[block])
-        np.minimum.reduceat(excl, cuts, axis=1, out=suffix_min[block])
-
-    _for_each_block(segment_extremes, range(0, len(lm), step), m)
+    # in place, the running maximum from the left and minimum from the right
     np.maximum.accumulate(prefix_max, axis=1, out=prefix_max)
     np.minimum.accumulate(suffix_min[:, ::-1], axis=1, out=suffix_min[:, ::-1])
     ref = suffix_min[:, :1] if refs is None else refs[:, None]
@@ -281,13 +297,12 @@ def grid_growth_audit(
     levels = grid.levels
     delta = grid.gap
 
-    sorted_totals = np.sort(totals)
-    size_minus = np.searchsorted(
-        sorted_totals, t_min + np.maximum(levels - delta, 0.0), side="right"
-    )
-    size_plus = np.searchsorted(sorted_totals, t_min + levels + delta, side="right")
+    order, ranked = _stable_argsort(totals)
+    size_minus = np.searchsorted(ranked, t_min + np.maximum(levels - delta, 0.0), side="right")
+    size_plus = np.searchsorted(ranked, t_min + levels + delta, side="right")
 
-    sandwich_ok = _sandwich_violations(lm, totals, levels, delta, t_min) == 0
+    sandwich_ok = _sandwich_violations(lm, totals, levels, delta, t_min,
+                                       full_order=(order, ranked)) == 0
 
     ratio = size_plus / size_minus
     good = sandwich_ok & (ratio <= c_g + NUMERIC_TOL)

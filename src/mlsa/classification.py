@@ -12,7 +12,6 @@ with constant 2.
 from __future__ import annotations
 
 import math
-from itertools import combinations
 from typing import Optional
 
 import numpy as np
@@ -41,13 +40,28 @@ __all__ = [
 #: realizable labelings are meant for desk-scale instances.
 MAX_ENUMERATED_COLUMNS = 2_000_000
 
+#: bound on the entries of one block of unions of intervals filled at once:
+#: its two gathered operands are the fill's only temporaries
+_FILL_ENTRIES = 1 << 18
+
+
+def _zero_one(pred, resp):
+    """``pred != resp``, with bool operations for bool predictions.  The
+    float comparison casts every vote and, on a hypothesis-major table, runs
+    one short inner loop per labeling: 3.4 against 0.6 ms on a 200 x 20,101
+    table.  A response other than 0 or 1 differs from every vote."""
+    pred = np.asarray(pred)
+    if pred.dtype != bool:
+        return pred != resp
+    out = pred ^ (resp == 1)
+    other = (resp != 0) & (resp != 1)
+    if np.any(other):
+        out |= other
+    return out
+
 
 def zero_one_loss() -> LossModel:
-    return LossModel(
-        pointwise=lambda pred, resp: pred != resp,
-        delta_bound=1.0,
-        name="zero_one",
-    )
+    return LossModel(pointwise=_zero_one, delta_bound=1.0, name="zero_one")
 
 
 MAJORITY_VOTE = AggregationRule(
@@ -92,12 +106,15 @@ def _threshold_labelings(x: np.ndarray) -> np.ndarray:
     ranks[order] = np.arange(x.size)
     # labeling p assigns 1 to the p largest points
     cuts = np.arange(x.size + 1)
-    return ranks[:, None] >= (x.size - cuts)[None, :]
+    return (ranks[None, :] >= (x.size - cuts)[:, None]).T
 
 
 def _union_of_intervals_labelings(x: np.ndarray, k: int) -> np.ndarray:
     """Labelings realizable by at most k disjoint closed intervals, points by
-    labelings, filled in place (one table-sized comparison temporary)."""
+    labelings, in the order of ``combinations(range(n + 1), 2 * j)`` for j = 0
+    .. k: a union of j intervals is a union of j - 1 followed by a single
+    interval that starts after it ends.  Filled in place, one labeling per
+    contiguous row of a labelings x points table, returned transposed."""
     if k < 1:
         raise ValueError("interval count must be at least 1")
     n = x.size
@@ -106,23 +123,38 @@ def _union_of_intervals_labelings(x: np.ndarray, k: int) -> np.ndarray:
         raise ValueError(
             f"enumeration would produce ~{total} labelings; reduce n or k"
         )
-    # int32 ranks and fenceposts: the table-sized comparisons read half the
-    # bytes of int64 ones
-    ranks = np.empty(n, dtype=np.int32)
-    ranks[np.argsort(x, kind="stable")] = np.arange(n, dtype=np.int32)
-    # fencepost pairs (a, b) mark a block of ones covering sorted positions a..b-1
-    starts, ends = (fence.astype(np.int32) for fence in np.triu_indices(n + 1, k=1))
-    labelings = np.zeros((n, total), dtype=bool)
-    single = labelings[:, 1:1 + starts.size]
-    np.greater_equal(ranks[:, None], starts, out=single)
-    single &= ranks[:, None] < ends
-    column = 1 + starts.size
-    for j in range(2, k + 1):
-        for cuts in combinations(range(n + 1), 2 * j):
-            for a, b in zip(cuts[::2], cuts[1::2]):
-                labelings[(ranks >= a) & (ranks < b), column] = True
-            column += 1
-    return labelings
+    ranks = np.empty(n, dtype=np.intp)
+    ranks[np.argsort(x, kind="stable")] = np.arange(n)
+    # fencepost pairs (a, b) mark a block of ones covering sorted positions
+    # a..b-1, in lexicographic order: row 1 + s is single interval s
+    starts, ends = np.triu_indices(n + 1, k=1)
+    labelings = np.zeros((total, n), dtype=bool)
+    # row b - 1: the points of rank below b
+    below = np.arange(1, n + 1)[:, None] > ranks
+    top = 1
+    for a in range(n):
+        # the n - a singles that start at a: (a, a + 1) .. (a, n)
+        np.logical_and(below[a:], ranks >= a, out=labelings[top:top + n - a])
+        top += n - a
+    single = labelings[1:top]
+    # the unions of j - 1 intervals: their rows and where their last one ends
+    rows, last_end = np.arange(1, top), ends
+    step = _FILL_ENTRIES // n + 1
+    for _ in range(2, k + 1):
+        # each union continues with the singles that start after it ends,
+        # a suffix of the singles, so the new unions keep combinations' order
+        first = np.searchsorted(starts, last_end, side="right")
+        width = starts.size - first
+        head = np.repeat(rows, width)
+        # the k-th new union of a run continues its head with single first + k
+        tail = np.arange(head.size) - np.repeat(np.cumsum(width) - width - first, width)
+        for lo in range(0, head.size, step):
+            hi = min(lo + step, head.size)
+            np.logical_or(labelings[head[lo:hi]], single[tail[lo:hi]],
+                          out=labelings[top + lo:top + hi])
+        rows, last_end = top + np.arange(head.size), ends[tail]
+        top += head.size
+    return labelings.T
 
 
 def _rectangle_labelings(points: np.ndarray) -> np.ndarray:
@@ -141,11 +173,11 @@ def _rectangle_labelings(points: np.ndarray) -> np.ndarray:
     y_masks = np.array(
         [(pts[:, 1] >= lo) & (pts[:, 1] <= hi) for lo, hi in y_ranges]
     )
-    columns = [np.zeros(n, dtype=bool)]
+    labelings = [np.zeros((1, n), dtype=bool)]
     for lo, hi in x_ranges:
         x_mask = (pts[:, 0] >= lo) & (pts[:, 0] <= hi)
-        columns.append((y_masks & x_mask[None, :]).T)
-    return np.column_stack([columns[0][:, None]] + columns[1:])
+        labelings.append(y_masks & x_mask[None, :])
+    return np.concatenate(labelings).T
 
 
 def restrict_class(

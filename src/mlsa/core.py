@@ -21,12 +21,14 @@ block, 32 rows of a 256-column table, or one logistic pool row of about 68k
 draws.  When the loss matrix and the table are both bool,
 ``_lattice_level_sums`` reads every size and vote sum off exact
 integer sums over columns grouped by their full-sample total instead (the 0/1
-lattice), bit-identical to the sorted sweep's.  It reads one byte per entry:
-each row block is packed once into a uint8 code of vote and loss and gathered
-once into group order.  A bool loss matrix's column totals are int32 counts
-summed a byte per entry (``_column_totals``).  The growth audit's and the CRN
-report's sandwich check sorts only the full-sample totals
-(``audit._sandwich_violations``).
+lattice), bit-identical to the sorted sweep's.  A bool table is stored
+hypothesis-major, each labeling (column) contiguous, and so is its loss
+matrix; ``_group_sums`` gathers whole labelings into group order and counts
+each group's loss-1 and vote-1 labelings per row with contiguous byte adds.
+A bool loss matrix's column totals are int32 counts summed a byte per entry
+(``_column_totals``).  The growth audit's and the CRN report's sandwich check
+sorts only the full-sample totals (``audit._sandwich_violations``); on a bool
+loss matrix it reads its extremes off the same group loss counts.
 
 The sorted path needs numpy's stable order, because its prefix sums add the
 tied columns in index order.  ``np.argsort(kind="stable")`` is a merge sort
@@ -42,8 +44,8 @@ threads that the call opens and joins before it returns each take every
 so the blocks overlap.  Each block does the arithmetic of the serial loop and
 writes only its own slices of outputs allocated beforehand, so every output
 has the same bits on any number of CPUs.  Work narrower than
-``_PARALLEL_ROW_ENTRIES`` = 2^15 entries (rows, or draws) and the 0/1 lattice
-stay on the calling thread.
+``_PARALLEL_ROW_ENTRIES`` = 2^15 entries (rows, or draws) and the 0/1
+kernels stay on the calling thread.
 """
 
 from __future__ import annotations
@@ -84,13 +86,15 @@ class LossBoundError(ValueError):
 
 def _dedupe_columns(values: np.ndarray) -> np.ndarray:
     """Drop duplicate columns, keeping the first occurrence of each labeling.
-    A bool table comes back row-major, for the row-block kernels; a float one
-    keeps the layout of ``values[:, keep]``, in which its column sums round."""
+    A bool table comes back hypothesis-major (``values.T`` C-contiguous), for
+    the 0/1 kernels; a float one keeps the layout of ``values[:, keep]``, in
+    which its column sums round."""
+    if values.dtype != bool:
+        _, first = np.unique(values.T, axis=0, return_index=True)
+        return values[:, np.sort(first)]
     # bool labelings pack to bytes, much cheaper to compare
-    columns = np.packbits(values.T, axis=1) if values.dtype == bool else values.T
-    _, first = np.unique(columns, axis=0, return_index=True)
-    keep = np.sort(first)
-    return np.take(values, keep, axis=1) if values.dtype == bool else values[:, keep]
+    _, first = np.unique(np.packbits(values.T, axis=1), axis=0, return_index=True)
+    return np.take(values.T, np.sort(first), axis=0).T
 
 
 @dataclass(frozen=True)
@@ -101,8 +105,12 @@ class PredictionTable:
     are deduplicated by default because a restricted class is a set of labelings
     and the counting measure must not double-count; pass ``keep_duplicates=True``
     for user-supplied classes where multiplicity is intentional.  ``values``
-    is bool when every entry is 0 or 1 (a bool table is kept as given), else
-    float64.  It is the table's own read-only array, never the caller's.
+    is bool when every entry is 0 or 1, else float64.  It is the table's own
+    read-only array, never the caller's.  A bool table is stored
+    hypothesis-major: each labeling (column) is contiguous, so ``values.T``
+    is C-contiguous and the 0/1 kernels gather whole labelings; a row-major
+    bool table is transposed once here.  A float table keeps its layout, in
+    which its column sums round.
     """
 
     values: np.ndarray
@@ -123,6 +131,8 @@ class PredictionTable:
             raise ValueError("prediction table needs at least one row and one column")
         if not self.keep_duplicates:
             values = _dedupe_columns(values)
+        elif values.dtype == bool:
+            values = values.T.copy().T  # a C-order copy of the labelings
         elif values is source or values.base is not None:
             # asarray made no copy: the caller's later writes must not reach
             # a table that passed the checks above
@@ -312,11 +322,15 @@ def loss_matrix(table: PredictionTable, sample: LabeledSample, loss: LossModel) 
 
 def _column_totals(lm: np.ndarray) -> np.ndarray:
     """Full-sample totals of a loss matrix, one per column.  A bool matrix is
-    read a byte per entry into int32 counts, exact below 2^31 rows; a float
+    read a byte per entry into int32 counts, exact below 2^31 rows: byte sums
+    of up to 255 rows at a time, which cannot wrap and need no cast; a float
     matrix is summed as it is."""
-    if lm.dtype == bool:
-        return lm.view(np.uint8).sum(axis=0, dtype=np.int32)
-    return lm.sum(axis=0)
+    if lm.dtype != bool:
+        return lm.sum(axis=0)
+    totals = np.zeros(lm.shape[1], dtype=np.int32)
+    for lo in range(0, len(lm), 255):
+        totals += np.add.reduce(lm[lo:lo + 255].view(np.uint8), axis=0, dtype=np.uint8)
+    return totals
 
 
 #: bound on the entries of one row block's rows x columns temporaries in
@@ -324,11 +338,12 @@ def _column_totals(lm: np.ndarray) -> np.ndarray:
 #: a few dozen rows at a time, a logistic pool row alone
 _LOO_BLOCK_ENTRIES = 1 << 13
 
-#: bounds on one row block of ``_lattice_level_sums``: its rows x columns
-#: byte code, its permuted copy and one mask of that copy at a time (at most
-#: 3 bytes per entry, so 1.5 MB), and its levels x rows arrays (about 80
-#: bytes per entry in all, so about 0.65 MB)
-_LATTICE_BLOCK_ENTRIES = 1 << 19
+#: bound on the entries of the chunk of labelings that ``_group_sums``
+#: gathers at a time, a byte each
+_GROUP_CHUNK_ENTRIES = 1 << 19
+
+#: bound on one row block of ``_lattice_level_sums``'s levels x rows arrays
+#: (about 80 bytes per entry in all, so about 0.65 MB)
 _LATTICE_LEVEL_ENTRIES = 1 << 13
 
 #: work at least this wide (a logistic pool row, or its draws) is shared
@@ -469,6 +484,65 @@ def _loo_level_sums(lm, totals, values, levels, refs=None):
     return counts, sums
 
 
+def _group_starts(ranked: np.ndarray) -> np.ndarray:
+    """Where each run of equal values of the sorted ``ranked`` starts."""
+    return np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
+
+
+def _group_sums(order, starts, loss, votes=None):
+    """Per group of labelings ``order[starts[g]:starts[g + 1]]`` (the last one
+    runs to the end of ``order``) and per row, the number of them with loss 1,
+    and given ``votes`` also the numbers with vote 1 and with both: one or
+    three int32 arrays of groups x rows, stacked.  ``loss`` and ``votes`` are
+    bool arrays of labelings x rows, read fastest when C-contiguous, as
+    ``lm.T`` and ``table.values.T`` of hypothesis-major tables are.
+
+    Whole labelings are gathered in group order, in chunks of at most
+    ``_GROUP_CHUNK_ENTRIES`` entries, and each group's are added by one
+    contiguous ``np.add.reduce`` along axis 0 per count (``reduceat``,
+    ``cumsum`` and ``accumulate`` along that axis run strided inner loops,
+    5-30 times slower), into a byte per row for up to 255 labelings at a
+    time, which cannot wrap.  When the groups outnumber the labelings of the
+    largest one, as on narrow tables, the loop runs over positions instead:
+    step k adds the k-th labeling of every group that has one.  The counts
+    are integers, so every order of adding gives the same ones.
+    """
+    n = loss.shape[1]
+    sizes = np.diff(starts, append=order.size)
+    counts = 1 if votes is None else 3
+    sums = np.zeros((counts, starts.size, n), dtype=np.int32)
+    step = _GROUP_CHUNK_ENTRIES // (counts * n) + 1
+
+    def gather(columns):
+        # counts x labelings x rows: loss, then vote and both.  No index is
+        # out of range; "clip" spares the copy that "raise" makes of ``out``
+        chunk = np.empty((counts, columns.size, n), dtype=bool)
+        np.take(loss, columns, axis=0, out=chunk[0], mode="clip")
+        if votes is not None:
+            np.take(votes, columns, axis=0, out=chunk[1], mode="clip")
+            np.logical_and(chunk[0], chunk[1], out=chunk[2])
+        return chunk.view(np.uint8)
+
+    if starts.size > sizes.max():
+        for k in range(sizes.max()):
+            groups = np.flatnonzero(sizes > k)
+            for lo in range(0, groups.size, step):
+                part = groups[lo:lo + step]
+                sums[:, part] += gather(order[starts[part] + k])
+        return sums
+    ends = starts + sizes
+    first, last = starts.tolist(), ends.tolist()
+    for lo in range(0, order.size, step):
+        hi = min(lo + step, order.size)
+        chunk = gather(order[lo:hi])
+        for g in range(np.searchsorted(ends, lo, side="right"), np.searchsorted(starts, hi)):
+            a, b = max(first[g], lo) - lo, min(last[g], hi) - lo
+            for piece in range(a, b, 255):
+                rows = slice(piece, min(piece + 255, b))
+                sums[:, g] += np.add.reduce(chunk[:, rows], axis=1, dtype=np.uint8)
+    return sums
+
+
 def _lattice_level_sums(lm, totals, values, levels):
     """``_loo_level_sums`` for a bool loss matrix ``lm`` and a bool table
     ``values``, read off integer group sums with no sort of any row.
@@ -479,50 +553,43 @@ def _lattice_level_sums(lm, totals, values, levels):
     holds every group with total <= x, plus the columns of the next group that
     have loss 1 at row i when that group's total is at most x + 1.  Its size
     and vote sum are sums of integer group sums, so they equal the sorted
-    sweep's prefix sums exactly.  Rows go in blocks of at most
-    ``_LATTICE_BLOCK_ENTRIES`` rows x columns and ``_LATTICE_LEVEL_ENTRIES``
-    levels x rows.  Each block is packed once into a byte code per entry, the
-    vote in bit 0 and the loss in bit 1, and gathered once into group order;
-    its loss, vote and vote-and-loss group sums, rows x groups, are int32
-    ``reduceat`` sums of masks of that code.
+    sweep's prefix sums exactly.  The loss, vote and vote-and-loss counts of
+    every group at every row come from ``_group_sums`` over whole labelings,
+    ``lm.T`` and ``values.T`` (``lm.T`` is copied once when it is not
+    C-contiguous, as for a bool loss of a float table); the level sets are
+    then read in row blocks of at most ``_LATTICE_LEVEL_ENTRIES`` levels x
+    rows.
     """
     order, ranked = _stable_argsort(totals)
-    starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
+    starts = _group_starts(ranked)
     group_totals = ranked[starts]
     # the number of columns in the groups before each group, then in all
     before = np.r_[starts, ranked.size]
     next_total = np.append(group_totals, np.inf)
+    n = len(lm)
 
-    def group_sums(mask):
-        return np.add.reduceat(mask, starts, axis=1, dtype=np.int32)
+    # (groups + 1) x rows: each group's loss count and vote-and-loss count,
+    # zero past the last group, and the vote count of the groups before it
+    ones, vote_counts, both = _group_sums(order, starts, np.ascontiguousarray(lm.T), values.T)
+    zero = np.zeros((1, n), dtype=np.int32)
+    ones, both = np.concatenate((ones, zero)), np.concatenate((both, zero))
+    votes_before = np.cumsum(np.concatenate((zero, vote_counts)), axis=0)
 
-    def level_sums(within_sums, edge_sums, at, reached):
-        # the groups within add whole, the next group its loss-1 columns where
-        # in reach; ``at`` is (row, within) as a flat position in a rows x
-        # (groups + 1) array, one ``np.take`` for all rows
-        edge = np.concatenate((edge_sums, np.zeros_like(edge_sums[:, :1])), axis=1)
-        return within_sums + np.where(reached, np.take(edge, at), 0)
-
-    counts = np.empty((levels.size, len(lm)), dtype=np.intp)
+    counts = np.empty((levels.size, n), dtype=np.intp)
     sums = np.empty(counts.shape)
-    step = max(1, min(_LATTICE_BLOCK_ENTRIES // totals.size,
-                      _LATTICE_LEVEL_ENTRIES // levels.size))
-    for lo in range(0, len(lm), step):
-        rows = slice(lo, lo + step)
-        loss = lm[rows].view(np.uint8)
-        code = np.add(loss, loss)  # a uint8 add; np.left_shift has no fast uint8 loop
-        code |= values[rows].view(np.uint8)
-        code = np.take(code, order, axis=1)
-        ones = group_sums(code >= 2)
+    step = max(1, _LATTICE_LEVEL_ENTRIES // levels.size)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
         # x: each row's smallest leave-one-out total plus each level
-        x = group_totals[0] - (ones[:, 0] > 0) + levels[:, None]
+        x = group_totals[0] - (ones[0, lo:hi] > 0) + levels[:, None]
         within = np.searchsorted(group_totals, x, side="right")
         reached = next_total[within] - 1.0 <= x
-        at = within + np.arange(len(ones)) * (ones.shape[1] + 1)
-        counts[:, rows] = level_sums(before[within], ones, at, reached)
-        prefix = np.cumsum(group_sums(code & 1), axis=1)
-        prefix = np.concatenate((np.zeros_like(prefix[:, :1]), prefix), axis=1)
-        sums[:, rows] = level_sums(np.take(prefix, at), group_sums(code == 3), at, reached)
+        # the groups within add whole, the next group its loss-1 columns where
+        # in reach; ``at`` is (within, row) as a flat position in a
+        # (groups + 1) x rows array, one ``np.take`` for all rows
+        at = within * n + np.arange(lo, hi)
+        counts[:, lo:hi] = before[within] + np.where(reached, np.take(ones, at), 0)
+        sums[:, lo:hi] = np.take(votes_before, at) + np.where(reached, np.take(both, at), 0)
     return counts, sums
 
 

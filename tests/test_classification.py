@@ -2,7 +2,7 @@
 
 import hashlib
 import math
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ import pytest
 from mlsa.audit import check_aggregation_stability, grid_growth_audit
 from mlsa.classification import (
     MAJORITY_VOTE,
+    _union_of_intervals_labelings,
     GridMismatchError,
     classification_grid,
     descriptor_vc_dimension,
@@ -20,6 +21,25 @@ from mlsa.classification import (
 )
 from mlsa.core import LabeledSample, PredictionTable, _dedupe_columns, run_mlsa
 from mlsa.generators import make_classification_instance
+
+
+# ------------------------------------------------------------ 0-1 loss
+
+
+@pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray])
+def test_zero_one_loss_of_votes_is_the_inequality(layout):
+    # bool votes take bool operations; they must give pred != resp for every
+    # response, a label or not, and keep the votes' layout
+    rng = np.random.default_rng(20)
+    votes = layout(rng.random((6, 9)) < 0.5)
+    loss = zero_one_loss()
+    for responses in ([0, 1, 1, 0, 1, 0], [1, 0.5, -0.0, 2, np.inf, 0], [0.5] * 6):
+        resp = np.array(responses, dtype=float)[:, None]
+        got = loss.evaluate(votes, resp)
+        assert got.dtype == bool and np.array_equal(got, votes != resp)
+        assert got.flags.f_contiguous == votes.flags.f_contiguous
+        assert np.array_equal(loss.evaluate(votes.astype(float), resp), got)
+    assert loss.evaluate(np.array([0.0, 1.0, 0.5]), np.array([1.0, 1.0, 1.0])).tolist() == [1, 0, 1]
 
 
 # -------------------------------------------------------------- majority vote
@@ -122,6 +142,33 @@ def test_unions_of_two_intervals_match_bruteforce():
     assert got == _bruteforce_union_labelings(x, 2)
 
 
+def _unions_by_combinations(x, k):
+    """The unions-of-intervals table of one column per fencepost tuple of
+    ``combinations(range(n + 1), 2 * j)``, j = 0 .. k, set interval by
+    interval: the enumeration order the table's bytes are pinned to."""
+    n = x.size
+    ranks = np.argsort(np.argsort(x, kind="stable"), kind="stable")
+    columns = []
+    for j in range(k + 1):
+        for cuts in combinations(range(n + 1), 2 * j):
+            column = np.zeros(n, dtype=bool)
+            for a, b in zip(cuts[::2], cuts[1::2]):
+                column[(ranks >= a) & (ranks < b)] = True
+            columns.append(column)
+    return np.array(columns).T
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_unions_enumeration_matches_the_combinations_loop(k):
+    for n in range(1, 13):
+        x = np.random.default_rng(n).random(n)
+        values = _union_of_intervals_labelings(x, k)
+        assert values.T.flags.c_contiguous
+        expected = _unions_by_combinations(x, k)
+        assert values.dtype == bool and values.shape == expected.shape
+        assert np.array_equal(values, expected), n
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_unions_of_two_intervals_on_too_few_points_are_the_single_intervals(n):
     # n + 1 < 4 fenceposts admit no pair of disjoint intervals
@@ -176,7 +223,10 @@ def test_explicit_table_passthrough_is_identity():
     ],
 )
 def test_geometric_families_restrict_to_bool_tables(descriptor, covariates):
-    assert restrict_class(descriptor, covariates, k=2).values.dtype == bool
+    values = restrict_class(descriptor, covariates, k=2).values
+    assert values.dtype == bool
+    # hypothesis-major: each labeling is contiguous
+    assert values.T.flags.c_contiguous
 
 
 def test_explicit_float_zero_one_table_is_stored_as_bool():
@@ -184,6 +234,17 @@ def test_explicit_float_zero_one_table_is_stored_as_bool():
     table = restrict_class("explicit-table", None, table=values)
     assert table.values.dtype == bool
     assert np.array_equal(table.values, values == 1.0)
+    assert table.values.T.flags.c_contiguous
+
+
+@pytest.mark.parametrize("keep_duplicates", [True, False])
+def test_row_major_bool_table_is_stored_hypothesis_major(keep_duplicates):
+    values = np.random.default_rng(19).random((40, 12)) < 0.5
+    values[:, 7] = values[:, 2]
+    table = PredictionTable(values, keep_duplicates=keep_duplicates)
+    assert table.values.T.flags.c_contiguous and not np.shares_memory(table.values, values)
+    kept = np.arange(12) if keep_duplicates else np.r_[0:7, 8:12]
+    assert np.array_equal(table.values, values[:, kept])
 
 
 @pytest.mark.parametrize("descriptor", ["thresholds-1d", "intervals-1d"])
@@ -194,15 +255,15 @@ def test_distinct_by_construction_families_need_no_dedup(descriptor, n):
     assert np.array_equal(values, _dedupe_columns(values))
 
 
-def test_deduplicated_bool_tables_are_row_major_with_the_same_outputs():
+def test_deduplicated_bool_tables_are_hypothesis_major_with_the_same_outputs():
     rng = np.random.default_rng(18)
     table = restrict_class("unions-of-k-intervals", rng.random(40), k=2)
-    # the deduplicated table's rows are contiguous
-    assert table.values.dtype == bool and table.values.flags.c_contiguous
-    # the column-major layout the deduplication used to return
-    fortran = PredictionTable(table.values, keep_duplicates=True)
-    object.__setattr__(fortran, "values", np.asfortranarray(table.values))
-    assert not fortran.values.flags.c_contiguous
+    # the deduplicated table's labelings (columns) are contiguous
+    assert table.values.dtype == bool and table.values.T.flags.c_contiguous
+    # a row-major copy, read through the same kernels
+    row_major = PredictionTable(table.values, keep_duplicates=True)
+    object.__setattr__(row_major, "values", np.ascontiguousarray(table.values))
+    assert not row_major.values.T.flags.c_contiguous
     sample = LabeledSample(rng.integers(0, 2, 40))
     loss, grid = zero_one_loss(), classification_grid(4, 40)
 
@@ -212,7 +273,7 @@ def test_deduplicated_bool_tables_are_row_major_with_the_same_outputs():
         return [out.per_level.tobytes(), out.medians.tobytes(), out.loo_error, out.erm_loss,
                 records]
 
-    assert outputs(table) == outputs(fortran)
+    assert outputs(table) == outputs(row_major)
     # a float table keeps the layout its column sums were rounded in
     floats = PredictionTable(rng.choice([0.25, 0.5], size=(6, 40)))
     assert floats.n_hypotheses < 40 and floats.values.flags.f_contiguous

@@ -2,8 +2,9 @@
 
 When the loss matrix and the table are bool, run_mlsa reads every count and
 vote sum off column groups of equal full-sample total (the 0/1 lattice).  The
-growth audit has one sandwich kernel, ``audit._sandwich_violations``, which
-reads a bool loss matrix as exact integer totals.  The same bool loss
+growth audit has one sandwich check, ``audit._sandwich_violations``, whose
+bool reader takes the same groups' loss counts (``core._group_sums``) and
+whose float reader takes segment extremes.  The same bool loss
 returning float gives a float loss matrix on the same inputs: run_mlsa then
 takes the sorted sweep and the audit feeds the kernel floats, and the outputs
 must agree byte for byte.  Spies check which path each side took.  Most
@@ -64,9 +65,9 @@ def kernel_calls():
     dtypes = []
     sandwich_violations = audit._sandwich_violations
 
-    def spy(lm, *args):
+    def spy(lm, *args, **kwargs):
         dtypes.append(lm.dtype)
-        return sandwich_violations(lm, *args)
+        return sandwich_violations(lm, *args, **kwargs)
 
     with mock.patch.object(
         core, "_lattice_level_sums", wraps=core._lattice_level_sums
@@ -132,11 +133,12 @@ def zero_one_problems(draw):
 @settings(deadline=None, max_examples=200)
 @given(problem=zero_one_problems(), block=st.sampled_from([1, 7, 1 << 19]))
 def test_lattice_matches_sorted_path_on_random_tables(problem, block):
-    # small blocks split the rows into many row blocks, in run_mlsa's lattice
-    # and in the sandwich kernel
-    with mock.patch.object(core, "_LATTICE_BLOCK_ENTRIES", block), mock.patch.object(
-        audit, "_SANDWICH_BLOCK_ENTRIES", block
-    ):
+    # small blocks split the labelings into many chunks, within and between
+    # groups, and the rows into many row blocks, in run_mlsa's lattice and in
+    # the float sandwich reader
+    with mock.patch.object(core, "_GROUP_CHUNK_ENTRIES", block), mock.patch.object(
+        core, "_LATTICE_LEVEL_ENTRIES", block
+    ), mock.patch.object(audit, "_SANDWICH_BLOCK_ENTRIES", block):
         assert_paths_agree(*problem)
 
 
@@ -207,7 +209,7 @@ def test_lattice_matches_sorted_path_at_benchmark_size():
 @given(problem=zero_one_problems(), loss=st.sampled_from(OTHER_BOOL_LOSSES),
        block=st.sampled_from([1, 7, 1 << 19]))
 def test_lattice_matches_sorted_path_for_other_bool_losses(problem, loss, block):
-    with mock.patch.object(core, "_LATTICE_BLOCK_ENTRIES", block):
+    with mock.patch.object(core, "_GROUP_CHUNK_ENTRIES", block):
         assert_paths_agree(*problem, loss=loss)
 
 
@@ -235,3 +237,114 @@ def test_lattice_column_totals_do_not_wrap(rows):
     ref = run_mlsa(table, sample, FLOAT_ZERO_ONE, grid, MAJORITY_VOTE)
     assert fast.erm_loss.hex() == ref.erm_loss.hex() == float(rows).hex()
     assert fast.per_level.tobytes() == ref.per_level.tobytes()
+
+
+# ------------------------------------ group sums and the 0/1 sandwich reader
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 19])
+@pytest.mark.parametrize(
+    "sizes",
+    [[1] * 40, [2, 1, 3, 1, 1, 2, 1], [3, 1, 300, 2, 600], [1], [700]],
+    ids=["singles", "small-groups", "large-groups", "one-labeling", "one-group"],
+)
+def test_group_sums_match_per_group_counts(sizes, chunk, monkeypatch):
+    # many small groups take the loop over positions, few large ones the loop
+    # over groups; groups of more than 255 and 510 labelings, all loss 1 at
+    # row 0, count past what one byte holds
+    monkeypatch.setattr(core, "_GROUP_CHUNK_ENTRIES", chunk)
+    rng = np.random.default_rng(len(sizes))
+    m, n = sum(sizes), 9
+    loss = rng.random((m, n)) < 0.5
+    loss[:, 0] = True
+    votes = rng.random((m, n)) < 0.5
+    order = rng.permutation(m)
+    starts = np.cumsum([0] + sizes[:-1])
+    groups = np.split(order, starts[1:])
+    expected = np.array([[mask[g].sum(axis=0) for g in groups]
+                         for mask in (loss, votes, loss & votes)])
+    got = core._group_sums(order, starts, loss)
+    assert got.dtype == np.int32 and np.array_equal(got, expected[:1])
+    assert np.array_equal(core._group_sums(order, starts, loss, votes), expected)
+    assert got[0, :, 0].tolist() == sizes
+
+
+@st.composite
+def bool_sandwich_problems(draw):
+    """A bool loss matrix, with ties, duplicate columns, at times one group
+    of equal totals, in either layout; quarter levels, a gap of 1, 1/2 or
+    1/4 and references that are the rows' own minima or given."""
+    n = draw(st.integers(1, 9))
+    m = draw(st.integers(1, 12))
+    if draw(st.booleans()):  # one group: every column has the same total
+        column = [True] * draw(st.integers(0, n))
+        column += [False] * (n - len(column))
+        lm = np.array([draw(st.permutations(column)) for _ in range(m)]).T
+    else:
+        lm = np.array(draw(st.lists(st.booleans(), min_size=n * m, max_size=n * m)))
+        lm = lm.reshape(n, m)
+    lm = np.concatenate([lm, lm[:, draw(st.lists(st.integers(0, m - 1), max_size=5))]], axis=1)
+    if draw(st.booleans()):
+        lm = np.asfortranarray(lm)  # hypothesis-major, as from a bool table
+    totals = core._column_totals(lm)
+    steps = draw(st.lists(st.integers(0, 4 * n + 4), min_size=1, max_size=8, unique=True))
+    levels = np.array(sorted(steps)) / 4.0
+    delta = draw(st.sampled_from([1.0, 0.5, 0.25]))
+    slack = draw(st.sampled_from([0.0, 0.25]))
+    refs = (totals - lm).min(axis=1) - slack if draw(st.booleans()) else None
+    return lm, totals, levels, delta, totals.min() - slack, refs
+
+
+def test_bool_sandwich_reader_matches_float_reader():
+    seen = set()
+
+    @settings(deadline=None, max_examples=300)
+    @given(problem=bool_sandwich_problems(), chunk=st.sampled_from([1, 7, 1 << 19]))
+    def check(problem, chunk):
+        lm, totals, *rest = problem
+        with mock.patch.object(core, "_GROUP_CHUNK_ENTRIES", chunk):
+            got = audit._sandwich_violations(lm, totals, *rest)
+        expected = audit._sandwich_violations(lm.astype(float), totals.astype(float), *rest)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+        seen.update({"one group": np.unique(totals).size == 1, "one column": totals.size == 1,
+                     "violated": bool(expected.any())}.items())
+
+    check()
+    # the shrunk gaps make the inclusions fail, and the corner cases occur
+    assert {("one group", True), ("one column", True), ("violated", True)} <= seen
+
+
+def test_lattice_reads_every_layout_alike():
+    # hypothesis-major tables and loss matrices as built, and row-major ones
+    # (whose lm.T the lattice copies once), against the sorted sweep
+    inst = make_classification_instance("intervals-1d", 30, 0.2, np.random.default_rng(9))
+    values = inst.table.values
+    lm = loss_matrix(inst.table, inst.sample, zero_one_loss())
+    assert values.T.flags.c_contiguous and lm.T.flags.c_contiguous
+    totals = core._column_totals(lm)
+    levels = np.r_[0.5, classification_grid(2, 30).levels]
+    expected = core._loo_level_sums(lm.astype(float), totals.astype(float),
+                                    values.astype(float), levels)
+    row_major = np.ascontiguousarray
+    for loss_layout, table_layout in [(lm, values), (row_major(lm), row_major(values)),
+                                      (row_major(lm), values), (lm, row_major(values))]:
+        got = core._lattice_level_sums(loss_layout, totals, table_layout, levels)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+
+
+def test_bool_audit_of_a_deduplicated_float_table():
+    # test_bool_audit_with_real_valued_table's row-major float table, here
+    # column-major as deduplication leaves it: its bool loss matrix is then
+    # hypothesis-major, and the bool reader takes it without a copy
+    rng = np.random.default_rng(10)
+    table = PredictionTable(rng.choice([0.0, 0.5, 1.0], size=(8, 40)))
+    assert table.values.flags.f_contiguous and table.values.dtype == float
+    sample = LabeledSample(rng.integers(0, 2, size=8).astype(float))
+    grid = ToleranceGrid(levels=np.arange(0.0, 8.0) * 0.75, gap=0.5)
+    with kernel_calls() as calls:
+        fast = grid_growth_audit(table, sample, zero_one_loss(), grid)
+        ref = grid_growth_audit(table, sample, FLOAT_ZERO_ONE, grid)
+    assert calls() == (0, [np.dtype(bool), np.dtype(float)])
+    assert fast == ref
+    assert not all(rec.sandwich_ok for rec in fast.levels)

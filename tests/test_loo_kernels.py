@@ -244,6 +244,35 @@ def test_sandwich_kernel_sorts_once_per_call(monkeypatch):
         )
 
 
+@pytest.mark.parametrize("zero_one", [False, True], ids=["float", "bool"])
+def test_growth_audit_sorts_the_totals_once(zero_one, monkeypatch):
+    # the audit's growth ratios and its sandwich check share one sort
+    if zero_one:
+        inst = make_classification_instance("intervals-1d", 30, 0.2, np.random.default_rng(11))
+        table, sample, loss = inst.table, inst.sample, zero_one_loss()
+    else:
+        table, sample, loss = tie_heavy_problem()
+    sorts = []
+    stable_argsort = core._stable_argsort
+
+    def spy(values):
+        sorts.append(values.shape)
+        return stable_argsort(values)
+
+    monkeypatch.setattr(core, "_stable_argsort", spy)
+    monkeypatch.setattr(audit, "_stable_argsort", spy)
+    grid = ToleranceGrid(np.arange(1, 41) / 4.0, gap=loss.delta_bound)
+    records = grid_growth_audit(table, sample, loss, grid).levels
+    assert sorts == [(table.n_hypotheses,)]
+    assert loss_matrix(table, sample, loss).dtype == (bool if zero_one else float)
+    # the sizes read off that sort are the counting measures of the full-sample sets
+    totals = loss_matrix(table, sample, loss).sum(axis=0)
+    for record in records:
+        bounds = (max(record.level - grid.gap, 0.0), record.level + grid.gap)
+        sizes = [int((totals <= totals.min() + t).sum()) for t in bounds]
+        assert [record.size_minus, record.size_plus] == sizes
+
+
 # ------------------------------------------------------ exact stable order
 
 
