@@ -1,7 +1,6 @@
 """Median of level-set aggregation for transductive leave-one-out prediction."""
 
 from .audit import (
-    AggregationStabilityReport,
     BoundCertificate,
     GrowthAudit,
     check_aggregation_stability,
@@ -38,7 +37,6 @@ __all__ = [
     "loo_error",
     "lower_median",
     "run_mlsa",
-    "AggregationStabilityReport",
     "BoundCertificate",
     "GrowthAudit",
     "check_aggregation_stability",

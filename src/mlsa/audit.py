@@ -5,7 +5,9 @@ exactly on a concrete instance: the aggregation rule's stability condition,
 the per-level growth-plus-sandwich condition, the single-level LOO bound, and
 the grid-majority LOO bound.  Counting-measure arithmetic here is integer and
 exact; a 1e-9 tolerance absorbs floating-point error in assertions that hold
-exactly in real arithmetic.
+exactly in real arithmetic.  Every check returns the ``BoundCertificate`` it
+is judged by, so each pass rule lives in one place, ``BoundCertificate.reason``;
+a check that counts violations holds the count against 0 (``_no_violations``).
 """
 
 from __future__ import annotations
@@ -34,13 +36,10 @@ from .core import (
 )
 
 __all__ = [
-    "AggregationStabilityReport",
     "LevelAudit",
     "GrowthAudit",
     "BoundCertificate",
     "GridMismatchError",
-    "LevelNotGoodError",
-    "GeneralizationReport",
     "check_aggregation_stability",
     "grid_growth_audit",
     "verify_single_level",
@@ -49,30 +48,8 @@ __all__ = [
 ]
 
 
-class LevelNotGoodError(ValueError):
-    """A single-level certificate was requested at a level failing the growth audit."""
-
-
 class GridMismatchError(ValueError):
     """The output was not produced with the grid the certificate assumes."""
-
-
-@dataclass(frozen=True)
-class AggregationStabilityReport:
-    """Randomized check of the aggregation stability inequality.
-
-    ``stability`` is the constant the rule declares for
-    loss(aggregate) <= stability * (subset average loss).
-    """
-
-    trials: int
-    violations: int
-    stability: float
-    first_violation: Optional[dict] = None
-
-    @property
-    def passed(self) -> bool:
-        return self.violations == 0
 
 
 @dataclass(frozen=True)
@@ -132,6 +109,11 @@ class BoundCertificate:
         return self.reason is None
 
 
+def _no_violations(name: str, violations: int, **components) -> BoundCertificate:
+    """The certificate that a check found no violation: the count against 0."""
+    return BoundCertificate(name, lhs=float(violations), rhs=0.0, components=components)
+
+
 def _check_grid(grid: ToleranceGrid, expected: ToleranceGrid, what: str) -> None:
     """Raise ``GridMismatchError`` unless ``grid`` is exactly ``expected``."""
     if grid.gap != expected.gap or not np.array_equal(grid.levels, expected.levels):
@@ -145,7 +127,7 @@ def check_aggregation_stability(
     sample: LabeledSample,
     trials: int = 1000,
     seed: int = 0,
-) -> AggregationStabilityReport:
+) -> BoundCertificate:
     """Check the aggregation stability inequality on random subsets and rows.
 
     For a random nonempty subset G of hypotheses and a random row i, the loss
@@ -153,7 +135,9 @@ def check_aggregation_stability(
     times the average loss over G: factor 1 for averaging under a loss convex
     in the prediction (Jensen), factor 2 for majority vote under the 0-1 loss
     (a wrong vote means at least half of G is wrong, and no smaller constant
-    works, e.g. voting {1, 1, 0} against response 0).
+    works, e.g. voting {1, 1, 0} against response 0).  The certificate
+    ``aggregation-stability`` holds the violations against 0, with the
+    trials, the declared constant and the first violation found.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -180,12 +164,8 @@ def check_aggregation_stability(
                     "lhs": lhs,
                     "rhs": rhs,
                 }
-    return AggregationStabilityReport(
-        trials=trials,
-        violations=violations,
-        stability=agg.stability,
-        first_violation=first,
-    )
+    return _no_violations("aggregation-stability", violations, trials=trials,
+                          stability=agg.stability, first_violation=first)
 
 
 #: bound on the entries of one row block's rows x columns temporaries in
@@ -327,17 +307,13 @@ def verify_single_level(
 
     lhs is the LOO error of ``run_mlsa`` on the one-level grid {t}: the mean
     loss of the per-index aggregates of the leave-one-out level sets at t.
-    rhs is (c_g / n) * (best empirical loss + t + delta).  Levels failing the
-    growth audit are rejected as a precondition violation rather than reported
-    as a bound failure.
+    rhs is (c_g / n) * (best empirical loss + t + delta).  The bound applies
+    only at a level that passes the growth audit; at any other level the
+    certificate fails with the level, its growth ratio and whether its
+    sandwich holds as its reason.
     """
     grid = ToleranceGrid(levels=np.array([t], dtype=float), gap=delta)
     record = grid_growth_audit(table, sample, loss, grid, c_g=c_g).levels[0]
-    if not record.good:
-        raise LevelNotGoodError(
-            f"level t={t} fails the growth audit "
-            f"(ratio={record.ratio:.6g}, sandwich_ok={record.sandwich_ok})"
-        )
     run_grid = ToleranceGrid(levels=grid.levels, gap=loss.delta_bound)
     output = run_mlsa(table, sample, loss, run_grid, agg)
     n = table.n_samples
@@ -347,6 +323,10 @@ def verify_single_level(
         lhs=output.loo_error,
         rhs=rhs,
         components={"erm_loss": output.erm_loss, "t": t, "delta": delta, "c_g": c_g, "n": n},
+        unmet=None if record.good else (
+            f"level t={t} fails the growth audit "
+            f"(ratio={record.ratio:.6g}, sandwich_ok={record.sandwich_ok})"
+        ),
     )
 
 
@@ -394,36 +374,20 @@ def verify_grid_majority_bound(
     )
 
 
-@dataclass(frozen=True)
-class GeneralizationReport:
-    """Monte-Carlo estimate of held-out loss against the complexity bound."""
-
-    repetitions: int
-    mean_test_loss: float
-    stderr: float
-    oracle_risk: float
-    multiplier: float
-    complexity: float
-    bound: float
-
-    @property
-    def passed(self) -> bool:
-        return self.mean_test_loss <= self.bound + 3 * self.stderr
-
-
 def simulate_generalization(
     task,
     n: int,
     repetitions: int,
     seed: int = 0,
-) -> GeneralizationReport:
+) -> BoundCertificate:
     """Estimate the expected held-out loss of the transductive predictor.
 
     Each repetition draws n + 1 i.i.d. points from the task's distribution,
     runs the full pipeline on all n + 1 covariates (the prediction at the last
     index never sees its own response), and records the loss at that last
-    index.  The mean is compared against
-    multiplier * oracle_risk + complexity(n + 1) / (n + 1).
+    index.  The certificate ``generalization-bound`` holds the mean against
+    multiplier * oracle_risk + complexity(n + 1) / (n + 1), with 3 standard
+    errors of the mean as its tolerance.
 
     ``task`` must provide ``make_instance(n_total, rng)``, ``loss``,
     ``aggregator``, ``grid_factory(n_total)``, ``oracle_risk``, ``multiplier``
@@ -444,13 +408,12 @@ def simulate_generalization(
     mean = float(held_out.mean())
     stderr = float(held_out.std(ddof=1) / np.sqrt(repetitions)) if repetitions > 1 else 0.0
     complexity = float(task.complexity(total))
-    bound = task.multiplier * task.oracle_risk + complexity / total
-    return GeneralizationReport(
-        repetitions=repetitions,
-        mean_test_loss=mean,
-        stderr=stderr,
-        oracle_risk=task.oracle_risk,
-        multiplier=task.multiplier,
-        complexity=complexity,
-        bound=bound,
+    return BoundCertificate(
+        name="generalization-bound",
+        lhs=mean,
+        rhs=task.multiplier * task.oracle_risk + complexity / total,
+        components={"repetitions": repetitions, "stderr": stderr,
+                    "oracle_risk": task.oracle_risk, "multiplier": task.multiplier,
+                    "complexity": complexity},
+        tolerance=3 * stderr,
     )

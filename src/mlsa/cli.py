@@ -31,8 +31,6 @@ or a job raised, 2 on a configuration error (an unknown key, a value list
 outside ``sweep``, a missing task or seed).
 """
 
-from __future__ import annotations
-
 import argparse
 import concurrent.futures
 import hashlib
@@ -105,26 +103,15 @@ class ExperimentConfig:
         )
 
 
-_KNOWN_KEYS = frozenset(f.name for f in fields(ExperimentConfig))
-_INT_FIELDS = {
-    "seed", "n", "d", "class_size", "space_size", "k_intervals",
-    "mc_samples", "min_accepted", "grid_levels", "instances", "threads",
-}
-_FLOAT_FIELDS = {"M", "r", "R", "eps", "noise", "svd_tol"}
-
-
 def _parse_scalar(key: str, raw: str, where: str):
-    """One value of a config key; ``where`` names its source in the error."""
-    if key not in _KNOWN_KEYS:
+    """One value of a config key, of the type ``ExperimentConfig`` annotates
+    it with; ``1/n`` is -1.0 for a float.  ``where`` names its source in the
+    error."""
+    kind = {f.name: f.type for f in fields(ExperimentConfig)}.get(key)
+    if kind is None:
         raise ValueError(f"{where}: unknown config key {key!r}")
     raw = raw.strip()
-    if key in _INT_FIELDS:
-        return int(raw)
-    if key in _FLOAT_FIELDS:
-        if raw == "1/n":
-            return -1.0
-        return float(raw)
-    return raw
+    return -1.0 if kind is float and raw == "1/n" else kind(raw)
 
 
 def parse_config_file(path) -> dict:
@@ -189,11 +176,6 @@ def _fields(config, d, loo, erm, headline, certs, rho, sections) -> dict:
                 slack=headline.slack, rho_hat=rho, certificates=certs, sections=sections)
 
 
-def _no_violations(name: str, violations: int, **components) -> audit_mod.BoundCertificate:
-    """The certificate that a check found no violation: the count against 0."""
-    return audit_mod.BoundCertificate(name, lhs=float(violations), rhs=0.0, components=components)
-
-
 def _finite_class(output, table, sample, loss, rule, seed: int, deep_audit: bool):
     """Growth audit and grid-majority certificate of a finite class.
 
@@ -203,15 +185,9 @@ def _finite_class(output, table, sample, loss, rule, seed: int, deep_audit: bool
     """
     growth = audit_mod.grid_growth_audit(table, sample, loss, output.grid)
     cert = audit_mod.verify_grid_majority_bound(output, growth, output.erm_loss)
-    checks = []
-    if deep_audit:
-        agg = audit_mod.check_aggregation_stability(
-            rule, loss, table, sample, seed=derive_seed(seed, "agg-check")
-        )
-        checks.append(_no_violations(
-            "aggregation-stability", agg.violations, trials=agg.trials,
-            stability=agg.stability, first_violation=agg.first_violation,
-        ))
+    checks = [audit_mod.check_aggregation_stability(
+        rule, loss, table, sample, seed=derive_seed(seed, "agg-check")
+    )] if deep_audit else []
     section = {
         "good_fraction": growth.good_fraction,
         "delta": growth.delta,
@@ -302,30 +278,15 @@ def _certify_logistic(config: ExperimentConfig, problem, seed: int, deep_audit: 
     cert = log_mod.verify_logistic_bound(run.output, run.geometry, problem)
     sandwich = log_mod.crn_sandwich_report(run)
     # a violated cell fails the run like a failed bound, with its reason
-    certs = [cert, _no_violations("crn-sandwich", sandwich.violations, cells=sandwich.cells)]
+    certs = [cert, audit_mod._no_violations("crn-sandwich", sandwich.violations,
+                                            cells=sandwich.cells)]
     sections = {"geometry": log_mod.geometry_report(run.geometry, problem)}
     if deep_audit:
-        containment = log_mod.verify_ellipsoid_containment(
+        certs += log_mod.verify_ellipsoid_containment(
             run.geometry, problem, mc, seed=derive_seed(seed, "containment")
         )
-        volume = log_mod.verify_volume_lower_bound(
+        certs.append(log_mod.verify_volume_lower_bound(
             run.geometry, problem, mc, seed=derive_seed(seed, "volume")
-        )
-        certs.append(_no_violations(
-            "ellipsoid-containment", containment.violations, samples=containment.samples,
-            interior=containment.interior, grad_norm=containment.grad_norm,
-        ))
-        if not containment.interior:
-            # the half-space through the centre keeps about half the draws
-            certs.append(audit_mod.BoundCertificate(
-                "containment-halfspace", lhs=containment.halfspace_floor,
-                rhs=containment.halfspace_fraction, tolerance=0.0,
-                components={"stderr": containment.halfspace_stderr},
-            ))
-        certs.append(audit_mod.BoundCertificate(
-            "volume-bound", lhs=volume.threshold, rhs=volume.upper, tolerance=0.0,
-            components={"estimate": volume.estimate, "stderr": volume.stderr,
-                        "count": volume.count, "samples": volume.samples},
         ))
     return _fields(config, config.d, run.output.loo_error, run.output.erm_loss,
                    cert, certs, None, sections)
@@ -338,10 +299,7 @@ def _certify_vaw(config: ExperimentConfig, design, seed: int, deep_audit: bool) 
     cert = lin_mod.vaw_certificate(result)
     certs = [cert]
     if deep_audit:
-        pinv = lin_mod.verify_pinv_identity(X, svd_tol=svd_tol)
-        certs.append(audit_mod.BoundCertificate(
-            "pinv-identity", lhs=pinv.max_abs_diff, rhs=pinv.tolerance, tolerance=0.0
-        ))
+        certs.append(lin_mod.verify_pinv_identity(X, svd_tol=svd_tol))
     n = config.n
     return dict(n=n, d=config.d, loo=result.loo_sq_sum / n, erm_per_n=result.fit_sq_sum / n,
                 bound=cert.rhs / n, slack=cert.slack / n, rho_hat=None, certificates=certs,

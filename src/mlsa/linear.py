@@ -22,7 +22,6 @@ __all__ = [
     "fit_transductive_vaw",
     "verify_pinv_identity",
     "vaw_certificate",
-    "PinvIdentityReport",
     "load_design",
 ]
 
@@ -85,24 +84,16 @@ def fit_transductive_vaw(
     )
 
 
-@dataclass(frozen=True)
-class PinvIdentityReport:
-    max_abs_diff: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_abs_diff <= self.tolerance
-
-
 def verify_pinv_identity(
     X: np.ndarray, svd_tol: Optional[float] = None, tolerance: float = 1e-10
-) -> PinvIdentityReport:
+) -> BoundCertificate:
     """Check pinv(X) = pinv(X'X) X' entrywise, via two independent routes.
 
     Both sides are computed with numpy's pseudoinverse on different matrices
     (X itself versus the Gram matrix), so agreement is a genuine consistency
-    check rather than an algebraic tautology.
+    check rather than an algebraic tautology.  The certificate
+    ``pinv-identity`` holds the largest entrywise difference against
+    ``tolerance``, compared with no further tolerance.
     """
     X = np.asarray(X, dtype=float)
     n, d = X.shape
@@ -110,7 +101,7 @@ def verify_pinv_identity(
     x_pinv = np.linalg.pinv(X, rcond=rcond)
     a_pinv = np.linalg.pinv(X.T @ X, rcond=rcond, hermitian=True)
     diff = float(np.max(np.abs(x_pinv - a_pinv @ X.T))) if X.size else 0.0
-    return PinvIdentityReport(max_abs_diff=diff, tolerance=tolerance)
+    return BoundCertificate("pinv-identity", lhs=diff, rhs=tolerance, tolerance=0.0)
 
 
 def load_design(path) -> tuple[np.ndarray, np.ndarray]:

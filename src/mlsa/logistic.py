@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .audit import BoundCertificate, _check_grid, _sandwich_violations
+from .audit import BoundCertificate, _check_grid, _no_violations, _sandwich_violations
 from .core import (
     NUMERIC_TOL,
     MlsaOutput,
@@ -288,6 +288,16 @@ _CHUNK_ROWS = 512
 _SCREEN_ROWS = 8192  # draws per block of ``_in_HA``, a few floats each
 
 
+def _loss_totals(problem: LogisticProblem, thetas: np.ndarray) -> np.ndarray:
+    """``per_sample_losses(problem, thetas).sum(axis=1)``, in blocks of
+    ``_CHUNK_ROWS`` draws, so that no table is larger than one block."""
+    totals = np.empty(thetas.shape[0])
+    for start in range(0, thetas.shape[0], _CHUNK_ROWS):
+        block = slice(start, start + _CHUNK_ROWS)
+        totals[block] = per_sample_losses(problem, thetas[block]).sum(axis=1)
+    return totals
+
+
 def _distance_bounds(
     geometry: LogisticGeometry, r: float, thetas: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -529,44 +539,22 @@ def crn_sandwich_report(run: LogisticRun) -> SandwichReport:
     return SandwichReport(cells=2 * run.problem.n * len(grid), violations=int(bad.sum()))
 
 
-@dataclass(frozen=True)
-class ContainmentReport:
-    """Ellipsoid-in-level-set check around the fitted minimizer."""
-
-    samples: int
-    violations: int
-    halfspace_fraction: float
-    halfspace_stderr: float
-    interior: bool
-    grad_norm: float
-
-    @property
-    def halfspace_floor(self) -> float:
-        """The smallest half-space fraction accepted: 1/2 less 3 standard errors."""
-        return 0.5 - 3.0 * self.halfspace_stderr
-
-    @property
-    def passed(self) -> bool:
-        if self.violations > 0:
-            return False
-        if self.interior:
-            return True
-        return self.halfspace_fraction >= self.halfspace_floor
-
-
 def verify_ellipsoid_containment(
     geometry: LogisticGeometry,
     problem: LogisticProblem,
     mc: McConfig,
     seed: Optional[int] = None,
-) -> ContainmentReport:
+) -> list[BoundCertificate]:
     """Check that the half-ellipsoid of A-radius sqrt(rR) sits inside the level set.
 
     Uniform draws from the ellipsoid centered at the minimizer are filtered by
     the half-space of nonpositive first-order change (vacuous when the final
     gradient is negligible, the interior case); each retained draw must satisfy
-    the loss-level test at rR and belong to H_A.  The half-space must also
-    retain about half the draws, since its boundary passes through the center.
+    the loss-level test at rR and belong to H_A: ``ellipsoid-containment``
+    holds the draws that do not against 0.  Outside the interior case the
+    half-space must also retain about half the draws, since its boundary
+    passes through the center: ``containment-halfspace`` holds 1/2 less 3
+    standard errors against the fraction retained, with no further tolerance.
     """
     rng = np.random.default_rng(mc.seed if seed is None else seed)
     k = mc.samples_per_level
@@ -578,40 +566,18 @@ def verify_ellipsoid_containment(
         half = np.ones(k, dtype=bool)
     else:
         half = (thetas - geometry.theta_star) @ geometry.grad_star <= 0.0
-    fraction = float(half.mean())
-    stderr = math.sqrt(0.25 / k)
-    totals = per_sample_losses(problem, thetas[half]).sum(axis=1)
-    level_ok = totals <= geometry.erm_loss + rR + NUMERIC_TOL
-    member_ok = _in_HA(geometry, problem.r, thetas[half], rR + 1e-9)
+    kept = thetas[half]
+    level_ok = _loss_totals(problem, kept) <= geometry.erm_loss + rR + NUMERIC_TOL
+    member_ok = _in_HA(geometry, problem.r, kept, rR + 1e-9)
     violations = int(np.sum(~(level_ok & member_ok)))
-    return ContainmentReport(
-        samples=k,
-        violations=violations,
-        halfspace_fraction=fraction,
-        halfspace_stderr=stderr,
-        interior=interior,
-        grad_norm=grad_norm,
-    )
-
-
-@dataclass(frozen=True)
-class VolumeReport:
-    """Monte-Carlo lower-bound check for the measure of the level set at rR."""
-
-    estimate: float
-    stderr: float
-    threshold: float
-    count: int
-    samples: int
-
-    @property
-    def upper(self) -> float:
-        """The estimate plus 3 standard errors, which must reach the threshold."""
-        return self.estimate + 3.0 * self.stderr
-
-    @property
-    def passed(self) -> bool:
-        return self.upper >= self.threshold
+    certs = [_no_violations("ellipsoid-containment", violations, samples=k,
+                            interior=interior, grad_norm=grad_norm)]
+    if not interior:
+        stderr = math.sqrt(0.25 / k)
+        certs.append(BoundCertificate("containment-halfspace", lhs=0.5 - 3.0 * stderr,
+                                      rhs=float(half.mean()), tolerance=0.0,
+                                      components={"stderr": stderr}))
+    return certs
 
 
 def verify_volume_lower_bound(
@@ -619,15 +585,15 @@ def verify_volume_lower_bound(
     problem: LogisticProblem,
     mc: McConfig,
     seed: Optional[int] = None,
-) -> VolumeReport:
-    """Check mu_B(level set at rR) against the (max(8, 2 n r R))^(-d) floor."""
+) -> BoundCertificate:
+    """Check mu_B(level set at rR) against the (max(8, 2 n r R))^(-d) floor.
+
+    The certificate ``volume-bound`` holds the floor against the estimate
+    plus 3 standard errors, with no further tolerance.
+    """
     thetas = sample_muB(geometry, mc.samples_per_level, mc.seed if seed is None else seed)
     rR = problem.r * problem.R
-    rows = np.flatnonzero(_in_HA(geometry, problem.r, thetas, rR + 1e-12))
-    totals = np.empty(rows.size)
-    for start in range(0, rows.size, _CHUNK_ROWS):
-        block = slice(start, start + _CHUNK_ROWS)
-        totals[block] = per_sample_losses(problem, thetas[rows[block]]).sum(axis=1)
+    totals = _loss_totals(problem, thetas[_in_HA(geometry, problem.r, thetas, rR + 1e-12)])
     count = int(np.sum(totals <= geometry.erm_loss + rR))
     if count < mc.min_accepted:
         raise InsufficientAcceptanceError(
@@ -636,13 +602,11 @@ def verify_volume_lower_bound(
         )
     estimate = count / mc.samples_per_level
     stderr = math.sqrt(estimate * (1.0 - estimate) / mc.samples_per_level)
-    threshold = max(8.0, 2.0 * problem.n * rR) ** (-problem.d)
-    return VolumeReport(
-        estimate=estimate,
-        stderr=stderr,
-        threshold=threshold,
-        count=count,
-        samples=mc.samples_per_level,
+    return BoundCertificate(
+        "volume-bound", lhs=max(8.0, 2.0 * problem.n * rR) ** (-problem.d),
+        rhs=estimate + 3.0 * stderr, tolerance=0.0,
+        components={"estimate": estimate, "stderr": stderr, "count": count,
+                    "samples": mc.samples_per_level},
     )
 
 

@@ -6,6 +6,7 @@ import threading
 import pytest
 
 from mlsa import core
+from mlsa import logistic
 
 
 @pytest.fixture
@@ -42,3 +43,23 @@ def block_pool_calls(monkeypatch):
 
     monkeypatch.setattr(core, "ThreadPoolExecutor", Spy)
     return calls
+
+
+@pytest.fixture
+def containment_rows(monkeypatch):
+    """The draws given to the logistic level test (``_loss_totals``) and the
+    H_A test (``_in_HA``), one count per call, in a dict keyed by function."""
+    rows = {"_loss_totals": [], "_in_HA": []}
+    loss_totals, in_HA = logistic._loss_totals, logistic._in_HA
+
+    def loss_totals_spy(problem, thetas):
+        rows["_loss_totals"].append(thetas.shape[0])
+        return loss_totals(problem, thetas)
+
+    def in_HA_spy(geometry, r, thetas, thr):
+        rows["_in_HA"].append(thetas.shape[0])
+        return in_HA(geometry, r, thetas, thr)
+
+    monkeypatch.setattr(logistic, "_loss_totals", loss_totals_spy)
+    monkeypatch.setattr(logistic, "_in_HA", in_HA_spy)
+    return rows

@@ -117,8 +117,8 @@ def test_criterion_02_aggregation_assumption_suite():
         ("average/log", check_aggregation_stability(
             MEAN_AGGREGATE, loss, table, sample, trials=1000, seed=3))
     )
-    for label, report in checks:
-        assert report.violations == 0, f"{label}: {report.first_violation}"
+    for label, cert in checks:
+        assert cert.lhs == 0.0, f"{label}: {cert.components['first_violation']}"
     _finish(2, "aggregation stability suite", start, 10,
             f"{len(checks)}x1000 trials, 0 violations")
 
@@ -204,7 +204,7 @@ def test_criterion_05_density_oracle_and_smoothing():
             f"{runs} instances x 3 certificates, min slack {min_slack:.3f}")
 
 
-def test_criterion_06_logistic_geometry():
+def test_criterion_06_logistic_geometry(containment_rows):
     start = time.perf_counter()
     checked = 0
     for d in (1, 2):
@@ -212,21 +212,24 @@ def test_criterion_06_logistic_geometry():
             rng = np.random.default_rng(600 + seed)
             problem = make_logistic_problem(50, d, 1.0, 1.0, rng)
             geometry = build_geometry(problem)
-            containment = verify_ellipsoid_containment(
+            for calls in containment_rows.values():
+                calls.clear()
+            contained, *halfspace = verify_ellipsoid_containment(
                 geometry, problem, McConfig(samples_per_level=10_000, seed=6100 + seed)
             )
-            assert containment.violations == 0
-            if containment.interior:
-                assert containment.halfspace_fraction == 1.0
-            else:
-                assert (
-                    abs(containment.halfspace_fraction - 0.5)
-                    <= 3 * containment.halfspace_stderr
-                )
+            assert contained.lhs == 0.0
+            # the interior case keeps every draw and makes no half-space certificate
+            assert len(halfspace) == (not contained.components["interior"])
+            kept = [10_000]
+            for cert in halfspace:
+                assert abs(cert.rhs - 0.5) <= 3 * cert.components["stderr"]
+                kept = [round(cert.rhs * 10_000)]
+            assert containment_rows == {"_loss_totals": kept, "_in_HA": kept}
             volume = verify_volume_lower_bound(
                 geometry, problem, McConfig(samples_per_level=200_000, seed=6200 + seed)
             )
-            assert volume.estimate + 3 * volume.stderr >= volume.threshold
+            estimate, stderr = volume.components["estimate"], volume.components["stderr"]
+            assert estimate + 3 * stderr >= volume.lhs
             checked += 1
     _finish(6, "logistic ellipsoid containment and volume floor", start, 300,
             f"{checked} geometries, 10^4 containment + 2x10^5 volume samples each")
@@ -269,11 +272,11 @@ def test_criterion_08_linear_shrinkage_loo_suite():
 
 def test_criterion_09_generalization_simulation():
     start = time.perf_counter()
-    report = simulate_generalization(threshold_task(noise=0.1), n=30, repetitions=2000, seed=909)
-    bound = 8.0 * report.oracle_risk + report.complexity / 31.0
-    assert report.mean_test_loss <= bound + 3 * report.stderr
+    cert = simulate_generalization(threshold_task(noise=0.1), n=30, repetitions=2000, seed=909)
+    bound = 8.0 * cert.components["oracle_risk"] + cert.components["complexity"] / 31.0
+    assert cert.lhs <= bound + 3 * cert.components["stderr"]
     _finish(9, "held-out generalization simulation", start, 180,
-            f"mean loss {report.mean_test_loss:.4f} vs bound {bound:.3f} + 3se")
+            f"mean loss {cert.lhs:.4f} vs bound {bound:.3f} + 3se")
 
 
 def test_criterion_10_determinism(tmp_path):

@@ -9,7 +9,6 @@ from mlsa.audit import (
     BoundCertificate,
     GrowthAudit,
     LevelAudit,
-    LevelNotGoodError,
     check_aggregation_stability,
     grid_growth_audit,
     simulate_generalization,
@@ -36,30 +35,33 @@ def test_majority_vote_satisfies_stability_inequality():
     rng = np.random.default_rng(1)
     table = PredictionTable(rng.integers(0, 2, size=(8, 9)).astype(float), keep_duplicates=True)
     sample = LabeledSample(rng.integers(0, 2, size=8).astype(float))
-    report = check_aggregation_stability(MAJORITY_VOTE, zero_one_loss(), table, sample, trials=500)
-    assert report.passed and report.violations == 0
+    cert = check_aggregation_stability(MAJORITY_VOTE, zero_one_loss(), table, sample, trials=500)
+    assert cert.passed and cert.lhs == 0.0
+    assert cert.name == "aggregation-stability" and cert.rhs == 0.0
+    assert cert.components == {"trials": 500, "stability": 2.0, "first_violation": None}
 
 
 def test_averaging_satisfies_stability_for_squared():
     rng = np.random.default_rng(2)
     table = PredictionTable(rng.random((8, 9)), keep_duplicates=True)
     sample = LabeledSample(rng.random(8))
-    report = check_aggregation_stability(
+    cert = check_aggregation_stability(
         MEAN_AGGREGATE, builtin_losses()["squared"], table, sample, trials=500
     )
-    assert report.passed
+    assert cert.passed
 
 
 def test_averaging_with_zero_one_loss_is_caught():
     # averaging {0, 1} gives 0.5 whose 0-1 loss is 1, above the subset mean 0.5
     table = PredictionTable(np.array([[0.0, 1.0]]), keep_duplicates=True)
     sample = LabeledSample([0.0])
-    report = check_aggregation_stability(
+    cert = check_aggregation_stability(
         MEAN_AGGREGATE, zero_one_loss(), table, sample, trials=200, seed=7
     )
-    assert not report.passed
-    assert report.first_violation is not None
-    assert report.first_violation["subset"] == [0, 1]
+    assert not cert.passed
+    assert cert.reason == f"slack = {-cert.lhs!r} is below -1e-09"
+    assert cert.components["first_violation"] is not None
+    assert cert.components["first_violation"]["subset"] == [0, 1]
 
 
 # ------------------------------------------------------------- growth audit
@@ -213,10 +215,13 @@ def test_single_level_rejects_bad_level():
     values = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
     table = PredictionTable(values, keep_duplicates=True)
     sample = LabeledSample([1.0, 1.0, 1.0])
-    with pytest.raises(LevelNotGoodError):
-        verify_single_level(
-            table, sample, zero_one_loss(), MAJORITY_VOTE, t=2.0, delta=1.0, c_g=1.0
-        )
+    cert = verify_single_level(
+        table, sample, zero_one_loss(), MAJORITY_VOTE, t=2.0, delta=1.0, c_g=1.0
+    )
+    assert not cert.passed
+    assert cert.unmet == cert.reason == (
+        "level t=2.0 fails the growth audit (ratio=2, sandwich_ok=True)"
+    )
 
 
 # ------------------------------------------------------- grid-majority bound
@@ -341,20 +346,23 @@ def test_grid_majority_no_violations_over_random_instances():
 
 def test_generalization_realizable_within_complexity_budget():
     task = threshold_task(noise=0.0)
-    report = simulate_generalization(task, n=12, repetitions=300, seed=9)
-    assert report.oracle_risk == 0.0
-    assert report.mean_test_loss <= report.complexity / 13.0 + 2 * report.stderr
-    assert report.passed
+    cert = simulate_generalization(task, n=12, repetitions=300, seed=9)
+    stderr = cert.components["stderr"]
+    assert cert.name == "generalization-bound"
+    assert cert.components["oracle_risk"] == 0.0
+    assert cert.lhs <= cert.components["complexity"] / 13.0 + 2 * stderr
+    assert cert.tolerance == 3 * stderr
+    assert cert.passed
 
 
 def test_generalization_symmetric_noise_is_half():
     task = threshold_task(noise=0.5)
-    report = simulate_generalization(task, n=10, repetitions=400, seed=10)
-    assert abs(report.mean_test_loss - 0.5) <= 3 * report.stderr
+    cert = simulate_generalization(task, n=10, repetitions=400, seed=10)
+    assert abs(cert.lhs - 0.5) <= 3 * cert.components["stderr"]
 
 
 def test_generalization_smoke_n1():
     task = threshold_task(noise=0.1)
-    report = simulate_generalization(task, n=1, repetitions=5, seed=11)
-    assert math.isfinite(report.mean_test_loss)
-    assert math.isfinite(report.bound)
+    cert = simulate_generalization(task, n=1, repetitions=5, seed=11)
+    assert math.isfinite(cert.lhs)
+    assert math.isfinite(cert.rhs)

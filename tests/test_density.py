@@ -259,8 +259,8 @@ def test_averaging_stability_for_log_loss():
     rng = np.random.default_rng(7)
     inst = make_density_instance(6, 5, 10, rng)
     table, loss, sample = log_loss_table(inst.dclass, inst.observations)
-    report = check_aggregation_stability(MEAN_AGGREGATE, loss, table, sample, trials=500)
-    assert report.violations == 0
+    cert = check_aggregation_stability(MEAN_AGGREGATE, loss, table, sample, trials=500)
+    assert cert.lhs == 0.0
 
 
 def test_load_density_class_roundtrip(tmp_path):

@@ -91,14 +91,15 @@ def test_pinv_identity_rank_deficient():
     rng = np.random.default_rng(5)
     X = rng.standard_normal((10, 3))
     X = np.column_stack([X, X[:, 0]])  # duplicated column
-    report = verify_pinv_identity(X)
-    assert report.passed
+    cert = verify_pinv_identity(X)
+    assert cert.passed
 
 
 def test_pinv_identity_zero_matrix():
-    report = verify_pinv_identity(np.zeros((4, 2)))
-    assert report.max_abs_diff == 0.0
-    assert report.passed
+    cert = verify_pinv_identity(np.zeros((4, 2)))
+    assert cert.name == "pinv-identity"
+    assert cert.lhs == 0.0 and cert.rhs == 1e-10 and cert.tolerance == 0.0
+    assert cert.passed
 
 
 def test_hat_matrix_idempotent_and_symmetric():

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -828,23 +829,57 @@ def test_containment_boundary_minimizer():
     rng = np.random.default_rng(35)
     problem = make_logistic_problem(20, 2, 1.0, 1.0, rng, noise=0)
     geo = build_geometry(problem)
-    report = verify_ellipsoid_containment(geo, problem, McConfig(samples_per_level=10_000, seed=36))
-    assert report.violations == 0
-    assert not report.interior
-    assert abs(report.halfspace_fraction - 0.5) <= 3 * report.halfspace_stderr
-    assert report.passed
+    certs = verify_ellipsoid_containment(geo, problem, McConfig(samples_per_level=10_000, seed=36))
+    contained, halfspace = certs
+    assert contained.name == "ellipsoid-containment" and contained.lhs == 0.0
+    assert not contained.components["interior"]
+    assert halfspace.name == "containment-halfspace"
+    assert abs(halfspace.rhs - 0.5) <= 3 * halfspace.components["stderr"]
+    assert all(cert.passed for cert in certs)
 
 
-def test_containment_interior_minimizer():
+def test_containment_interior_minimizer(containment_rows):
     # balanced conflicting labels at shared covariates put the minimizer at 0
     x = np.array([[0.9, 0.0], [0.9, 0.0], [0.0, 0.9], [0.0, 0.9]])
     y = np.array([1.0, -1.0, 1.0, -1.0])
     problem = LogisticProblem(x, y, r=1.0, R=1.0)
     geo = build_geometry(problem, tol=1e-10)
-    report = verify_ellipsoid_containment(geo, problem, McConfig(samples_per_level=4000, seed=37))
-    assert report.interior
-    assert report.halfspace_fraction == 1.0
-    assert report.violations == 0
+    certs = verify_ellipsoid_containment(geo, problem, McConfig(samples_per_level=4000, seed=37))
+    # the half-space is vacuous: the level and H_A tests see every draw, and
+    # no half-space certificate is made
+    assert containment_rows == {"_loss_totals": [4000], "_in_HA": [4000]}
+    [contained] = certs
+    assert contained.components["interior"]
+    assert contained.components["samples"] == 4000
+    assert contained.lhs == 0.0
+
+
+def traced_peak(check, *args):
+    """tracemalloc's peak over one call, after one untraced warm-up."""
+    check(*args)
+    tracemalloc.start()
+    try:
+        check(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("check", [verify_ellipsoid_containment, verify_volume_lower_bound])
+def test_geometry_check_memory_is_bounded_by_the_block(monkeypatch, check):
+    # a minimizer on the sphere: the containment check keeps about half the draws
+    problem = make_logistic_problem(50, 2, 1.0, 1.0, np.random.default_rng(35), noise=0)
+    geo = build_geometry(problem)
+    k, n, d = 50_000, problem.n, problem.d
+    mc = McConfig(samples_per_level=k, seed=36)
+    assert np.linalg.norm(geo.grad_star) > logistic_module._GRAD_VACUOUS
+    # a dozen floats per draw (the draws, their copies, totals and masks),
+    # plus 8 block-sized (rows, n) tables of losses and temporaries
+    bound = 8 * k * (4 * d + 4) + 8 * 8 * logistic_module._CHUNK_ROWS * n
+    assert traced_peak(check, geo, problem, mc) < bound
+    # every draw in one block exceeds it, so the bound does test the blocks
+    monkeypatch.setattr(logistic_module, "_CHUNK_ROWS", k)
+    assert traced_peak(check, geo, problem, mc) > bound
 
 
 def test_volume_lower_bound_d1_and_d2():
@@ -852,11 +887,11 @@ def test_volume_lower_bound_d1_and_d2():
     for d, k in [(1, 20_000), (2, 100_000)]:
         problem = make_logistic_problem(20, d, 1.0, 1.0, rng)
         geo = build_geometry(problem)
-        report = verify_volume_lower_bound(
+        cert = verify_volume_lower_bound(
             geo, problem, McConfig(samples_per_level=k, seed=39)
         )
-        assert report.passed
-        assert report.estimate <= 1.0
+        assert cert.passed
+        assert cert.components["estimate"] <= 1.0
 
 
 # --------------------------------------------------------------- certificate
