@@ -23,12 +23,15 @@ task-specific detail lives in the structured report only.
 ``--threads`` sets the number of workers, and a job that raises is listed in
 the report's ``[errors]`` section and on stderr while the other jobs' rows are
 still written.  The workers are forked processes: a job is many small numpy
-calls, and job threads would hold the interpreter lock between them.  Results
-come back in job order, so the files are the same bits at any ``--threads``;
-a worker that dies loses only the jobs whose results had not come back, which
-become errors.  Exit codes: 0 when every certificate passes, 1 when one fails
+calls, and job threads would hold the interpreter lock between them.  They
+take the jobs in chunks of consecutive jobs, about eight chunks per worker,
+one pickle round trip per chunk.  Results come back in job order, so the
+files are the same bits at any ``--threads``; a worker that dies loses only
+the chunks whose results had not come back, and every job of those chunks
+becomes an error.  Exit codes: 0 when every certificate passes, 1 when one fails
 or a job raised, 2 on a configuration error (an unknown key, a value list
-outside ``sweep``, a missing task or seed).
+outside ``sweep``, a missing task or seed, ``1/n`` on a key other than
+``eps``, an ``eps`` neither 1/n nor in ``[0, 0.5)``).
 """
 
 import argparse
@@ -93,6 +96,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown task {self.task!r}; choose from {tuple(TASKS)}")
         if self.instances < 1:
             raise ValueError("instances must be positive")
+        if not (self.eps == -1.0 or 0.0 <= self.eps < 0.5):
+            raise ValueError(f"eps = {self.eps!r}: the density smoothing takes 0 (none), "
+                             "a weight below 0.5, or 1/n")
 
     @property
     def descriptor(self) -> str:
@@ -105,13 +111,17 @@ class ExperimentConfig:
 
 def _parse_scalar(key: str, raw: str, where: str):
     """One value of a config key, of the type ``ExperimentConfig`` annotates
-    it with; ``1/n`` is -1.0 for a float.  ``where`` names its source in the
-    error."""
+    it with; ``1/n`` is -1.0, and only ``eps`` takes it.  ``where`` names its
+    source in the error."""
     kind = {f.name: f.type for f in fields(ExperimentConfig)}.get(key)
     if kind is None:
         raise ValueError(f"{where}: unknown config key {key!r}")
     raw = raw.strip()
-    return -1.0 if kind is float and raw == "1/n" else kind(raw)
+    if raw == "1/n":
+        if key != "eps":
+            raise ValueError(f"{where}: {key} = 1/n: only eps takes 1/n")
+        return -1.0
+    return kind(raw)
 
 
 def parse_config_file(path) -> dict:
@@ -503,33 +513,49 @@ def _job(job, deep_audit: bool):
         return _error(job, exc)
 
 
+#: About this many chunks of jobs per worker process (``_run_jobs``).
+_CHUNKS_PER_WORKER = 8
+
+
+def _jobs(chunk: list, deep_audit: bool) -> list:
+    """The outcomes of a chunk of consecutive jobs, in job order: one task of a
+    worker process."""
+    return [_job(job, deep_audit) for job in chunk]
+
+
 def _run_jobs(jobs: list, deep_audit: bool, threads: int) -> list:
     """Every job's outcome, in job order, on ``min(threads, jobs)`` forked
     worker processes; serial with one worker or where fork is missing.
 
-    Each future is read on its own: when a worker dies, the pool fails every
-    job whose result has not come back, and only those become error entries.
-    Fork, not spawn: a spawned worker imports numpy and ``mlsa`` again, about
-    0.25 s, as long as a whole 80-job sweep.  No thread of the parent needs to
-    exist in the child: ``core._for_each_block`` joins its threads before it
-    returns.
+    The jobs go to the workers in chunks of ``ceil(jobs /
+    (_CHUNKS_PER_WORKER * workers))`` consecutive jobs: a chunk is one task,
+    so its jobs cost one pickle and one pipe round trip together, and the
+    chunks are small enough that the workers finish close together.  Each chunk's future is
+    read on its own: when a worker dies, the pool fails every chunk whose
+    result has not come back, and each job of those chunks becomes an error
+    entry.  Fork, not spawn: a spawned worker imports numpy and ``mlsa``
+    again, about 0.25 s, as long as a whole 80-job sweep.  No thread of the
+    parent needs to exist in the child: ``core._for_each_block`` joins its
+    threads before it returns.
     """
     workers = min(threads, len(jobs))
     if workers > 1:
         import multiprocessing  # 7 ms of imports, paid only by a run that forks
 
         if "fork" in multiprocessing.get_all_start_methods():
+            size = -(-len(jobs) // (_CHUNKS_PER_WORKER * workers))
+            chunks = [jobs[start:start + size] for start in range(0, len(jobs), size)]
             context = multiprocessing.get_context("fork")
             with concurrent.futures.ProcessPoolExecutor(workers, mp_context=context) as pool:
-                futures = [pool.submit(_job, job, deep_audit) for job in jobs]
+                futures = [pool.submit(_jobs, chunk, deep_audit) for chunk in chunks]
             outcomes = []
-            for job, future in zip(jobs, futures):
+            for chunk, future in zip(chunks, futures):
                 try:
-                    outcomes.append(future.result())
-                except Exception as exc:  # its worker died, or its result could not come back
-                    outcomes.append(_error(job, exc))
+                    outcomes += future.result()
+                except Exception as exc:  # its worker died, or its results could not come back
+                    outcomes += [_error(job, exc) for job in chunk]
             return outcomes
-    return [_job(job, deep_audit) for job in jobs]
+    return _jobs(jobs, deep_audit)
 
 
 def _cmd_run(args) -> int:
@@ -539,9 +565,9 @@ def _cmd_run(args) -> int:
     checks.  A job that raises is reported, and the others' rows still written.
     """
     config, params = _build_config(args, _parse_sets(args.set), sweep=args.command == "sweep")
+    combos = [ExperimentConfig(**combo) for combo in _expand_sweep(params)]
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
-    combos = [ExperimentConfig(**combo) for combo in _expand_sweep(params)]
     jobs = list(enumerate(cfg for cfg in combos for _ in range(cfg.instances)))
     t0 = time.perf_counter()
     outcomes = _run_jobs(jobs, args.command == "audit", config.threads)

@@ -135,7 +135,7 @@ def test_every_config_key_parses_to_its_annotated_type(tmp_path):
     for f in keys:
         assert type(parsed[f.name]) is f.type
         assert parsed[f.name] == f.type(values[f.type])
-    # a float key reads 1/n as -1.0, which the density task takes for 1/n
+    # eps reads 1/n as -1.0, which the density task takes for 1/n
     cfg.write_text("eps = 1/n\n")
     assert parse_config_file(cfg) == {"eps": -1.0}
 
@@ -150,6 +150,22 @@ def test_parse_config_rejects_unknown_keys(tmp_path):
 def test_experiment_config_validation():
     with pytest.raises(ValueError, match="unknown task"):
         ExperimentConfig(task="nope", seed=1)
+
+
+@pytest.mark.parametrize("task", ["density", "vaw"])
+def test_experiment_config_takes_eps_of_zero_below_a_half_or_the_one_over_n_sentinel(task):
+    for eps in (0.0, 0.25, 0.4999, -1.0):
+        assert ExperimentConfig(task=task, seed=1, eps=eps).eps == eps
+    for eps in (-0.5, -1e-12, 0.5, 1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="^eps = "):
+            ExperimentConfig(task=task, seed=1, eps=eps)
+
+
+def test_parse_config_takes_one_over_n_for_eps_only(tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("task = regression\nnoise = 1/n\n")
+    with pytest.raises(ValueError, match=r"bad.cfg:2: noise = 1/n: only eps takes 1/n"):
+        parse_config_file(cfg)
 
 
 # ------------------------------------------------------------------- run / cli
@@ -440,6 +456,79 @@ def test_cli_one_job_forks_no_worker_process(tmp_path, monkeypatch):
     assert built == []
     assert main(["sweep", "--out", str(tmp_path / "two"), *common, "instances=2"]) == 0
     assert built == [(2,)]
+
+
+def test_cli_sweep_chunks_of_every_task_are_byte_identical_at_one_two_and_three_workers(
+        tmp_path):
+    # 40 jobs: chunks of 3 jobs on 2 workers and of 2 jobs on 3 workers
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("task = classification, regression, density, logistic, vaw\nn = 12\n"
+                   "mc_samples = 1000\ninstances = 8\nseed = 6\n")
+    outs = {threads: tmp_path / threads for threads in ("1", "2", "3")}
+    for threads, out in outs.items():
+        assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                     "--threads", threads]) == 0
+        assert multiprocessing.active_children() == []
+    serial, *forked = ((out / "results.csv").read_bytes() for out in outs.values())
+    assert forked == [serial, serial] and len(serial.splitlines()) == 1 + 40
+    serial, *forked = (_settled((out / "report.txt").read_text()) for out in outs.values())
+    assert forked == [serial, serial]
+
+
+def test_cli_sweep_submits_one_task_per_chunk_of_jobs(tmp_path, monkeypatch):
+    submitted = []
+    submit = concurrent.futures.ProcessPoolExecutor.submit
+
+    def spy(self, fn, *args, **kwargs):
+        submitted.append((fn, args))
+        return submit(self, fn, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "submit", spy)
+    out = tmp_path / "out"
+    assert main(["sweep", "--task", "vaw", "--seed", "3", "--out", str(out), "--threads", "2",
+                 "--set", "n=10", "d=2", "instances=80"]) == 0
+    # ceil(80 / (8 chunks per worker x 2 workers)) = 5 jobs a chunk: 16 tasks, not 80
+    assert len(submitted) == 16
+    assert all(fn is cli_module._jobs and len(chunk) == 5 and deep_audit is False
+               for fn, (chunk, deep_audit) in submitted)
+    assert [index for _, (chunk, _) in submitted for index, _ in chunk] == list(range(80))
+    assert len((out / "results.csv").read_text().splitlines()) == 1 + 80
+
+
+def test_cli_sweep_fails_the_whole_chunk_of_a_worker_that_dies(tmp_path, capsys, monkeypatch):
+    # 40 jobs on 2 workers go in chunks of 3; job 7 (of the chunk 6, 7, 8)
+    # exits once every job outside its chunk is done and their chunks have
+    # come back.  Job 6 finished in the dying worker, but its result never left.
+    real = cli_module.run_experiment
+    others = {f"done-{index}" for index in range(40)} - {"done-6", "done-7", "done-8"}
+
+    def dies_at_seven(config, instance_index=0, deep_audit=False):
+        if instance_index == 7:
+            deadline = time.monotonic() + 30
+            while (not others <= {p.name for p in tmp_path.glob("done-*")}
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            time.sleep(1.0)  # the other chunks reach the parent first
+            os._exit(3)
+        result = real(config, instance_index=instance_index, deep_audit=deep_audit)
+        (tmp_path / f"done-{instance_index}").touch()
+        return result
+
+    monkeypatch.setattr(cli_module, "run_experiment", dies_at_seven)
+    out = tmp_path / "out"
+    assert main(["sweep", "--task", "vaw", "--seed", "3", "--out", str(out), "--threads", "2",
+                 "--set", "n=10", "d=2", "instances=40"]) == 1
+    rows = (out / "results.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == [
+        f"vaw-{index:04d}" for index in range(40) if index not in (6, 7, 8)
+    ]
+    report = (out / "report.txt").read_text()
+    errors = report.split("[errors]\n", 1)[1].split("\n\n", 1)[0].splitlines()
+    assert [line.split(" = ")[0] for line in errors] == ["vaw-0006", "vaw-0007", "vaw-0008"]
+    assert all(" = BrokenProcessPool: " in line for line in errors)
+    err = capsys.readouterr().err
+    assert all(f"error vaw-000{index}: BrokenProcessPool: " in err for index in (6, 7, 8))
+    assert multiprocessing.active_children() == []
 
 
 def test_cli_sweep_keeps_finished_rows_when_a_worker_dies(tmp_path, capsys, monkeypatch):
@@ -741,6 +830,50 @@ def test_cli_unknown_set_key_is_a_config_error(tmp_path, capsys, command):
                  "--set", "foo=1"]) == 2
     assert "--set: unknown config key 'foo'" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "task,setting,message",
+    [
+        ("vaw", "svd_tol=1/n", "--set: svd_tol = 1/n: only eps takes 1/n"),
+        ("density", "eps=-0.5", "eps = -0.5: "),
+        ("classification", "noise=1/n", "--set: noise = 1/n: only eps takes 1/n"),
+        ("regression", "M=1/n", "--set: M = 1/n: only eps takes 1/n"),
+    ],
+)
+def test_cli_bad_config_value_stops_before_any_job(tmp_path, capsys, monkeypatch, task,
+                                                   setting, message):
+    jobs = []
+    monkeypatch.setattr(cli_module, "_run_jobs", lambda *args: jobs.append(args))
+    out = tmp_path / "out"
+    for command in ("run", "audit", "gen", "sweep"):
+        assert main([command, "--task", task, "--seed", "1", "--out", str(out),
+                     "--set", "n=20", setting]) == 2
+        assert message in capsys.readouterr().err
+    assert jobs == [] and not out.exists()
+
+
+def test_cli_sweep_checks_every_combo_before_any_job(tmp_path, capsys, monkeypatch):
+    jobs = []
+    monkeypatch.setattr(cli_module, "_run_jobs", lambda *args: jobs.append(args))
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("task = density\nn = 20\neps = 0.05, 0.5\nseed = 1\n")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "eps = 0.5: " in capsys.readouterr().err
+    assert jobs == [] and not out.exists()
+
+
+def test_cli_eps_one_over_n_smooths_by_one_over_n(tmp_path):
+    out = tmp_path / "out"
+    assert main(["run", "--task", "density", "--seed", "1", "--out", str(out),
+                 "--set", "n=20", "class_size=4", "space_size=8", "eps=1/n"]) == 0
+    report = (out / "report.txt").read_text()
+    assert "\neps = -1.0\n" in report.split("\n\n", 1)[0]  # the config echo
+    instance = report.split("[run density-0000 / instance]\n", 1)[1].split("[run ", 1)[0]
+    assert "\neps = 0.05\n" in instance
+    smoothed = report.split("/ certificate smoothed-density-oracle-bound]\n", 1)[1]
+    assert "\nepsilon = 0.05\n" in smoothed.split("[run ", 1)[0]
 
 
 def test_report_gives_the_reason_of_a_failed_certificate_only(tmp_path):
