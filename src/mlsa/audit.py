@@ -21,16 +21,16 @@ import numpy as np
 from .core import (
     NUMERIC_TOL,
     AggregationRule,
+    Evaluation,
     LabeledSample,
     LossModel,
     MlsaOutput,
     PredictionTable,
     ToleranceGrid,
-    _column_totals,
+    _evaluated,
     _for_each_block,
-    _group_starts,
-    _group_sums,
-    _stable_argsort,
+    _full_order,
+    evaluate,
     loss_matrix,
     run_mlsa,
 )
@@ -182,9 +182,9 @@ def _sandwich_violations(lm, totals, levels, delta, ref_full, refs=None,
     The full-sample set at t holds the columns with ``totals <= ref_full + t``,
     row i's leave-one-out set those with ``excl <= ref + t``, where ``excl =
     totals - lm[i]`` and ``ref`` is ``refs[i]`` or the smallest ``excl``.
-    Only the full-sample totals are sorted, once (``full_order`` is that sort,
-    ``_stable_argsort(totals)``, when the caller has it), and every row is
-    read in that order.  Lower: every column in the full-sample set at t -
+    Only the full-sample totals are sorted, once (``core._full_order``, or
+    ``full_order`` when the caller has it), and every row is read in that
+    order.  Lower: every column in the full-sample set at t -
     delta, a prefix of the order, has ``excl - ref <= t``, checked only where
     t - delta >= 0; its largest ``excl - ref`` is the prefix maximum of
     ``excl`` less ``ref``, exact because subtracting a constant is monotone
@@ -198,7 +198,8 @@ def _sandwich_violations(lm, totals, levels, delta, ref_full, refs=None,
 
     Two readers give the per-segment extremes.  A bool ``lm``, whose totals
     are integers (int32 from ``core._column_totals``), is read hypothesis-major
-    by ``core._group_sums``: the segments are the groups of tied totals, and
+    by ``core._group_sums``, whose loss counts ``full_order`` holds: the
+    segments are the groups of tied totals, and
     with strictly increasing totals ``T_g`` group g's largest ``excl`` at a
     row is ``T_g - (ones == size_g)`` and its smallest ``T_g - (ones > 0)``,
     from the row's count ``ones`` of loss-1 columns in the group; all exact
@@ -207,7 +208,9 @@ def _sandwich_violations(lm, totals, levels, delta, ref_full, refs=None,
     ``_SANDWICH_BLOCK_ENTRIES`` entries on ``core._for_each_block``, which
     shares out rows as wide as a logistic pool row.
     """
-    order_full, ranked_full = _stable_argsort(totals) if full_order is None else full_order
+    if full_order is None:
+        full_order = _full_order(lm, totals)
+    order_full, ranked_full, starts, counts = full_order
     m = ranked_full.size
     # the full-sample set at t - delta is the prefix [0, below)
     below = np.searchsorted(ranked_full, ref_full + (levels - delta), side="right")
@@ -216,8 +219,7 @@ def _sandwich_violations(lm, totals, levels, delta, ref_full, refs=None,
     above = np.searchsorted(ranked_full - ref_full, levels + delta + NUMERIC_TOL, side="right")
     # per row, each segment's largest and smallest excl
     if lm.dtype == bool:
-        cuts = _group_starts(ranked_full)
-        ones = _group_sums(order_full, cuts, np.ascontiguousarray(lm.T))[0].T
+        cuts, ones = starts, counts[0].T
         group_totals = ranked_full[cuts]
         prefix_max = group_totals - (ones == np.diff(cuts, append=m))
         suffix_min = group_totals - (ones > 0)
@@ -259,6 +261,7 @@ def grid_growth_audit(
     loss: LossModel,
     grid: ToleranceGrid,
     c_g: float = 2.0,
+    evaluation: Optional[Evaluation] = None,
 ) -> GrowthAudit:
     """Audit every grid level for bounded growth and the leave-one-out sandwich.
 
@@ -267,22 +270,26 @@ def grid_growth_audit(
     leave-one-out set at t is nested between those two full-sample sets.  For
     t - gap < 0 the lower set is taken at 0 for the ratio and the lower
     inclusion is skipped (it is only meaningful at nonnegative tolerance; grids
-    start at the gap, so this affects off-grid probing only).
+    start at the gap, so this affects off-grid probing only).  The sizes and
+    the sandwich check read one sort of the full-sample totals; given
+    ``evaluation`` (``core.evaluate``), the audit reads its loss matrix, sort
+    and group counts instead of building them.
     """
     if not c_g >= 1:
         raise ValueError(f"growth constant must be at least 1, got {c_g!r}")
-    lm = loss_matrix(table, sample, loss)
-    totals = _column_totals(lm)
+    lm, totals, full_order = _evaluated(table, sample, loss, evaluation)
+    if full_order is None:
+        full_order = _full_order(lm, totals)
     t_min = totals.min()
     levels = grid.levels
     delta = grid.gap
 
-    order, ranked = _stable_argsort(totals)
+    ranked = full_order.ranked
     size_minus = np.searchsorted(ranked, t_min + np.maximum(levels - delta, 0.0), side="right")
     size_plus = np.searchsorted(ranked, t_min + levels + delta, side="right")
 
     sandwich_ok = _sandwich_violations(lm, totals, levels, delta, t_min,
-                                       full_order=(order, ranked)) == 0
+                                       full_order=full_order) == 0
 
     ratio = size_plus / size_minus
     good = sandwich_ok & (ratio <= c_g + NUMERIC_TOL)
@@ -310,12 +317,14 @@ def verify_single_level(
     rhs is (c_g / n) * (best empirical loss + t + delta).  The bound applies
     only at a level that passes the growth audit; at any other level the
     certificate fails with the level, its growth ratio and whether its
-    sandwich holds as its reason.
+    sandwich holds as its reason.  The audit and the run share one
+    evaluation of the class (``core.evaluate``).
     """
     grid = ToleranceGrid(levels=np.array([t], dtype=float), gap=delta)
-    record = grid_growth_audit(table, sample, loss, grid, c_g=c_g).levels[0]
+    evaluation = evaluate(table, sample, loss)
+    record = grid_growth_audit(table, sample, loss, grid, c_g, evaluation).levels[0]
     run_grid = ToleranceGrid(levels=grid.levels, gap=loss.delta_bound)
-    output = run_mlsa(table, sample, loss, run_grid, agg)
+    output = run_mlsa(table, sample, loss, run_grid, agg, evaluation=evaluation)
     n = table.n_samples
     rhs = c_g / n * (output.erm_loss + t + delta)
     return BoundCertificate(

@@ -31,11 +31,13 @@ the chunks whose results had not come back, and every job of those chunks
 becomes an error.  Exit codes: 0 when every certificate passes, 1 when one fails
 or a job raised, 2 on a configuration error (an unknown key, a value list
 outside ``sweep``, a missing task or seed, ``1/n`` on a key other than
-``eps``, an ``eps`` neither 1/n nor in ``[0, 0.5)``).
+``eps``, an ``eps`` neither 1/n nor in ``[0, 0.5)``, or another value outside
+its key's range, such as a ``noise`` outside ``[0, 1]`` or ``threads = 0``).
 """
 
 import argparse
 import concurrent.futures
+import ctypes
 import hashlib
 import math
 import sys
@@ -53,7 +55,7 @@ from . import generators as gen_mod
 from . import linear as lin_mod
 from . import logistic as log_mod
 from . import regression as reg_mod
-from .core import ToleranceGrid, run_mlsa
+from .core import ToleranceGrid, evaluate, run_mlsa
 
 __all__ = ["ExperimentConfig", "run_experiment", "derive_seed", "main"]
 
@@ -99,6 +101,20 @@ class ExperimentConfig:
         if not (self.eps == -1.0 or 0.0 <= self.eps < 0.5):
             raise ValueError(f"eps = {self.eps!r}: the density smoothing takes 0 (none), "
                              "a weight below 0.5, or 1/n")
+        # the ranges the generators and certifiers need, checked before any job
+        ranges = [
+            ("noise", 0.0 <= self.noise <= 1.0, "a rate in [0, 1]"),
+            ("M", 0.0 < self.M < math.inf, "a positive, finite loss bound"),
+            ("svd_tol", self.svd_tol >= 0.0, "0 (the default) or a positive tolerance"),
+            *((key, getattr(self, key) >= 1, "a positive count")
+              for key in ("n", "class_size", "space_size", "threads")),
+            ("min_accepted", self.min_accepted >= 100, "at least 100 draws"),
+            ("mc_samples", self.mc_samples >= self.min_accepted,
+             f"at least min_accepted = {self.min_accepted} draws"),
+        ]
+        for key, holds, takes in ranges:
+            if not holds:
+                raise ValueError(f"{key} = {getattr(self, key)!r}: {key} takes {takes}")
 
     @property
     def descriptor(self) -> str:
@@ -186,14 +202,17 @@ def _fields(config, d, loo, erm, headline, certs, rho, sections) -> dict:
                 slack=headline.slack, rho_hat=rho, certificates=certs, sections=sections)
 
 
-def _finite_class(output, table, sample, loss, rule, seed: int, deep_audit: bool):
-    """Growth audit and grid-majority certificate of a finite class.
+def _finite_class(table, sample, loss, grid, rule, seed: int, deep_audit: bool):
+    """Run, growth audit and grid-majority certificate of a finite class, both
+    steps on one evaluation of the class (``core.evaluate``).
 
-    Returns the certificate, the deep checks' certificates (with
-    ``deep_audit``, the aggregation rule's stability; else none), the good
-    fraction of the growth audit and the ``growth-audit`` report section.
+    Returns the run's output, the certificate, the deep checks' certificates
+    (with ``deep_audit``, the aggregation rule's stability; else none), the
+    good fraction of the growth audit and the ``growth-audit`` report section.
     """
-    growth = audit_mod.grid_growth_audit(table, sample, loss, output.grid)
+    evaluation = evaluate(table, sample, loss)
+    output = run_mlsa(table, sample, loss, grid, rule, evaluation)
+    growth = audit_mod.grid_growth_audit(table, sample, loss, output.grid, evaluation=evaluation)
     cert = audit_mod.verify_grid_majority_bound(output, growth, output.erm_loss)
     checks = [audit_mod.check_aggregation_stability(
         rule, loss, table, sample, seed=derive_seed(seed, "agg-check")
@@ -204,16 +223,15 @@ def _finite_class(output, table, sample, loss, rule, seed: int, deep_audit: bool
         "c_g": growth.c_g,
         "levels": len(growth.levels),
     }
-    return cert, checks, growth.good_fraction, section
+    return output, cert, checks, growth.good_fraction, section
 
 
 def _certify_classification(config: ExperimentConfig, inst, seed: int, deep_audit: bool) -> dict:
     d = cls_mod.descriptor_vc_dimension(config.descriptor, config.k_intervals)
     loss = cls_mod.zero_one_loss()
     grid = _grid(config, cls_mod.classification_grid(d, config.n))
-    output = run_mlsa(inst.table, inst.sample, loss, grid, cls_mod.MAJORITY_VOTE)
-    cert, checks, rho, growth = _finite_class(
-        output, inst.table, inst.sample, loss, cls_mod.MAJORITY_VOTE, seed, deep_audit
+    output, cert, checks, rho, growth = _finite_class(
+        inst.table, inst.sample, loss, grid, cls_mod.MAJORITY_VOTE, seed, deep_audit
     )
     certs = [cert]
     if config.grid_levels <= 0:
@@ -232,9 +250,8 @@ def _certify_classification(config: ExperimentConfig, inst, seed: int, deep_audi
 def _certify_regression(config: ExperimentConfig, inst, seed: int, deep_audit: bool) -> dict:
     loss = reg_mod.scale_loss(config.loss, config.M)
     grid = _grid(config, reg_mod.regression_grid(config.M, config.class_size))
-    output = run_mlsa(inst.table, inst.sample, loss, grid, reg_mod.MEAN_AGGREGATE)
-    cert, checks, rho, growth = _finite_class(
-        output, inst.table, inst.sample, loss, reg_mod.MEAN_AGGREGATE, seed, deep_audit
+    output, cert, checks, rho, growth = _finite_class(
+        inst.table, inst.sample, loss, grid, reg_mod.MEAN_AGGREGATE, seed, deep_audit
     )
     certs = [cert]
     if config.grid_levels <= 0:
@@ -253,27 +270,29 @@ def _certify_density(config: ExperimentConfig, inst, seed: int, deep_audit: bool
         "space_size": config.space_size,
         "log_ratio_bound": inst.dclass.log_ratio_bound,
     }
-    if eps > 0:
-        working = den_mod.smooth_class(inst.dclass, eps)
+    working = den_mod.smooth_class(inst.dclass, eps) if eps > 0 else inst.dclass
+    sections = {"instance": instance}
+    rho, finite = None, []
+    if working.n_densities >= 2:
+        # mlsa_for_density's run, on the evaluation that the audit reads too
+        table, loss, sample = den_mod.log_loss_table(working, inst.observations)
+        grid = den_mod.density_grid(working.log_ratio_bound, working.n_densities)
+        output, cert, checks, rho, sections["growth-audit"] = _finite_class(
+            table, sample, loss, grid, reg_mod.MEAN_AGGREGATE, seed, deep_audit
+        )
+        finite = [cert, *checks]
+    else:
         output = den_mod.mlsa_for_density(working, inst.observations)
+    if eps > 0:
         certs = [
             den_mod.smoothing_inflation(inst.dclass, working, inst.observations, eps),
             den_mod.verify_smoothed_density(output, inst.dclass, inst.observations, eps),
         ]
         instance.update(eps=eps, smoothed_log_ratio_bound=working.log_ratio_bound)
     else:
-        working = inst.dclass
-        output = den_mod.mlsa_for_density(working, inst.observations)
         certs = [den_mod.verify_density_bound(output, working, inst.observations)]
     headline = certs[-1]
-    sections = {"instance": instance}
-    rho = None
-    if working.n_densities >= 2:
-        table, loss, sample = den_mod.log_loss_table(working, inst.observations)
-        cert, checks, rho, sections["growth-audit"] = _finite_class(
-            output, table, sample, loss, reg_mod.MEAN_AGGREGATE, seed, deep_audit
-        )
-        certs += [cert, *checks]
+    certs += finite
     erm = den_mod._erm_loss(working, np.asarray(inst.observations))
     return _fields(config, 0, output.loo_error, erm, headline, certs, rho, sections)
 
@@ -460,7 +479,7 @@ def _build_config(args, overrides: dict, sweep: bool = False) -> tuple[Experimen
         params["task"] = args.task
     if args.seed is not None:
         params["seed"] = args.seed
-    if getattr(args, "threads", None):
+    if getattr(args, "threads", None) is not None:
         params["threads"] = args.threads
     if args.out:
         params["out"] = args.out
@@ -523,6 +542,38 @@ def _jobs(chunk: list, deep_audit: bool) -> list:
     return [_job(job, deep_audit) for job in chunk]
 
 
+#: glibc's ``mallopt`` parameters (``<malloc.h>``) and the values a sweep
+#: worker pins them at (``_keep_heap``): the mmap threshold at glibc's 64-bit
+#: maximum, 32 MiB, and the trim threshold at 64 MiB
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_WORKER_MMAP_THRESHOLD = 32 << 20
+_WORKER_TRIM_THRESHOLD = 64 << 20
+
+
+def _keep_heap() -> None:
+    """Initializer of a sweep worker: keep freed memory in the heap.
+
+    By default glibc serves a block of a few MB (a loss matrix, a sort's
+    keys) with its own ``mmap`` and, once the block is freed, either unmaps
+    it or trims the top of the heap, so the next job faults the same pages in
+    again.  Fixing the mmap threshold at 32 MiB puts such blocks on the heap,
+    and fixing the trim threshold at 64 MiB keeps freed heap for the next
+    job.  Both are needed: with the mmap threshold alone glibc still trims,
+    and fixing the trim threshold alone also freezes the dynamic mmap
+    threshold at whatever the parent had reached before the fork.  Where the
+    C library has no ``mallopt`` (not glibc), it does nothing.  README
+    "Threads" gives the measured faults.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _WORKER_MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _WORKER_TRIM_THRESHOLD)
+
+
 def _run_jobs(jobs: list, deep_audit: bool, threads: int) -> list:
     """Every job's outcome, in job order, on ``min(threads, jobs)`` forked
     worker processes; serial with one worker or where fork is missing.
@@ -536,7 +587,10 @@ def _run_jobs(jobs: list, deep_audit: bool, threads: int) -> list:
     entry.  Fork, not spawn: a spawned worker imports numpy and ``mlsa``
     again, about 0.25 s, as long as a whole 80-job sweep.  No thread of the
     parent needs to exist in the child: ``core._for_each_block`` joins its
-    threads before it returns.
+    threads before it returns.  Each worker starts with ``_keep_heap``, so
+    the memory one job frees serves the next without faulting in again.  A
+    serial run keeps the calling process's allocator settings as they are:
+    ``main`` also runs inside other programs, whose heap is theirs.
     """
     workers = min(threads, len(jobs))
     if workers > 1:
@@ -546,7 +600,8 @@ def _run_jobs(jobs: list, deep_audit: bool, threads: int) -> list:
             size = -(-len(jobs) // (_CHUNKS_PER_WORKER * workers))
             chunks = [jobs[start:start + size] for start in range(0, len(jobs), size)]
             context = multiprocessing.get_context("fork")
-            with concurrent.futures.ProcessPoolExecutor(workers, mp_context=context) as pool:
+            with concurrent.futures.ProcessPoolExecutor(workers, mp_context=context,
+                                                        initializer=_keep_heap) as pool:
                 futures = [pool.submit(_jobs, chunk, deep_audit) for chunk in chunks]
             outcomes = []
             for chunk, future in zip(chunks, futures):

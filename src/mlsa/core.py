@@ -29,6 +29,16 @@ A bool loss matrix's column totals are int32 counts summed a byte per entry
 (``_column_totals``).  The growth audit's and the CRN report's sandwich check
 sorts only the full-sample totals (``audit._sandwich_violations``); on a bool
 loss matrix it reads its extremes off the same group loss counts.
+``_full_order`` is the one place that sorts the full-sample totals and sums
+their groups.
+
+A finite-class job runs ``run_mlsa`` and the growth audit on one instance, so
+it evaluates the class once: ``evaluate`` builds an ``Evaluation`` (the loss
+matrix, its totals, their full-sample order and, on a bool loss matrix, the
+group counts, vote counts included for the lattice) and both steps read it.
+It lives only for the job: ``MlsaOutput`` never holds the loss matrix, and a
+forked sweep worker sends back only the job's result.  A standalone call of
+either step builds what it alone needs, no more.
 
 The sorted path needs numpy's stable order, because its prefix sums add the
 tied columns in index order.  ``np.argsort(kind="stable")`` is a merge sort
@@ -54,7 +64,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -64,9 +74,11 @@ __all__ = [
     "LabeledSample",
     "ToleranceGrid",
     "MlsaOutput",
+    "Evaluation",
     "AggregationRule",
     "LossBoundError",
     "empirical_loss",
+    "evaluate",
     "level_set",
     "lower_median",
     "run_mlsa",
@@ -543,7 +555,33 @@ def _group_sums(order, starts, loss, votes=None):
     return sums
 
 
-def _lattice_level_sums(lm, totals, values, levels):
+class _FullOrder(NamedTuple):
+    """The full-sample order of a loss matrix's totals (``_full_order``)."""
+
+    order: np.ndarray
+    ranked: np.ndarray
+    starts: Optional[np.ndarray]
+    counts: Optional[np.ndarray]
+
+
+def _full_order(lm, totals, votes=None) -> _FullOrder:
+    """``_stable_argsort(totals)`` and, for a bool ``lm``, where each group of
+    tied totals starts in that order and the group's ``_group_sums`` counts
+    at every row: its loss-1 labelings and, given ``votes`` (the bool
+    table's ``values.T``), also its vote-1 ones and those with both.  The one
+    place that sorts the full-sample totals: the 0/1 lattice and the
+    sandwich check read it, or a shared ``Evaluation`` holds it for both.
+    ``lm.T`` is copied once when it is not C-contiguous, as for a bool loss
+    of a float table."""
+    order, ranked = _stable_argsort(totals)
+    if lm.dtype != bool:
+        return _FullOrder(order, ranked, None, None)
+    starts = _group_starts(ranked)
+    counts = _group_sums(order, starts, np.ascontiguousarray(lm.T), votes)
+    return _FullOrder(order, ranked, starts, counts)
+
+
+def _lattice_level_sums(lm, totals, values, levels, full_order=None):
     """``_loo_level_sums`` for a bool loss matrix ``lm`` and a bool table
     ``values``, read off integer group sums with no sort of any row.
 
@@ -555,13 +593,13 @@ def _lattice_level_sums(lm, totals, values, levels):
     and vote sum are sums of integer group sums, so they equal the sorted
     sweep's prefix sums exactly.  The loss, vote and vote-and-loss counts of
     every group at every row come from ``_group_sums`` over whole labelings,
-    ``lm.T`` and ``values.T`` (``lm.T`` is copied once when it is not
-    C-contiguous, as for a bool loss of a float table); the level sets are
-    then read in row blocks of at most ``_LATTICE_LEVEL_ENTRIES`` levels x
-    rows.
+    ``lm.T`` and ``values.T``, by ``_full_order`` unless ``full_order``
+    already holds them; the level sets are then read in row blocks of at
+    most ``_LATTICE_LEVEL_ENTRIES`` levels x rows.
     """
-    order, ranked = _stable_argsort(totals)
-    starts = _group_starts(ranked)
+    if full_order is None:
+        full_order = _full_order(lm, totals, values.T)
+    _, ranked, starts, (ones, vote_counts, both) = full_order
     group_totals = ranked[starts]
     # the number of columns in the groups before each group, then in all
     before = np.r_[starts, ranked.size]
@@ -570,7 +608,6 @@ def _lattice_level_sums(lm, totals, values, levels):
 
     # (groups + 1) x rows: each group's loss count and vote-and-loss count,
     # zero past the last group, and the vote count of the groups before it
-    ones, vote_counts, both = _group_sums(order, starts, np.ascontiguousarray(lm.T), values.T)
     zero = np.zeros((1, n), dtype=np.int32)
     ones, both = np.concatenate((ones, zero)), np.concatenate((both, zero))
     votes_before = np.cumsum(np.concatenate((zero, vote_counts)), axis=0)
@@ -651,12 +688,56 @@ def lower_median(values: Sequence[float]) -> float:
     return float(_lower_medians(arr))
 
 
+@dataclass(frozen=True)
+class Evaluation:
+    """One evaluation of a class on a sample, which ``run_mlsa`` and
+    ``audit.grid_growth_audit`` both read when given it: the loss matrix, its
+    column totals and their full-sample order, with the groups of tied
+    totals and their counts on a bool loss matrix (``_full_order``; the vote
+    counts of the 0/1 lattice too when the table is bool).  Build it with
+    ``evaluate``, pass it with the table, sample and loss it was built from,
+    and drop it after both steps: it holds the loss matrix, which
+    ``MlsaOutput`` does not.
+    """
+
+    table: PredictionTable
+    sample: LabeledSample
+    loss: LossModel
+    lm: np.ndarray
+    totals: np.ndarray
+    full_order: _FullOrder
+
+
+def evaluate(table: PredictionTable, sample: LabeledSample, loss: LossModel) -> Evaluation:
+    """The loss matrix of ``table`` on ``sample`` (``loss_matrix``), its
+    totals and their full-sample order, once for a run and its growth audit.
+    """
+    lm = loss_matrix(table, sample, loss)
+    totals = _column_totals(lm)
+    votes = table.values.T if table.values.dtype == bool else None
+    return Evaluation(table, sample, loss, lm, totals, _full_order(lm, totals, votes))
+
+
+def _evaluated(table, sample, loss, evaluation: Optional[Evaluation]):
+    """The loss matrix, its totals and their full-sample order (None when
+    not built) of the instance: ``evaluation``'s, which must be of these
+    very inputs, or a new loss matrix and its totals."""
+    if evaluation is None:
+        lm = loss_matrix(table, sample, loss)
+        return lm, _column_totals(lm), None
+    if not (evaluation.table is table and evaluation.sample is sample
+            and evaluation.loss is loss):
+        raise ValueError("the evaluation was built from another table, sample or loss")
+    return evaluation.lm, evaluation.totals, evaluation.full_order
+
+
 def run_mlsa(
     table: PredictionTable,
     sample: LabeledSample,
     loss: LossModel,
     grid: ToleranceGrid,
     agg: AggregationRule,
+    evaluation: Optional[Evaluation] = None,
 ) -> MlsaOutput:
     """Median of level-set aggregation.
 
@@ -666,7 +747,9 @@ def run_mlsa(
     loss model's declared bound, which is what guarantees the level-set
     sandwich the method relies on.  The level sets' sizes and prediction sums
     come from the 0/1 lattice when the loss matrix and the table are bool,
-    else from the sorted sweep; both give the same bits.
+    else from the sorted sweep; both give the same bits.  Given
+    ``evaluation`` (``evaluate``), the run reads its loss matrix and, on the
+    lattice, its group counts instead of building them.
     """
     if len(sample) != table.n_samples:
         raise ValueError("sample/table size mismatch")
@@ -674,11 +757,12 @@ def run_mlsa(
         raise ValueError(
             f"grid gap {grid.gap} must equal the loss bound {loss.delta_bound}"
         )
-    lm = loss_matrix(table, sample, loss)
-    totals = _column_totals(lm)
-    zero_one = lm.dtype == bool and table.values.dtype == bool
-    sweep = _lattice_level_sums if zero_one else _loo_level_sums
-    per_level = agg.combine(*sweep(lm, totals, table.values, grid.levels))
+    lm, totals, full_order = _evaluated(table, sample, loss, evaluation)
+    if lm.dtype == bool and table.values.dtype == bool:
+        sums = _lattice_level_sums(lm, totals, table.values, grid.levels, full_order)
+    else:
+        sums = _loo_level_sums(lm, totals, table.values, grid.levels)
+    per_level = agg.combine(*sums)
     medians = _lower_medians(per_level)
     err = float(np.mean(loss.evaluate(medians, sample.responses)))
     return MlsaOutput(per_level=per_level, medians=medians, loo_error=err,

@@ -151,15 +151,15 @@ def test_single_level_singleton_class():
     assert cert.passed
 
 
-def test_single_level_builds_two_loss_matrices(loss_matrix_calls):
-    # one for the growth audit, one for the run; the ERM total is the run's
+def test_single_level_builds_one_loss_matrix(loss_matrix_calls):
+    # the growth audit and the run share one evaluation; the ERM total is the run's
     inst = make_classification_instance("thresholds-1d", 15, 0.2, np.random.default_rng(6))
     loss = zero_one_loss()
     audit = grid_growth_audit(inst.table, inst.sample, loss, classification_grid(1, 15))
     t = next(rec.level for rec in audit.levels if rec.good)
     loss_matrix_calls.clear()
     cert = verify_single_level(inst.table, inst.sample, loss, MAJORITY_VOTE, t=t, delta=1.0)
-    assert len(loss_matrix_calls) == 2
+    assert len(loss_matrix_calls) == 1
     assert cert.components["erm_loss"] == min(
         empirical_loss(inst.table, inst.sample, loss, j) for j in range(inst.table.n_hypotheses)
     )

@@ -1,11 +1,13 @@
 """Generators and the command-line harness."""
 
 import concurrent.futures
+import ctypes
 import dataclasses
 import hashlib
 import math
 import multiprocessing
 import os
+import resource
 import threading
 import time
 
@@ -161,6 +163,19 @@ def test_experiment_config_takes_eps_of_zero_below_a_half_or_the_one_over_n_sent
             ExperimentConfig(task=task, seed=1, eps=eps)
 
 
+def test_experiment_config_takes_the_ends_of_each_range_and_refuses_nan():
+    edges = dict(noise=1.0, M=1e-300, svd_tol=0.0, n=1, class_size=1, space_size=1,
+                 threads=1, mc_samples=100, min_accepted=100)
+    config = ExperimentConfig(task="logistic", seed=1, **edges)
+    assert {key: getattr(config, key) for key in edges} == edges
+    assert ExperimentConfig(task="logistic", seed=1, noise=0.0).noise == 0.0
+    for key in ("noise", "M", "svd_tol"):
+        with pytest.raises(ValueError, match=f"^{key} = nan: "):
+            ExperimentConfig(task="logistic", seed=1, **{key: math.nan})
+    with pytest.raises(ValueError, match="^M = inf: "):
+        ExperimentConfig(task="regression", seed=1, M=math.inf)
+
+
 def test_parse_config_takes_one_over_n_for_eps_only(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("task = regression\nnoise = 1/n\n")
@@ -191,11 +206,11 @@ def test_run_experiment_is_deterministic_per_seed():
     ],
     ids=["classification-d1", "classification-d2", "regression", "density", "density-smoothed"],
 )
-def test_finite_class_job_builds_two_loss_matrices(loss_matrix_calls, overrides):
-    # one for the run and one for the growth audit; every certificate reads
-    # the run's ERM total
+def test_finite_class_job_builds_one_loss_matrix(loss_matrix_calls, overrides):
+    # the run and the growth audit share one evaluation; every certificate
+    # reads the run's ERM total
     run_experiment(ExperimentConfig(seed=13, n=30, **overrides))
-    assert len(loss_matrix_calls) == 2
+    assert len(loss_matrix_calls) == 1
 
 
 #: sha256 of the results.csv that `mlsa run --seed 1` writes.  Fixed seeds
@@ -473,6 +488,43 @@ def test_cli_sweep_chunks_of_every_task_are_byte_identical_at_one_two_and_three_
     assert forked == [serial, serial] and len(serial.splitlines()) == 1 + 40
     serial, *forked = (_settled((out / "report.txt").read_text()) for out in outs.values())
     assert forked == [serial, serial]
+
+
+def _has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except OSError:
+        return False
+
+
+def _heap_cycle_faults(send, cycles=5):
+    """In a forked child: pin the heap as a sweep worker does, then allocate,
+    touch and free three 4 MiB arrays per cycle; send each cycle's faults."""
+    cli_module._keep_heap()
+    faults = []
+    for _ in range(cycles):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        arrays = [np.ones(1 << 19) for _ in range(3)]
+        del arrays
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    send.send(faults)
+
+
+@pytest.mark.skipif(not _has_mallopt() or "fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the heap pin needs glibc's mallopt, and sweep workers need fork")
+def test_worker_heap_pin_stops_freed_arrays_faulting_in_again():
+    # unpinned, glibc gives the arrays back to the kernel when they are freed
+    # and each cycle faults about 1,000 pages in again; pinned, the first
+    # cycle's pages serve every later one
+    context = multiprocessing.get_context("fork")
+    receive, send = context.Pipe(duplex=False)
+    child = context.Process(target=_heap_cycle_faults, args=(send,))
+    child.start()
+    assert receive.poll(60)
+    faults = receive.recv()
+    child.join(60)
+    assert child.exitcode == 0
+    assert max(faults[1:]) < 64, faults
 
 
 def test_cli_sweep_submits_one_task_per_chunk_of_jobs(tmp_path, monkeypatch):
@@ -839,6 +891,16 @@ def test_cli_unknown_set_key_is_a_config_error(tmp_path, capsys, command):
         ("density", "eps=-0.5", "eps = -0.5: "),
         ("classification", "noise=1/n", "--set: noise = 1/n: only eps takes 1/n"),
         ("regression", "M=1/n", "--set: M = 1/n: only eps takes 1/n"),
+        # one value outside each key's range
+        ("regression", "noise=2", "noise = 2.0: noise takes a rate in [0, 1]"),
+        ("regression", "M=0", "M = 0.0: M takes a positive, finite loss bound"),
+        ("vaw", "svd_tol=-1", "svd_tol = -1.0: svd_tol takes 0 (the default) or a positive"),
+        ("vaw", "n=0", "n = 0: n takes a positive count"),
+        ("regression", "class_size=0", "class_size = 0: class_size takes a positive count"),
+        ("density", "space_size=-3", "space_size = -3: space_size takes a positive count"),
+        ("vaw", "threads=0", "threads = 0: threads takes a positive count"),
+        ("logistic", "mc_samples=99", "mc_samples = 99: mc_samples takes at least min_accepted"),
+        ("logistic", "min_accepted=50", "min_accepted = 50: min_accepted takes at least 100"),
     ],
 )
 def test_cli_bad_config_value_stops_before_any_job(tmp_path, capsys, monkeypatch, task,

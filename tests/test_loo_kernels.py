@@ -9,7 +9,9 @@ with the sweep one row at a time, byte for byte, and the sandwich kernel with
 a per-row-sort oracle, on float loss matrices and on bool ones, which it reads
 as integer totals.  Tables take quarter-valued entries, so losses and totals
 are exact dyadic rationals: ties are frequent, and every threshold form agrees
-exactly with the oracles' ``totals <= min + t``.
+exactly with the oracles' ``totals <= min + t``.  A finite-class job's run
+and audit read one shared ``core.evaluate``; the shared-evaluation tests
+compare that path with separate calls, bit for bit.
 
 The sweep's order comes from ``core._stable_argsort``, one default sort of
 unique packed (value, index) keys, on 1-D arrays and on row blocks, with
@@ -41,7 +43,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from mlsa import audit, core
+from mlsa import core
 from mlsa.audit import _sandwich_violations, grid_growth_audit
 from mlsa.core import (
     NUMERIC_TOL,
@@ -51,13 +53,19 @@ from mlsa.core import (
     _column_totals,
     _loo_level_sums,
     empirical_loss,
+    evaluate,
     level_set,
     loss_matrix,
     run_mlsa,
 )
 from mlsa.classification import MAJORITY_VOTE, classification_grid, zero_one_loss
-from mlsa.cli import main
-from mlsa.generators import make_classification_instance, make_logistic_problem
+from mlsa.cli import ExperimentConfig, main, run_experiment
+from mlsa.density import density_grid, log_loss_table, smooth_class
+from mlsa.generators import (
+    make_classification_instance,
+    make_density_instance,
+    make_logistic_problem,
+)
 from mlsa.logistic import McConfig, crn_sandwich_report, run_mlsa_logistic
 from mlsa.regression import MEAN_AGGREGATE, builtin_losses
 
@@ -230,9 +238,8 @@ def test_sandwich_kernel_sorts_once_per_call(monkeypatch):
         sorts.append(values.size)
         return stable_argsort(values)
 
-    # every binding, so that sorts made through the sweep count too
+    # core's binding, the only one: the sandwich sorts through core._full_order
     monkeypatch.setattr(core, "_stable_argsort", spy)
-    monkeypatch.setattr(audit, "_stable_argsort", spy)
     levels = np.arange(1, 41) / 4.0
     for refs in (None, (totals - lm).min(axis=1)):
         sorts.clear()
@@ -246,7 +253,9 @@ def test_sandwich_kernel_sorts_once_per_call(monkeypatch):
 
 @pytest.mark.parametrize("zero_one", [False, True], ids=["float", "bool"])
 def test_growth_audit_sorts_the_totals_once(zero_one, monkeypatch):
-    # the audit's growth ratios and its sandwich check share one sort
+    # the audit's growth ratios and its sandwich check share one sort, and a
+    # finite-class job's run and audit share it too: the sorted sweep's row
+    # blocks are 2-D, so every 1-D sort is of the full-sample totals
     if zero_one:
         inst = make_classification_instance("intervals-1d", 30, 0.2, np.random.default_rng(11))
         table, sample, loss = inst.table, inst.sample, zero_one_loss()
@@ -260,7 +269,6 @@ def test_growth_audit_sorts_the_totals_once(zero_one, monkeypatch):
         return stable_argsort(values)
 
     monkeypatch.setattr(core, "_stable_argsort", spy)
-    monkeypatch.setattr(audit, "_stable_argsort", spy)
     grid = ToleranceGrid(np.arange(1, 41) / 4.0, gap=loss.delta_bound)
     records = grid_growth_audit(table, sample, loss, grid).levels
     assert sorts == [(table.n_hypotheses,)]
@@ -271,6 +279,61 @@ def test_growth_audit_sorts_the_totals_once(zero_one, monkeypatch):
         bounds = (max(record.level - grid.gap, 0.0), record.level + grid.gap)
         sizes = [int((totals <= totals.min() + t).sum()) for t in bounds]
         assert [record.size_minus, record.size_plus] == sizes
+    sorts.clear()
+    run_experiment(ExperimentConfig(task="classification" if zero_one else "regression",
+                                    seed=13, n=30, d=2))
+    assert len([shape for shape in sorts if len(shape) == 1]) == 1
+
+
+def shared_evaluation_problem(kind):
+    """A bool intervals-1d table, a tie-heavy float table or a density
+    log-loss table, with the grid and the aggregation of its task."""
+    if kind == "intervals":
+        inst = make_classification_instance("intervals-1d", 30, 0.2, np.random.default_rng(11))
+        return (inst.table, inst.sample, zero_one_loss(), classification_grid(2, 30),
+                MAJORITY_VOTE)
+    if kind == "tie-heavy":
+        table, sample, loss = tie_heavy_problem()
+        return table, sample, loss, ToleranceGrid(np.arange(1, 41) / 4.0, gap=1.0), MEAN_AGGREGATE
+    inst = make_density_instance(16, 8, 40, np.random.default_rng(3))
+    dclass = smooth_class(inst.dclass, 1 / 40)
+    table, loss, sample = log_loss_table(dclass, inst.observations)
+    return (table, sample, loss, density_grid(dclass.log_ratio_bound, dclass.n_densities),
+            MEAN_AGGREGATE)
+
+
+@pytest.mark.parametrize("kind", ["intervals", "tie-heavy", "density"])
+def test_shared_evaluation_equals_separate_run_and_audit(kind):
+    table, sample, loss, grid, agg = shared_evaluation_problem(kind)
+    # a shrunk audit gap makes the sandwich fail somewhere
+    audit_grids = (grid, ToleranceGrid(grid.levels, gap=grid.gap / 4))
+    evaluation = evaluate(table, sample, loss)
+    shared = run_mlsa(table, sample, loss, grid, agg, evaluation)
+    shared_audits = [grid_growth_audit(table, sample, loss, g, evaluation=evaluation)
+                     for g in audit_grids]
+    alone = run_mlsa(table, sample, loss, grid, agg)
+    audits = [grid_growth_audit(table, sample, loss, g) for g in audit_grids]
+    assert shared.per_level.tobytes() == alone.per_level.tobytes()
+    assert shared.medians.tobytes() == alone.medians.tobytes()
+    assert shared.loo_error.hex() == alone.loo_error.hex()
+    assert shared.erm_loss.hex() == alone.erm_loss.hex()
+    for got, expected in zip(shared_audits, audits):
+        assert [dataclasses.astuple(r) for r in got.levels] == [
+            dataclasses.astuple(r) for r in expected.levels]
+        assert got == expected
+    assert not all(r.sandwich_ok for r in audits[1].levels)
+
+
+def test_evaluation_of_another_instance_is_refused():
+    table, sample, loss = tie_heavy_problem()
+    other = tie_heavy_problem(seed=1)[0]
+    evaluation = evaluate(table, sample, loss)
+    grid = ToleranceGrid(np.arange(1, 5) / 4.0, gap=1.0)
+    with pytest.raises(ValueError, match="another table, sample or loss"):
+        run_mlsa(other, sample, loss, grid, MEAN_AGGREGATE, evaluation)
+    with pytest.raises(ValueError, match="another table, sample or loss"):
+        grid_growth_audit(table, LabeledSample(sample.responses), loss, grid,
+                          evaluation=evaluation)
 
 
 # ------------------------------------------------------ exact stable order
@@ -389,7 +452,6 @@ def test_stable_argsort_keeps_every_sweep_and_audit_byte_identical(monkeypatch):
     # the shrunk gap makes the sandwich fail somewhere (column 4: sandwich_ok)
     assert got["violations"].any() and not got["audit at gap 0.25"][:, 4].all()
     monkeypatch.setattr(core, "_stable_argsort", numpy_stable_argsort)
-    monkeypatch.setattr(audit, "_stable_argsort", numpy_stable_argsort)
     for key, expected in results().items():
         assert got[key].dtype == expected.dtype, key
         assert got[key].tobytes() == expected.tobytes(), key
@@ -407,7 +469,6 @@ def test_stable_argsort_keeps_the_logistic_pool_byte_identical(monkeypatch):
     per_level, violations = results()
     assert violations > 0
     monkeypatch.setattr(core, "_stable_argsort", numpy_stable_argsort)
-    monkeypatch.setattr(audit, "_stable_argsort", numpy_stable_argsort)
     expected_per_level, expected_violations = results()
     assert per_level.tobytes() == expected_per_level.tobytes()
     assert violations == expected_violations
