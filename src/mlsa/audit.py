@@ -21,16 +21,15 @@ import numpy as np
 from .core import (
     NUMERIC_TOL,
     AggregationRule,
-    Evaluation,
     LabeledSample,
     LossModel,
     MlsaOutput,
     PredictionTable,
     ToleranceGrid,
-    _evaluated,
+    _column_totals,
     _for_each_block,
     _full_order,
-    evaluate,
+    _mlsa,
     loss_matrix,
     run_mlsa,
 )
@@ -42,6 +41,7 @@ __all__ = [
     "GridMismatchError",
     "check_aggregation_stability",
     "grid_growth_audit",
+    "run_and_audit",
     "verify_single_level",
     "verify_grid_majority_bound",
     "simulate_generalization",
@@ -135,15 +135,18 @@ def check_aggregation_stability(
     times the average loss over G: factor 1 for averaging under a loss convex
     in the prediction (Jensen), factor 2 for majority vote under the 0-1 loss
     (a wrong vote means at least half of G is wrong, and no smaller constant
-    works, e.g. voting {1, 1, 0} against response 0).  The certificate
-    ``aggregation-stability`` holds the violations against 0, with the
-    trials, the declared constant and the first violation found.
+    works, e.g. voting {1, 1, 0} against response 0).  Each trial evaluates
+    the loss of row i on G alone, so no loss matrix is built.  A trial whose
+    two sides do not compare (a NaN loss) counts as a violation.  The
+    certificate ``aggregation-stability`` holds the violations against 0,
+    with the trials, the declared constant and the first violation found.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
+    n, m = table.values.shape
+    if len(sample) != n:
+        raise ValueError(f"sample has {len(sample)} responses but table has {n} rows")
     rng = np.random.default_rng(seed)
-    lm = loss_matrix(table, sample, loss)
-    n, m = lm.shape
     violations = 0
     first: Optional[dict] = None
     for trial in range(trials):
@@ -152,8 +155,9 @@ def check_aggregation_stability(
         i = int(rng.integers(n))
         prediction = agg(subset, table, i)
         lhs = float(loss.evaluate(prediction, sample.responses[i]))
-        rhs = agg.stability * float(lm[i, subset].mean())
-        if lhs > rhs + NUMERIC_TOL:
+        losses = loss.evaluate(table.values[i, subset], sample.responses[i])
+        rhs = agg.stability * float(losses.mean())
+        if not lhs <= rhs + NUMERIC_TOL:
             violations += 1
             if first is None:
                 first = {
@@ -261,7 +265,6 @@ def grid_growth_audit(
     loss: LossModel,
     grid: ToleranceGrid,
     c_g: float = 2.0,
-    evaluation: Optional[Evaluation] = None,
 ) -> GrowthAudit:
     """Audit every grid level for bounded growth and the leave-one-out sandwich.
 
@@ -271,15 +274,18 @@ def grid_growth_audit(
     t - gap < 0 the lower set is taken at 0 for the ratio and the lower
     inclusion is skipped (it is only meaningful at nonnegative tolerance; grids
     start at the gap, so this affects off-grid probing only).  The sizes and
-    the sandwich check read one sort of the full-sample totals; given
-    ``evaluation`` (``core.evaluate``), the audit reads its loss matrix, sort
-    and group counts instead of building them.
+    the sandwich check read one sort of the full-sample totals.
     """
+    lm = loss_matrix(table, sample, loss)
+    totals = _column_totals(lm)
+    return _growth_audit(lm, totals, _full_order(lm, totals), grid, c_g)
+
+
+def _growth_audit(lm, totals, full_order, grid, c_g) -> GrowthAudit:
+    """``grid_growth_audit`` on the instance's loss matrix ``lm``, its totals
+    and their ``core._full_order``."""
     if not c_g >= 1:
         raise ValueError(f"growth constant must be at least 1, got {c_g!r}")
-    lm, totals, full_order = _evaluated(table, sample, loss, evaluation)
-    if full_order is None:
-        full_order = _full_order(lm, totals)
     t_min = totals.min()
     levels = grid.levels
     delta = grid.gap
@@ -301,30 +307,49 @@ def grid_growth_audit(
     )
 
 
+def run_and_audit(
+    table: PredictionTable,
+    sample: LabeledSample,
+    loss: LossModel,
+    grid: ToleranceGrid,
+    agg: AggregationRule,
+    c_g: float = 2.0,
+) -> tuple[MlsaOutput, GrowthAudit]:
+    """``run_mlsa`` and ``grid_growth_audit`` of one instance on one grid,
+    with the bits of the two calls alone, from one evaluation of the class:
+    one loss matrix, its totals and one ``core._full_order``, which holds the
+    0/1 lattice's vote counts too when the table is bool.
+    """
+    lm = loss_matrix(table, sample, loss)
+    totals = _column_totals(lm)
+    votes = table.values.T if table.values.dtype == bool else None
+    full_order = _full_order(lm, totals, votes)
+    output = _mlsa(table, sample, loss, grid, agg, lm, totals, full_order)
+    return output, _growth_audit(lm, totals, full_order, grid, c_g)
+
+
 def verify_single_level(
     table: PredictionTable,
     sample: LabeledSample,
     loss: LossModel,
     agg: AggregationRule,
     t: float,
-    delta: float,
     c_g: float = 2.0,
 ) -> BoundCertificate:
     """Certify the single-level aggregate bound at a good level t.
 
-    lhs is the LOO error of ``run_mlsa`` on the one-level grid {t}: the mean
-    loss of the per-index aggregates of the leave-one-out level sets at t.
-    rhs is (c_g / n) * (best empirical loss + t + delta).  The bound applies
-    only at a level that passes the growth audit; at any other level the
-    certificate fails with the level, its growth ratio and whether its
-    sandwich holds as its reason.  The audit and the run share one
-    evaluation of the class (``core.evaluate``).
+    lhs is the LOO error of ``run_mlsa`` on the one-level grid {t}, whose gap
+    is the loss bound delta: the mean loss of the per-index aggregates of the
+    leave-one-out level sets at t.  rhs is (c_g / n) * (best empirical loss +
+    t + delta).  The bound applies only at a level that passes the growth
+    audit of that grid; at any other level the certificate fails with the
+    level, its growth ratio and whether its sandwich holds as its reason.
+    The run and the audit share one evaluation (``run_and_audit``).
     """
+    delta = loss.delta_bound
     grid = ToleranceGrid(levels=np.array([t], dtype=float), gap=delta)
-    evaluation = evaluate(table, sample, loss)
-    record = grid_growth_audit(table, sample, loss, grid, c_g, evaluation).levels[0]
-    run_grid = ToleranceGrid(levels=grid.levels, gap=loss.delta_bound)
-    output = run_mlsa(table, sample, loss, run_grid, agg, evaluation=evaluation)
+    output, growth = run_and_audit(table, sample, loss, grid, agg, c_g)
+    record = growth.levels[0]
     n = table.n_samples
     rhs = c_g / n * (output.erm_loss + t + delta)
     return BoundCertificate(
@@ -339,29 +364,30 @@ def verify_single_level(
     )
 
 
-def verify_grid_majority_bound(
-    output: MlsaOutput,
-    audit: GrowthAudit,
-    erm: float,
-    grid: Optional[ToleranceGrid] = None,
-    nominal_rho: float = 0.75,
-) -> BoundCertificate:
-    """Certify the grid-majority LOO bound for a finished run.
+#: the good fraction that the tasks' growth guarantees promise; the grid-
+#: majority certificate records the bound it gives beside the measured one
+NOMINAL_RHO = 0.75
 
-    The headline rhs uses the measured good fraction; the nominal fraction from
-    the task's growth guarantee (and the bound it yields) is recorded alongside
-    so both can be reported.  The bound needs more than half of the levels
-    good: at a measured fraction of 1/2 or less, rhs is nan and the
-    certificate fails with the fraction as its reason.
+
+def verify_grid_majority_bound(
+    output: MlsaOutput, audit: GrowthAudit, erm: float
+) -> BoundCertificate:
+    """Certify the grid-majority LOO bound for a finished run on its grid.
+
+    The headline rhs uses the measured good fraction; the nominal fraction
+    ``NOMINAL_RHO`` from the task's growth guarantee (and the bound it
+    yields) is recorded alongside so both can be reported.  The bound needs
+    more than half of the levels good: at a measured fraction of 1/2 or less,
+    rhs is nan and the certificate fails with the fraction as its reason.
     """
-    grid = grid if grid is not None else output.grid
+    grid = output.grid
     rho_hat = audit.good_fraction
     majority = rho_hat > 0.5
     n = output.medians.size
     base = erm + grid.t_max + audit.delta
     multiplier = 2 * audit.c_g / ((2 * rho_hat - 1) * n) if majority else math.nan
     rhs = multiplier * base
-    rhs_nominal = 2 * audit.c_g / ((2 * nominal_rho - 1) * n) * base
+    rhs_nominal = 2 * audit.c_g / ((2 * NOMINAL_RHO - 1) * n) * base
     return BoundCertificate(
         name="grid-majority-loo-bound",
         lhs=output.loo_error,
@@ -372,7 +398,7 @@ def verify_grid_majority_bound(
             "delta": audit.delta,
             "c_g": audit.c_g,
             "rho_hat": rho_hat,
-            "rho_nominal": nominal_rho,
+            "rho_nominal": NOMINAL_RHO,
             "rhs_nominal": rhs_nominal,
             "multiplier": multiplier,
             "n": n,

@@ -55,7 +55,7 @@ from . import generators as gen_mod
 from . import linear as lin_mod
 from . import logistic as log_mod
 from . import regression as reg_mod
-from .core import ToleranceGrid, evaluate, run_mlsa
+from .core import ToleranceGrid
 
 __all__ = ["ExperimentConfig", "run_experiment", "derive_seed", "main"]
 
@@ -204,15 +204,14 @@ def _fields(config, d, loo, erm, headline, certs, rho, sections) -> dict:
 
 def _finite_class(table, sample, loss, grid, rule, seed: int, deep_audit: bool):
     """Run, growth audit and grid-majority certificate of a finite class, both
-    steps on one evaluation of the class (``core.evaluate``).
+    steps in one call on one loss matrix (``audit.run_and_audit``); the
+    stability check builds none, so a job builds one with ``deep_audit`` too.
 
     Returns the run's output, the certificate, the deep checks' certificates
     (with ``deep_audit``, the aggregation rule's stability; else none), the
     good fraction of the growth audit and the ``growth-audit`` report section.
     """
-    evaluation = evaluate(table, sample, loss)
-    output = run_mlsa(table, sample, loss, grid, rule, evaluation)
-    growth = audit_mod.grid_growth_audit(table, sample, loss, output.grid, evaluation=evaluation)
+    output, growth = audit_mod.run_and_audit(table, sample, loss, grid, rule)
     cert = audit_mod.verify_grid_majority_bound(output, growth, output.erm_loss)
     checks = [audit_mod.check_aggregation_stability(
         rule, loss, table, sample, seed=derive_seed(seed, "agg-check")

@@ -33,12 +33,11 @@ loss matrix it reads its extremes off the same group loss counts.
 their groups.
 
 A finite-class job runs ``run_mlsa`` and the growth audit on one instance, so
-it evaluates the class once: ``evaluate`` builds an ``Evaluation`` (the loss
-matrix, its totals, their full-sample order and, on a bool loss matrix, the
-group counts, vote counts included for the lattice) and both steps read it.
-It lives only for the job: ``MlsaOutput`` never holds the loss matrix, and a
-forked sweep worker sends back only the job's result.  A standalone call of
-either step builds what it alone needs, no more.
+it evaluates the class once: ``audit.run_and_audit`` builds the loss matrix,
+its totals and one ``_full_order`` (with the lattice's vote counts when the
+table is bool), then runs the bodies of both steps (``_mlsa`` here) on them.
+``MlsaOutput`` never holds the loss matrix.  A standalone call of either step
+builds what it alone needs, no more.
 
 The sorted path needs numpy's stable order, because its prefix sums add the
 tied columns in index order.  ``np.argsort(kind="stable")`` is a merge sort
@@ -74,11 +73,9 @@ __all__ = [
     "LabeledSample",
     "ToleranceGrid",
     "MlsaOutput",
-    "Evaluation",
     "AggregationRule",
     "LossBoundError",
     "empirical_loss",
-    "evaluate",
     "level_set",
     "lower_median",
     "run_mlsa",
@@ -570,7 +567,7 @@ def _full_order(lm, totals, votes=None) -> _FullOrder:
     at every row: its loss-1 labelings and, given ``votes`` (the bool
     table's ``values.T``), also its vote-1 ones and those with both.  The one
     place that sorts the full-sample totals: the 0/1 lattice and the
-    sandwich check read it, or a shared ``Evaluation`` holds it for both.
+    sandwich check read it, one for both in ``audit.run_and_audit``.
     ``lm.T`` is copied once when it is not C-contiguous, as for a bool loss
     of a float table."""
     order, ranked = _stable_argsort(totals)
@@ -688,56 +685,12 @@ def lower_median(values: Sequence[float]) -> float:
     return float(_lower_medians(arr))
 
 
-@dataclass(frozen=True)
-class Evaluation:
-    """One evaluation of a class on a sample, which ``run_mlsa`` and
-    ``audit.grid_growth_audit`` both read when given it: the loss matrix, its
-    column totals and their full-sample order, with the groups of tied
-    totals and their counts on a bool loss matrix (``_full_order``; the vote
-    counts of the 0/1 lattice too when the table is bool).  Build it with
-    ``evaluate``, pass it with the table, sample and loss it was built from,
-    and drop it after both steps: it holds the loss matrix, which
-    ``MlsaOutput`` does not.
-    """
-
-    table: PredictionTable
-    sample: LabeledSample
-    loss: LossModel
-    lm: np.ndarray
-    totals: np.ndarray
-    full_order: _FullOrder
-
-
-def evaluate(table: PredictionTable, sample: LabeledSample, loss: LossModel) -> Evaluation:
-    """The loss matrix of ``table`` on ``sample`` (``loss_matrix``), its
-    totals and their full-sample order, once for a run and its growth audit.
-    """
-    lm = loss_matrix(table, sample, loss)
-    totals = _column_totals(lm)
-    votes = table.values.T if table.values.dtype == bool else None
-    return Evaluation(table, sample, loss, lm, totals, _full_order(lm, totals, votes))
-
-
-def _evaluated(table, sample, loss, evaluation: Optional[Evaluation]):
-    """The loss matrix, its totals and their full-sample order (None when
-    not built) of the instance: ``evaluation``'s, which must be of these
-    very inputs, or a new loss matrix and its totals."""
-    if evaluation is None:
-        lm = loss_matrix(table, sample, loss)
-        return lm, _column_totals(lm), None
-    if not (evaluation.table is table and evaluation.sample is sample
-            and evaluation.loss is loss):
-        raise ValueError("the evaluation was built from another table, sample or loss")
-    return evaluation.lm, evaluation.totals, evaluation.full_order
-
-
 def run_mlsa(
     table: PredictionTable,
     sample: LabeledSample,
     loss: LossModel,
     grid: ToleranceGrid,
     agg: AggregationRule,
-    evaluation: Optional[Evaluation] = None,
 ) -> MlsaOutput:
     """Median of level-set aggregation.
 
@@ -747,25 +700,28 @@ def run_mlsa(
     loss model's declared bound, which is what guarantees the level-set
     sandwich the method relies on.  The level sets' sizes and prediction sums
     come from the 0/1 lattice when the loss matrix and the table are bool,
-    else from the sorted sweep; both give the same bits.  Given
-    ``evaluation`` (``evaluate``), the run reads its loss matrix and, on the
-    lattice, its group counts instead of building them.
+    else from the sorted sweep; both give the same bits.
     """
-    if len(sample) != table.n_samples:
-        raise ValueError("sample/table size mismatch")
+    lm = loss_matrix(table, sample, loss)
+    return _mlsa(table, sample, loss, grid, agg, lm, _column_totals(lm))
+
+
+def _mlsa(table, sample, loss, grid, agg, lm, totals, full_order=None) -> MlsaOutput:
+    """``run_mlsa`` on the instance's loss matrix ``lm`` and its totals; the
+    0/1 lattice reads ``full_order`` (``_full_order`` with vote counts) when
+    given it."""
     if not math.isclose(grid.gap, loss.delta_bound, rel_tol=1e-12, abs_tol=1e-12):
         raise ValueError(
             f"grid gap {grid.gap} must equal the loss bound {loss.delta_bound}"
         )
-    lm, totals, full_order = _evaluated(table, sample, loss, evaluation)
     if lm.dtype == bool and table.values.dtype == bool:
         sums = _lattice_level_sums(lm, totals, table.values, grid.levels, full_order)
     else:
         sums = _loo_level_sums(lm, totals, table.values, grid.levels)
     per_level = agg.combine(*sums)
     medians = _lower_medians(per_level)
-    err = float(np.mean(loss.evaluate(medians, sample.responses)))
-    return MlsaOutput(per_level=per_level, medians=medians, loo_error=err,
+    return MlsaOutput(per_level=per_level, medians=medians,
+                      loo_error=loo_error(medians, sample, loss),
                       erm_loss=float(totals.min()), grid=grid)
 
 

@@ -18,6 +18,7 @@ from mlsa.audit import (
 from mlsa.classification import MAJORITY_VOTE, classification_grid, zero_one_loss
 from mlsa.core import (
     LabeledSample,
+    LossModel,
     PredictionTable,
     ToleranceGrid,
     empirical_loss,
@@ -62,6 +63,19 @@ def test_averaging_with_zero_one_loss_is_caught():
     assert cert.reason == f"slack = {-cert.lhs!r} is below -1e-09"
     assert cert.components["first_violation"] is not None
     assert cert.components["first_violation"]["subset"] == [0, 1]
+
+
+def test_stability_check_fails_on_a_nan_loss_and_refuses_a_short_sample():
+    # the check evaluates each trial's row and subset alone, with no loss
+    # matrix to refuse a non-finite loss: a trial that meets one is a violation
+    table = PredictionTable(np.array([[0.0, 1.0], [1.0, 0.0]]), keep_duplicates=True)
+    sample = LabeledSample([0.0, 0.0])
+    loss = LossModel(lambda p, y: np.where(p > 0.75, np.nan, (p - y) ** 2), delta_bound=1.0)
+    cert = check_aggregation_stability(MEAN_AGGREGATE, loss, table, sample, trials=50)
+    assert not cert.passed and cert.lhs > 0
+    assert math.isnan(cert.components["first_violation"]["rhs"])
+    with pytest.raises(ValueError, match="sample has 1 responses but table has 2 rows"):
+        check_aggregation_stability(MEAN_AGGREGATE, loss, table, LabeledSample([0.0]))
 
 
 # ------------------------------------------------------------- growth audit
@@ -143,9 +157,7 @@ def test_growth_audit_rejects_nan_growth_constant():
 def test_single_level_singleton_class():
     table = PredictionTable(np.array([[1.0], [0.0], [1.0], [0.0]]), keep_duplicates=True)
     sample = LabeledSample([1.0, 1.0, 1.0, 0.0])
-    cert = verify_single_level(
-        table, sample, zero_one_loss(), MAJORITY_VOTE, t=3.0, delta=1.0
-    )
+    cert = verify_single_level(table, sample, zero_one_loss(), MAJORITY_VOTE, t=3.0)
     erm = cert.components["erm_loss"]
     assert cert.lhs == pytest.approx(erm / 4.0)
     assert cert.passed
@@ -158,7 +170,7 @@ def test_single_level_builds_one_loss_matrix(loss_matrix_calls):
     audit = grid_growth_audit(inst.table, inst.sample, loss, classification_grid(1, 15))
     t = next(rec.level for rec in audit.levels if rec.good)
     loss_matrix_calls.clear()
-    cert = verify_single_level(inst.table, inst.sample, loss, MAJORITY_VOTE, t=t, delta=1.0)
+    cert = verify_single_level(inst.table, inst.sample, loss, MAJORITY_VOTE, t=t)
     assert len(loss_matrix_calls) == 1
     assert cert.components["erm_loss"] == min(
         empirical_loss(inst.table, inst.sample, loss, j) for j in range(inst.table.n_hypotheses)
@@ -174,9 +186,7 @@ def test_single_level_realizable_thresholds_all_good_levels():
     for rec in audit.levels[:10]:
         if not rec.good:
             continue
-        cert = verify_single_level(
-            inst.table, inst.sample, loss, MAJORITY_VOTE, t=rec.level, delta=1.0
-        )
+        cert = verify_single_level(inst.table, inst.sample, loss, MAJORITY_VOTE, t=rec.level)
         assert cert.slack >= -1e-9
 
 
@@ -205,7 +215,7 @@ def test_single_level_hand_computed_instance():
     expected_lhs = sum(
         1.0 for i in range(4) if predictions[i] != labels[i]
     ) / 4.0
-    cert = verify_single_level(table, sample, loss, MAJORITY_VOTE, t=t, delta=1.0)
+    cert = verify_single_level(table, sample, loss, MAJORITY_VOTE, t=t)
     assert cert.lhs == pytest.approx(expected_lhs)
 
 
@@ -215,9 +225,7 @@ def test_single_level_rejects_bad_level():
     values = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
     table = PredictionTable(values, keep_duplicates=True)
     sample = LabeledSample([1.0, 1.0, 1.0])
-    cert = verify_single_level(
-        table, sample, zero_one_loss(), MAJORITY_VOTE, t=2.0, delta=1.0, c_g=1.0
-    )
+    cert = verify_single_level(table, sample, zero_one_loss(), MAJORITY_VOTE, t=2.0, c_g=1.0)
     assert not cert.passed
     assert cert.unmet == cert.reason == (
         "level t=2.0 fails the growth audit (ratio=2, sandwich_ok=True)"
@@ -238,10 +246,13 @@ def test_grid_majority_multiplier_at_nominal_parameters():
     loss = zero_one_loss()
     grid = classification_grid(1, 12)
     output = run_mlsa(inst.table, inst.sample, loss, grid, MAJORITY_VOTE)
-    cert = verify_grid_majority_bound(output, _fake_audit(0.75), erm=3.0, grid=grid)
+    cert = verify_grid_majority_bound(output, _fake_audit(0.75), erm=3.0)
     # 2 * c_g / ((2 rho - 1) n) with rho=3/4, c_g=2 is 8/n
     assert cert.components["multiplier"] == pytest.approx(8.0 / 12.0)
     assert cert.rhs == pytest.approx(8.0 / 12.0 * (3.0 + grid.t_max + 1.0))
+    # the nominal fraction is 3/4, so at a measured 3/4 both bounds agree
+    assert cert.components["rho_nominal"] == 0.75
+    assert cert.components["rhs_nominal"] == cert.rhs
 
 
 def test_grid_majority_single_hypothesis():
@@ -264,12 +275,12 @@ def test_grid_majority_failure_detected():
     grid = classification_grid(1, 10)
     output = run_mlsa(inst.table, inst.sample, zero_one_loss(), grid, MAJORITY_VOTE)
     for rho in (0.5, 0.25, 0.0):
-        cert = verify_grid_majority_bound(output, _fake_audit(rho), erm=0.0, grid=grid)
+        cert = verify_grid_majority_bound(output, _fake_audit(rho), erm=0.0)
         assert not cert.passed
         assert cert.reason == f"grid-majority failure: measured good fraction {rho:.4f} <= 1/2"
         assert math.isnan(cert.rhs) and cert.components["rho_hat"] == rho
     # just above 1/2 the bound applies again
-    assert verify_grid_majority_bound(output, _fake_audit(0.51), erm=0.0, grid=grid).reason is None
+    assert verify_grid_majority_bound(output, _fake_audit(0.51), erm=0.0).reason is None
 
 
 @pytest.mark.parametrize(

@@ -207,10 +207,13 @@ def test_run_experiment_is_deterministic_per_seed():
     ids=["classification-d1", "classification-d2", "regression", "density", "density-smoothed"],
 )
 def test_finite_class_job_builds_one_loss_matrix(loss_matrix_calls, overrides):
-    # the run and the growth audit share one evaluation; every certificate
-    # reads the run's ERM total
-    run_experiment(ExperimentConfig(seed=13, n=30, **overrides))
-    assert len(loss_matrix_calls) == 1
+    # the run and the growth audit share one evaluation, every certificate
+    # reads the run's ERM total, and the stability check of `mlsa audit`
+    # evaluates each trial's row and subset alone
+    for deep_audit in (False, True):
+        loss_matrix_calls.clear()
+        run_experiment(ExperimentConfig(seed=13, n=30, **overrides), deep_audit=deep_audit)
+        assert len(loss_matrix_calls) == 1, deep_audit
 
 
 #: sha256 of the results.csv that `mlsa run --seed 1` writes.  Fixed seeds
@@ -843,15 +846,17 @@ def test_cli_grid_majority_failure_is_a_failed_certificate(tmp_path, capsys, mon
     passing = tmp_path / "pass"
     assert main([*args, "--out", str(passing)]) == 0
     capsys.readouterr()
-    real = audit_module.grid_growth_audit
+    real = audit_module.run_and_audit
     audits = []
 
     def first_at_minority(*a, **k):
         # only the first job's audit measures a good fraction of 0.4
-        audits.append(real(*a, **k))
-        return dataclasses.replace(audits[-1], good_fraction=0.4) if len(audits) == 1 else audits[-1]
+        output, audit = real(*a, **k)
+        audits.append(audit)
+        return output, (dataclasses.replace(audit, good_fraction=0.4) if len(audits) == 1
+                        else audit)
 
-    monkeypatch.setattr(audit_module, "grid_growth_audit", first_at_minority)
+    monkeypatch.setattr(audit_module, "run_and_audit", first_at_minority)
     out = tmp_path / "fail"
     assert main([*args, "--out", str(out)]) == 1
     why = "grid-majority failure: measured good fraction 0.4000 <= 1/2"

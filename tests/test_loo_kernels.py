@@ -9,9 +9,10 @@ with the sweep one row at a time, byte for byte, and the sandwich kernel with
 a per-row-sort oracle, on float loss matrices and on bool ones, which it reads
 as integer totals.  Tables take quarter-valued entries, so losses and totals
 are exact dyadic rationals: ties are frequent, and every threshold form agrees
-exactly with the oracles' ``totals <= min + t``.  A finite-class job's run
-and audit read one shared ``core.evaluate``; the shared-evaluation tests
-compare that path with separate calls, bit for bit.
+exactly with the oracles' ``totals <= min + t``.  A finite-class job runs
+its run and audit on one evaluation of the class (``audit.run_and_audit``);
+the shared-evaluation tests compare that path with separate calls, bit for
+bit.
 
 The sweep's order comes from ``core._stable_argsort``, one default sort of
 unique packed (value, index) keys, on 1-D arrays and on row blocks, with
@@ -44,16 +45,16 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from mlsa import core
-from mlsa.audit import _sandwich_violations, grid_growth_audit
+from mlsa.audit import _growth_audit, _sandwich_violations, grid_growth_audit, run_and_audit
 from mlsa.core import (
     NUMERIC_TOL,
     LabeledSample,
     PredictionTable,
     ToleranceGrid,
     _column_totals,
+    _full_order,
     _loo_level_sums,
     empirical_loss,
-    evaluate,
     level_set,
     loss_matrix,
     run_mlsa,
@@ -254,8 +255,9 @@ def test_sandwich_kernel_sorts_once_per_call(monkeypatch):
 @pytest.mark.parametrize("zero_one", [False, True], ids=["float", "bool"])
 def test_growth_audit_sorts_the_totals_once(zero_one, monkeypatch):
     # the audit's growth ratios and its sandwich check share one sort, and a
-    # finite-class job's run and audit share it too: the sorted sweep's row
-    # blocks are 2-D, so every 1-D sort is of the full-sample totals
+    # finite-class job's run and audit share it too, under `mlsa audit` as
+    # well: the sorted sweep's row blocks are 2-D, so every 1-D sort is of
+    # the full-sample totals
     if zero_one:
         inst = make_classification_instance("intervals-1d", 30, 0.2, np.random.default_rng(11))
         table, sample, loss = inst.table, inst.sample, zero_one_loss()
@@ -279,10 +281,11 @@ def test_growth_audit_sorts_the_totals_once(zero_one, monkeypatch):
         bounds = (max(record.level - grid.gap, 0.0), record.level + grid.gap)
         sizes = [int((totals <= totals.min() + t).sum()) for t in bounds]
         assert [record.size_minus, record.size_plus] == sizes
-    sorts.clear()
-    run_experiment(ExperimentConfig(task="classification" if zero_one else "regression",
-                                    seed=13, n=30, d=2))
-    assert len([shape for shape in sorts if len(shape) == 1]) == 1
+    for deep_audit in (False, True):
+        sorts.clear()
+        run_experiment(ExperimentConfig(task="classification" if zero_one else "regression",
+                                        seed=13, n=30, d=2), deep_audit=deep_audit)
+        assert len([shape for shape in sorts if len(shape) == 1]) == 1
 
 
 def shared_evaluation_problem(kind):
@@ -305,35 +308,43 @@ def shared_evaluation_problem(kind):
 @pytest.mark.parametrize("kind", ["intervals", "tie-heavy", "density"])
 def test_shared_evaluation_equals_separate_run_and_audit(kind):
     table, sample, loss, grid, agg = shared_evaluation_problem(kind)
-    # a shrunk audit gap makes the sandwich fail somewhere
-    audit_grids = (grid, ToleranceGrid(grid.levels, gap=grid.gap / 4))
-    evaluation = evaluate(table, sample, loss)
-    shared = run_mlsa(table, sample, loss, grid, agg, evaluation)
-    shared_audits = [grid_growth_audit(table, sample, loss, g, evaluation=evaluation)
-                     for g in audit_grids]
+    shared, shared_audit = run_and_audit(table, sample, loss, grid, agg)
     alone = run_mlsa(table, sample, loss, grid, agg)
-    audits = [grid_growth_audit(table, sample, loss, g) for g in audit_grids]
+    audit = grid_growth_audit(table, sample, loss, grid)
     assert shared.per_level.tobytes() == alone.per_level.tobytes()
     assert shared.medians.tobytes() == alone.medians.tobytes()
     assert shared.loo_error.hex() == alone.loo_error.hex()
     assert shared.erm_loss.hex() == alone.erm_loss.hex()
-    for got, expected in zip(shared_audits, audits):
-        assert [dataclasses.astuple(r) for r in got.levels] == [
-            dataclasses.astuple(r) for r in expected.levels]
-        assert got == expected
-    assert not all(r.sandwich_ok for r in audits[1].levels)
+    assert [dataclasses.astuple(r) for r in shared_audit.levels] == [
+        dataclasses.astuple(r) for r in audit.levels]
+    assert shared_audit == audit
+    # one grid at the loss gap cannot fail the sandwich: on a shrunk gap,
+    # which fails it somewhere, the audit body reads the run's full order
+    # (vote counts included on a bool table) as it reads the audit's own
+    shrunk = ToleranceGrid(grid.levels, gap=grid.gap / 4)
+    lm = loss_matrix(table, sample, loss)
+    totals = _column_totals(lm)
+    votes = table.values.T if table.values.dtype == bool else None
+    audits = [_growth_audit(lm, totals, _full_order(lm, totals, v), shrunk, 2.0)
+              for v in (votes, None)]
+    assert audits[0] == audits[1] == grid_growth_audit(table, sample, loss, shrunk)
+    assert not all(r.sandwich_ok for r in audits[0].levels)
 
 
-def test_evaluation_of_another_instance_is_refused():
-    table, sample, loss = tie_heavy_problem()
-    other = tie_heavy_problem(seed=1)[0]
-    evaluation = evaluate(table, sample, loss)
-    grid = ToleranceGrid(np.arange(1, 5) / 4.0, gap=1.0)
-    with pytest.raises(ValueError, match="another table, sample or loss"):
-        run_mlsa(other, sample, loss, grid, MEAN_AGGREGATE, evaluation)
-    with pytest.raises(ValueError, match="another table, sample or loss"):
-        grid_growth_audit(table, LabeledSample(sample.responses), loss, grid,
-                          evaluation=evaluation)
+def test_bool_job_reads_one_group_sums_call(monkeypatch):
+    # the 0/1 lattice and the bool sandwich read the group counts of one
+    # _group_sums call: the loss counts and the vote counts together
+    table, sample, loss, grid, agg = shared_evaluation_problem("intervals")
+    calls = []
+    group_sums = core._group_sums
+
+    def spy(order, starts, lm_t, votes=None):
+        calls.append(votes is not None)
+        return group_sums(order, starts, lm_t, votes)
+
+    monkeypatch.setattr(core, "_group_sums", spy)
+    run_and_audit(table, sample, loss, grid, agg)
+    assert calls == [True]
 
 
 # ------------------------------------------------------ exact stable order
