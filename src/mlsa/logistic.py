@@ -15,6 +15,10 @@ narrow band around the threshold go to the bisection of
 bisecting every draw.  The screen and the fill of the member draws' loss
 tables run in fixed blocks on ``core._for_each_block``, which shares them out
 between threads when there are at least ``core._PARALLEL_ROW_ENTRIES`` draws.
+Every sum or norm over the d columns of a (draws, d) array, in the screen, the
+bisection and the draws' normalisation, goes through ``_row_sums`` and
+``_row_norms``: one vectorised pass per column instead of numpy's one reduction
+call per row, with numpy's bits.
 
 Measure and aggregate estimates use plain rejection sampling from mu_B with
 common random numbers across every (tolerance, index) cell, which makes the
@@ -98,7 +102,7 @@ class LogisticProblem:
             raise ValueError("radii r and R must be finite")
         if not (self.r > 0 and self.R > 0):
             raise ValueError("radii r and R must be positive")
-        norms = np.linalg.norm(x, axis=1)
+        norms = _row_norms(x)
         if np.any(norms > self.R + NUMERIC_TOL):
             raise ValueError(
                 f"covariate norm {norms.max():.6g} exceeds declared bound R={self.R}"
@@ -113,6 +117,32 @@ class LogisticProblem:
     @property
     def d(self) -> int:
         return self.covariates.shape[1]
+
+
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """``x.sum(axis=1)`` of a C-contiguous (rows, d) array with the same bits,
+    one pass per column, not one reduction call per row.
+
+    numpy adds a row of fewer than 8 entries left to right, starting from 0.0
+    (so a row of -0.0 sums to 0.0); from 8 entries on it sums a contiguous row
+    pairwise, and there its own call is kept, on a C-contiguous copy of x.
+    x may be the transpose of a C-contiguous (d, rows) array, whose columns
+    are then contiguous; there numpy's add loop without AVX2 can give a NaN
+    made from infinities of both signs the other sign bit, which no comparison
+    reads.
+    """
+    if not 1 <= x.shape[1] < 8:
+        return np.ascontiguousarray(x).sum(axis=1)
+    out = x[:, 0] + 0.0
+    for j in range(1, x.shape[1]):
+        out += x[:, j]
+    return out
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(x, axis=1)`` with the same bits: the square root of
+    the row sums of squares."""
+    return np.sqrt(_row_sums(x * x))
 
 
 def _sigmoid(z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -165,10 +195,13 @@ def fit_erm(
     theta = np.zeros(problem.d)
     for _ in range(max_iter):
         candidate = theta - step * _gradient(X, y, theta)
-        norm = np.linalg.norm(candidate)
+        # math.sqrt(v.dot(v)) is np.linalg.norm(v) of a 1-D float vector,
+        # without its Python overhead
+        norm = math.sqrt(candidate.dot(candidate))
         if norm > r:
             candidate = candidate * (r / norm)
-        if np.linalg.norm(theta - candidate) / step <= tol:
+        move = theta - candidate
+        if math.sqrt(move.dot(move)) / step <= tol:
             return candidate
         theta = candidate
     raise ErmConvergenceError(
@@ -234,32 +267,36 @@ def min_ball_distance_sq(
     Points inside the ball are at distance zero; otherwise the constrained
     projection is found by bisection on the Lagrange multiplier of the norm
     constraint in the eigenbasis of A: 100 halvings, or fewer once one leaves
-    every bracket as it was, as all later ones would.  This is the exact
+    every bracket as it was, as all later ones would.  The coordinates are held
+    one row per eigenvalue, so that each halving's products run along the
+    draws, not along each draw's d coordinates.  This is the exact
     arbiter of H_A membership: ``_in_HA`` settles most draws by closed-form
     bounds on this distance and sends only the draws they leave undecided here.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    norms = np.linalg.norm(thetas, axis=1)
+    norms = _row_norms(thetas)
     out = np.zeros(thetas.shape[0])
     outside = norms > r
     if not np.any(outside):
         return out
-    coords = thetas[outside] @ geometry.eigvecs  # coordinates in the eigenbasis
-    a = geometry.eigvals[None, :]
-    a_max = geometry.eigvals[-1]
-    lo = np.zeros(coords.shape[0])
-    hi = a_max * (norms[outside] / r - 1.0) * (1.0 + 1e-12) + 1e-300
+    # coordinates in the eigenbasis, (d, draws)
+    coords = np.ascontiguousarray((thetas[outside] @ geometry.eigvecs).T)
+    a = geometry.eigvals[:, None]
+    a_coords = a * coords  # every halving's numerators
+    lo = np.zeros(coords.shape[1])
+    hi = geometry.eigvals[-1] * (norms[outside] / r - 1.0) * (1.0 + 1e-12) + 1e-300
     for _ in range(100):
         mid = 0.5 * (lo + hi)
-        proj = a * coords / (a + mid[:, None])
-        too_big = (proj**2).sum(axis=1) > r * r
-        lo_next, hi_next = np.where(too_big, mid, lo), np.where(too_big, hi, mid)
-        if np.array_equal(lo_next, lo) and np.array_equal(hi_next, hi):
+        proj = a_coords / (a + mid)
+        too_big = _row_sums((proj * proj).T) > r * r
+        # the halving moves no bracket: mid equals the end it would replace
+        # (never on a NaN bracket, as NaN equals nothing)
+        if np.all(np.where(too_big, mid == lo, mid == hi)):
             break
-        lo, hi = lo_next, hi_next
+        lo, hi = np.where(too_big, mid, lo), np.where(too_big, hi, mid)
     lam = 0.5 * (lo + hi)
-    scaled = lam[:, None] * coords / (a + lam[:, None])
-    out[outside] = (a * scaled**2).sum(axis=1)
+    scaled = lam * coords / (a + lam)
+    out[outside] = _row_sums((a * (scaled * scaled)).T)
     return out
 
 
@@ -306,9 +343,9 @@ def _distance_bounds(
     lambda_min (|theta| - r)^2 <= D <= (1 - r/|theta|)^2 theta'A theta; the
     right side is the distance to the radial projection onto the sphere.
     """
-    norms = np.maximum(np.linalg.norm(thetas, axis=1), r)
+    norms = np.maximum(_row_norms(thetas), r)
     excess = norms - r
-    upper = (excess / norms) ** 2 * ((thetas @ geometry.A) * thetas).sum(axis=1)
+    upper = (excess / norms) ** 2 * _row_sums((thetas @ geometry.A) * thetas)
     return geometry.lambda_min * excess**2, upper
 
 
@@ -346,7 +383,7 @@ def _ellipsoid_draws(
     """k uniform draws from {theta : |A^{1/2} theta| <= radius}."""
     d = geometry.eigvals.size
     g = rng.standard_normal((k, d))
-    g /= np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 1e-300)
+    g /= np.maximum(_row_norms(g), 1e-300)[:, None]
     radii = rng.random(k) ** (1.0 / d)
     # in place, the products of (g * radii[:, None]) * radius with no (k, d)
     # temporary

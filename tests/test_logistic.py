@@ -56,10 +56,7 @@ def total_loss(problem, theta, exclude=None):
 
 
 def test_fit_erm_separable_reaches_boundary():
-    rng = np.random.default_rng(0)
-    x = np.column_stack([rng.choice([-0.8, 0.8], size=12), 0.1 * rng.standard_normal(12)])
-    x = np.clip(x, -1, 1)
-    problem = LogisticProblem(x, np.sign(x[:, 0]), r=3.0, R=1.2)
+    problem = separable_problem()
     theta = fit_erm(problem)
     assert np.linalg.norm(theta) == pytest.approx(3.0, abs=1e-6)
     assert total_loss(problem, theta) / 12 < 0.15
@@ -121,6 +118,46 @@ def test_fit_erm_convergence_error_reports_diagnostics():
         fit_erm(problem, tol=1e-300, max_iter=5)
 
 
+def numpy_norm_fit_erm(problem, exclude=None, tol=1e-8, max_iter=100_000):
+    """``fit_erm`` with each step's two norms taken by ``np.linalg.norm``."""
+    X, y, r = problem.covariates, problem.labels, problem.r
+    if exclude is not None:
+        keep = np.arange(problem.n) != exclude
+        X, y = X[keep], y[keep]
+    step = 4.0 / float(np.linalg.eigvalsh(problem.covariates.T @ problem.covariates)[-1])
+    theta = np.zeros(problem.d)
+    for _ in range(max_iter):
+        candidate = theta - step * logistic_module._gradient(X, y, theta)
+        norm = np.linalg.norm(candidate)
+        if norm > r:
+            candidate = candidate * (r / norm)
+        if np.linalg.norm(theta - candidate) / step <= tol:
+            return candidate
+        theta = candidate
+    raise AssertionError("the oracle did not converge")
+
+
+def separable_problem():
+    """Separable along the first axis, so the minimizer sits on the ball's boundary."""
+    rng = np.random.default_rng(0)
+    x = np.column_stack([rng.choice([-0.8, 0.8], size=12), 0.1 * rng.standard_normal(12)])
+    x = np.clip(x, -1, 1)
+    return LogisticProblem(x, np.sign(x[:, 0]), r=3.0, R=1.2)
+
+
+@pytest.mark.parametrize("exclude", [None, 0, 5])
+@pytest.mark.parametrize("case", ["random", "separable"])
+def test_fit_erm_keeps_numpy_bits(case, exclude):
+    if case == "random":
+        problem = make_logistic_problem(50, 3, 1.0, 1.0, np.random.default_rng(4))
+    else:
+        problem = separable_problem()
+    got = fit_erm(problem, exclude=exclude)
+    assert got.tobytes() == numpy_norm_fit_erm(problem, exclude=exclude).tobytes()
+    if case == "separable":
+        assert np.linalg.norm(got) == pytest.approx(problem.r, abs=1e-9)
+
+
 def test_problem_validation():
     with pytest.raises(ValueError, match="labels"):
         LogisticProblem(np.eye(2), np.array([1.0, 0.0]), r=1.0, R=1.0)
@@ -177,6 +214,34 @@ def test_erm_beats_random_feasible_probes():
 
 
 # ----------------------------------------------------------------- membership
+
+
+# Rows whose sums meet every IEEE special case: signed zeros (a row of -0.0
+# sums to 0.0), infinities of both signs and their NaN sum, NaN, subnormals,
+# and values near 1e308 whose sums and squares overflow.
+_SPECIAL_ENTRIES = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                             2.2e-308, -1e-310, 1e308, -1e308, 1.7e308, 1.0, -3.5])
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_row_reductions_keep_numpy_bits(d):
+    rng = np.random.default_rng(90 + d)
+    scaled = rng.standard_normal((4000, d)) * 10.0 ** rng.integers(-8, 8, (4000, d))
+    special = rng.choice(_SPECIAL_ENTRIES, (4000, d))
+    special[:len(_SPECIAL_ENTRIES)] = _SPECIAL_ENTRIES[:, None]  # each value across a row
+    finite = rng.choice(_SPECIAL_ENTRIES[np.isfinite(_SPECIAL_ENTRIES)], (4000, d))
+    # The bits are those of a C-contiguous table's reductions, whatever the
+    # layout.  A transposed table, whose columns are contiguous, holds finite
+    # entries only (their sums and squares still overflow): without AVX2,
+    # numpy's add loop for contiguous operands can give a NaN made from
+    # infinities of both signs the other sign bit.
+    for x in (scaled, special, np.asfortranarray(scaled), np.asfortranarray(finite),
+              scaled[:, ::-1]):
+        c = np.ascontiguousarray(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums, norms = logistic_module._row_sums(x), logistic_module._row_norms(x)
+            assert sums.tobytes() == c.sum(axis=1).tobytes()
+            assert norms.tobytes() == np.linalg.norm(c, axis=1).tobytes()
 
 
 def test_membership_inside_ball_is_free():
@@ -344,19 +409,40 @@ def hundred_halvings(geometry, r, thetas):
     return out
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
 def test_bisection_stops_early_with_the_bits_of_100_halvings(d):
     rng = np.random.default_rng(70 + d)
     eigvals = np.sort(0.5 * 10.0 ** (3.0 * rng.random(d)))
     geo = spectral_geometry(eigvals, seed=d)
     r, thr = 1.0, 1.0 + 1e-12
     # draws in the screen's band, whose distances sit at the threshold, and
-    # draws inside the ball and far outside it
+    # draws inside the ball and far outside it (at d = 8 the cube's draws
+    # all miss the ball, so the last block lies within radius 1/2)
     thetas = np.vstack([draws_near_level(geo, r, thr, rng, 200),
-                        rng.uniform(-5.0, 5.0, size=(200, d))])
+                        rng.uniform(-5.0, 5.0, size=(200, d)),
+                        rng.uniform(-0.5, 0.5, size=(20, d)) / math.sqrt(d)])
     got = min_ball_distance_sq(geo, r, thetas)
     assert got.tobytes() == hundred_halvings(geo, r, thetas).tobytes()
     assert (got == 0).any() and (got > 2 * thr).any()
+
+
+def numpy_distance_bounds(geometry, r, thetas):
+    """``_distance_bounds`` with its norm and theta'A theta reduced by numpy."""
+    norms = np.maximum(np.linalg.norm(thetas, axis=1), r)
+    excess = norms - r
+    upper = (excess / norms) ** 2 * ((thetas @ geometry.A) * thetas).sum(axis=1)
+    return geometry.lambda_min * excess**2, upper
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_distance_bounds_keep_numpy_bits(d):
+    rng = np.random.default_rng(80 + d)
+    geo = spectral_geometry(np.sort(0.5 * 10.0 ** (3.0 * rng.random(d))), seed=d)
+    thetas = np.vstack([draws_near_level(geo, 1.0, 1.0, rng, 200),
+                        rng.uniform(-5.0, 5.0, size=(400, d))])
+    got = logistic_module._distance_bounds(geo, 1.0, thetas)
+    want = numpy_distance_bounds(geo, 1.0, thetas)
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -386,6 +472,23 @@ def test_sample_muB_respects_ellipsoid():
     thetas = sample_muB(geo, 5000, seed=9)
     norms = np.linalg.norm(thetas @ geo.A_half, axis=1)
     assert np.all(norms <= geo.R_B + 1e-9)
+
+
+def numpy_sample_muB(geometry, k, seed):
+    """``sample_muB`` with the draws' normalisation by ``np.linalg.norm``."""
+    rng = np.random.default_rng(seed)
+    d = geometry.eigvals.size
+    g = rng.standard_normal((k, d))
+    g /= np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 1e-300)
+    radii = rng.random(k) ** (1.0 / d)
+    return (g * radii[:, None] * geometry.R_B) @ geometry.A_half_inv
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_sample_muB_keeps_numpy_bits(d):
+    geo = build_geometry(make_logistic_problem(40, d, 1.0, 1.0, np.random.default_rng(d)))
+    got = sample_muB(geo, 20_000, seed=12)
+    assert got.tobytes() == numpy_sample_muB(geo, 20_000, seed=12).tobytes()
 
 
 def test_sample_muB_is_centered():
