@@ -31,8 +31,11 @@ the chunks whose results had not come back, and every job of those chunks
 becomes an error.  Exit codes: 0 when every certificate passes, 1 when one fails
 or a job raised, 2 on a configuration error (an unknown key, a value list
 outside ``sweep``, a missing task or seed, ``1/n`` on a key other than
-``eps``, an ``eps`` neither 1/n nor in ``[0, 0.5)``, or another value outside
-its key's range, such as a ``noise`` outside ``[0, 1]`` or ``threads = 0``).
+``eps``, an ``eps`` other than 0 or a 1/n below 0.5, a classification ``d``
+other than 1, 2 or 4 with no ``generator``, a ``generator`` with no VC
+dimension on record, a ``loss`` that ``regression.builtin_losses`` does not
+name, or another value outside its key's range, such as a ``noise`` outside
+``[0, 1]``, ``d = 0`` or ``threads = 0``).
 """
 
 import argparse
@@ -55,7 +58,6 @@ from . import generators as gen_mod
 from . import linear as lin_mod
 from . import logistic as log_mod
 from . import regression as reg_mod
-from .core import ToleranceGrid
 
 __all__ = ["ExperimentConfig", "run_experiment", "derive_seed", "main"]
 
@@ -69,26 +71,27 @@ def derive_seed(master: int, *parts) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
+#: The classification family of each ``d`` when no ``generator`` names one.
+_FAMILIES = {1: "thresholds-1d", 2: "intervals-1d", 4: "axis-rectangles-2d"}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     task: str
     seed: int
-    n: int = 50
-    d: int = 1
+    n: int = 50  # sample size; eps = 1/n needs n >= 3
+    d: int = 1  # classification: 1, 2 or 4 pick the family; logistic, vaw: the dimension
     class_size: int = 8
     space_size: int = 8
-    loss: str = "squared"
+    loss: str = "squared"  # a regression.builtin_losses name
     M: float = 1.0
     r: float = 1.0
     R: float = 1.0
-    eps: float = 0.0  # density smoothing; 0 disables, -1 means 1/n
+    eps: float = 0.0  # density smoothing: 0 disables; 1/n (read as -1) smooths by 1/n
     noise: float = 0.0
-    generator: str = ""  # classification descriptor; default picked from d
-    k_intervals: int = 2
+    generator: str = ""  # classification descriptor; "" picks it from d
+    k_intervals: int = 2  # the k of unions-of-k-intervals
     mc_samples: int = 20_000
-    min_accepted: int = 100
-    svd_tol: float = 0.0  # 0 = numerical-rank default for the vaw task
-    grid_levels: int = 0  # 0 = task default; otherwise overrides the level count
     instances: int = 1
     threads: int = 1
     out: str = "."
@@ -96,33 +99,39 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}; choose from {tuple(TASKS)}")
-        if self.instances < 1:
-            raise ValueError("instances must be positive")
-        if not (self.eps == -1.0 or 0.0 <= self.eps < 0.5):
-            raise ValueError(f"eps = {self.eps!r}: the density smoothing takes 0 (none), "
-                             "a weight below 0.5, or 1/n")
         # the ranges the generators and certifiers need, checked before any job
+        losses = tuple(reg_mod.builtin_losses())
         ranges = [
+            *((key, getattr(self, key) >= 1, "a positive count")
+              for key in ("n", "d", "class_size", "space_size", "k_intervals", "instances",
+                          "threads")),
             ("noise", 0.0 <= self.noise <= 1.0, "a rate in [0, 1]"),
             ("M", 0.0 < self.M < math.inf, "a positive, finite loss bound"),
-            ("svd_tol", self.svd_tol >= 0.0, "0 (the default) or a positive tolerance"),
-            *((key, getattr(self, key) >= 1, "a positive count")
-              for key in ("n", "class_size", "space_size", "threads")),
-            ("min_accepted", self.min_accepted >= 100, "at least 100 draws"),
-            ("mc_samples", self.mc_samples >= self.min_accepted,
-             f"at least min_accepted = {self.min_accepted} draws"),
+            *((key, 0.0 < getattr(self, key) < math.inf, "a positive, finite radius")
+              for key in ("r", "R")),
+            ("mc_samples", self.mc_samples >= log_mod.McConfig.min_accepted,
+             f"at least {log_mod.McConfig.min_accepted} draws"),
+            ("loss", self.loss in losses, f"one of {losses}"),
         ]
         for key, holds, takes in ranges:
             if not holds:
                 raise ValueError(f"{key} = {getattr(self, key)!r}: {key} takes {takes}")
+        if self.eps != 0.0 and not (self.n >= 3 and (
+                self.eps == -1.0 or math.isclose(self.eps, 1.0 / self.n, rel_tol=1e-12))):
+            raise ValueError(f"eps = {self.eps!r}: eps takes 0 (no smoothing) or 1/n, "
+                             f"and 1/n only below 0.5 (n = {self.n})")
+        if self.generator:
+            try:
+                cls_mod.descriptor_vc_dimension(self.generator, self.k_intervals)
+            except ValueError as exc:
+                raise ValueError(f"generator = {self.generator!r}: {exc}") from None
+        elif self.task == "classification" and self.d not in _FAMILIES:
+            raise ValueError(f"d = {self.d!r}: the classification task takes d = 1, 2 or 4 "
+                             "(or a generator)")
 
     @property
     def descriptor(self) -> str:
-        if self.generator:
-            return self.generator
-        return {1: "thresholds-1d", 2: "intervals-1d", 4: "axis-rectangles-2d"}.get(
-            self.d, "thresholds-1d"
-        )
+        return self.generator or _FAMILIES[self.d]
 
 
 def _parse_scalar(key: str, raw: str, where: str):
@@ -188,14 +197,6 @@ class InstanceResult:
         )
 
 
-def _grid(config: ExperimentConfig, grid: ToleranceGrid) -> ToleranceGrid:
-    """The task's grid, or its first ``grid_levels`` multiples of the gap."""
-    if config.grid_levels <= 0:
-        return grid
-    levels = grid.gap * np.arange(1, config.grid_levels + 1, dtype=float)
-    return ToleranceGrid(levels=levels, gap=grid.gap)
-
-
 def _fields(config, d, loo, erm, headline, certs, rho, sections) -> dict:
     """``InstanceResult`` fields whose CSV bound and slack are ``headline``'s."""
     return dict(n=config.n, d=d, loo=loo, erm_per_n=erm / config.n, bound=headline.rhs,
@@ -228,38 +229,30 @@ def _finite_class(table, sample, loss, grid, rule, seed: int, deep_audit: bool):
 def _certify_classification(config: ExperimentConfig, inst, seed: int, deep_audit: bool) -> dict:
     d = cls_mod.descriptor_vc_dimension(config.descriptor, config.k_intervals)
     loss = cls_mod.zero_one_loss()
-    grid = _grid(config, cls_mod.classification_grid(d, config.n))
+    grid = cls_mod.classification_grid(d, config.n)
     output, cert, checks, rho, growth = _finite_class(
         inst.table, inst.sample, loss, grid, cls_mod.MAJORITY_VOTE, seed, deep_audit
     )
-    certs = [cert]
-    if config.grid_levels <= 0:
-        certs.append(
-            cls_mod.verify_classification_bound(output, inst.table, inst.sample, d, config.n)
-        )
+    bound = cls_mod.verify_classification_bound(output, inst.table, inst.sample, d, config.n)
     instance = {
         "class_size": inst.table.n_hypotheses,
         "flip_fraction": inst.flip_fraction,
         "descriptor": config.descriptor,
     }
-    return _fields(config, d, output.loo_error, output.erm_loss, certs[-1], certs + checks, rho,
-                   {"instance": instance, "growth-audit": growth})
+    return _fields(config, d, output.loo_error, output.erm_loss, bound, [cert, bound, *checks],
+                   rho, {"instance": instance, "growth-audit": growth})
 
 
 def _certify_regression(config: ExperimentConfig, inst, seed: int, deep_audit: bool) -> dict:
     loss = reg_mod.scale_loss(config.loss, config.M)
-    grid = _grid(config, reg_mod.regression_grid(config.M, config.class_size))
+    grid = reg_mod.regression_grid(config.M, config.class_size)
     output, cert, checks, rho, growth = _finite_class(
         inst.table, inst.sample, loss, grid, reg_mod.MEAN_AGGREGATE, seed, deep_audit
     )
-    certs = [cert]
-    if config.grid_levels <= 0:
-        certs.append(
-            reg_mod.verify_regression_bound(output, inst.table, inst.sample, loss, config.M)
-        )
+    bound = reg_mod.verify_regression_bound(output, inst.table, config.M)
     instance = {"class_size": config.class_size, "loss": loss.name}
-    return _fields(config, 0, output.loo_error, output.erm_loss, certs[-1], certs + checks, rho,
-                   {"instance": instance, "growth-audit": growth})
+    return _fields(config, 0, output.loo_error, output.erm_loss, bound, [cert, bound, *checks],
+                   rho, {"instance": instance, "growth-audit": growth})
 
 
 def _certify_density(config: ExperimentConfig, inst, seed: int, deep_audit: bool) -> dict:
@@ -297,11 +290,7 @@ def _certify_density(config: ExperimentConfig, inst, seed: int, deep_audit: bool
 
 
 def _certify_logistic(config: ExperimentConfig, problem, seed: int, deep_audit: bool) -> dict:
-    mc = log_mod.McConfig(
-        samples_per_level=config.mc_samples,
-        seed=derive_seed(seed, "mc"),
-        min_accepted=config.min_accepted,
-    )
+    mc = log_mod.McConfig(samples_per_level=config.mc_samples, seed=derive_seed(seed, "mc"))
     run = log_mod.run_mlsa_logistic(problem, mc)
     cert = log_mod.verify_logistic_bound(run.output, run.geometry, problem)
     sandwich = log_mod.crn_sandwich_report(run)
@@ -322,12 +311,11 @@ def _certify_logistic(config: ExperimentConfig, problem, seed: int, deep_audit: 
 
 def _certify_vaw(config: ExperimentConfig, design, seed: int, deep_audit: bool) -> dict:
     X, y = design
-    svd_tol = config.svd_tol if config.svd_tol > 0 else None
-    result = lin_mod.fit_transductive_vaw(X, y, svd_tol=svd_tol)
+    result = lin_mod.fit_transductive_vaw(X, y)
     cert = lin_mod.vaw_certificate(result)
     certs = [cert]
     if deep_audit:
-        certs.append(lin_mod.verify_pinv_identity(X, svd_tol=svd_tol))
+        certs.append(lin_mod.verify_pinv_identity(X))
     n = config.n
     return dict(n=n, d=config.d, loo=result.loo_sq_sum / n, erm_per_n=result.fit_sq_sum / n,
                 bound=cert.rhs / n, slack=cert.slack / n, rho_hat=None, certificates=certs,

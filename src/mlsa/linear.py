@@ -11,7 +11,6 @@ serves as a regression baseline; it does not use level sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -41,14 +40,12 @@ def _default_svd_tol(n: int, d: int) -> float:
     return max(n, d) * np.finfo(float).eps
 
 
-def fit_transductive_vaw(
-    X: np.ndarray, y: np.ndarray, svd_tol: Optional[float] = None
-) -> LinearLooResult:
+def fit_transductive_vaw(X: np.ndarray, y: np.ndarray) -> LinearLooResult:
     """Fit the full-sample predictor and all shrinkage leave-one-out variants.
 
     The pseudoinverse of A comes from the SVD of X with singular values below
-    svd_tol * sigma_max treated as zero (default: the machine-epsilon scaling
-    max(n, d) * eps), so rank deficiency needs no special handling.
+    max(n, d) * eps * sigma_max treated as zero, so rank deficiency needs no
+    special handling.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -58,9 +55,7 @@ def fit_transductive_vaw(
         raise ValueError("y must have one entry per row of X")
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise ValueError("X and y must be finite")
-    n, d = X.shape
-    if svd_tol is None:
-        svd_tol = _default_svd_tol(n, d)
+    svd_tol = _default_svd_tol(*X.shape)
     u, s, vt = np.linalg.svd(X, full_matrices=False)
     keep = s > svd_tol * (s[0] if s.size else 0.0)
     rank = int(keep.sum())
@@ -84,9 +79,7 @@ def fit_transductive_vaw(
     )
 
 
-def verify_pinv_identity(
-    X: np.ndarray, svd_tol: Optional[float] = None, tolerance: float = 1e-10
-) -> BoundCertificate:
+def verify_pinv_identity(X: np.ndarray, tolerance: float = 1e-10) -> BoundCertificate:
     """Check pinv(X) = pinv(X'X) X' entrywise, via two independent routes.
 
     Both sides are computed with numpy's pseudoinverse on different matrices
@@ -96,8 +89,7 @@ def verify_pinv_identity(
     ``tolerance``, compared with no further tolerance.
     """
     X = np.asarray(X, dtype=float)
-    n, d = X.shape
-    rcond = svd_tol if svd_tol is not None else _default_svd_tol(n, d)
+    rcond = _default_svd_tol(*X.shape)
     x_pinv = np.linalg.pinv(X, rcond=rcond)
     a_pinv = np.linalg.pinv(X.T @ X, rcond=rcond, hermitian=True)
     diff = float(np.max(np.abs(x_pinv - a_pinv @ X.T))) if X.size else 0.0

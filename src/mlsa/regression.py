@@ -17,7 +17,6 @@ import numpy as np
 from .audit import BoundCertificate, _check_grid
 from .core import (
     AggregationRule,
-    LabeledSample,
     LossModel,
     MlsaOutput,
     PredictionTable,
@@ -79,11 +78,7 @@ def scale_loss(name: str, M: float) -> LossModel:
 
 
 def verify_regression_bound(
-    output: MlsaOutput,
-    table: PredictionTable,
-    sample: LabeledSample,
-    loss: LossModel,
-    M: float,
+    output: MlsaOutput, table: PredictionTable, M: float
 ) -> BoundCertificate:
     """Certify LOO <= (8/n) * output.erm_loss + (104/n) * M ln |H| for a finished run."""
     m = table.n_hypotheses

@@ -156,24 +156,38 @@ def test_experiment_config_validation():
 
 @pytest.mark.parametrize("task", ["density", "vaw"])
 def test_experiment_config_takes_eps_of_zero_below_a_half_or_the_one_over_n_sentinel(task):
-    for eps in (0.0, 0.25, 0.4999, -1.0):
-        assert ExperimentConfig(task=task, seed=1, eps=eps).eps == eps
-    for eps in (-0.5, -1e-12, 0.5, 1.0, math.inf, math.nan):
+    # eps is 0, or 1/n below 0.5: the sentinel -1, or a value within 1e-12
+    # relative of 1/n, the only weight the smoothed certificate is stated for
+    taken = [(20, 0.0), (1, 0.0), (20, -1.0), (3, -1.0), (20, 0.05), (3, 1 / 3),
+             (3, 0.3333333333333333), (20, 0.05 * (1 + 1e-13))]
+    for n, eps in taken:
+        assert ExperimentConfig(task=task, seed=1, n=n, eps=eps).eps == eps
+    refused = [(20, 0.25), (20, 0.4999), (20, 0.05 * (1 + 1e-11)), (2, -1.0), (2, 0.5),
+               (1, 1.0), (20, -0.5), (20, -1e-12), (20, 0.5), (20, 1.0), (20, math.inf),
+               (20, math.nan)]
+    for n, eps in refused:
         with pytest.raises(ValueError, match="^eps = "):
-            ExperimentConfig(task=task, seed=1, eps=eps)
+            ExperimentConfig(task=task, seed=1, n=n, eps=eps)
 
 
 def test_experiment_config_takes_the_ends_of_each_range_and_refuses_nan():
-    edges = dict(noise=1.0, M=1e-300, svd_tol=0.0, n=1, class_size=1, space_size=1,
-                 threads=1, mc_samples=100, min_accepted=100)
+    edges = dict(noise=1.0, M=1e-300, r=1e-300, R=1e-300, n=1, d=1, class_size=1,
+                 space_size=1, k_intervals=1, instances=1, threads=1, mc_samples=100)
     config = ExperimentConfig(task="logistic", seed=1, **edges)
     assert {key: getattr(config, key) for key in edges} == edges
     assert ExperimentConfig(task="logistic", seed=1, noise=0.0).noise == 0.0
-    for key in ("noise", "M", "svd_tol"):
+    for key in ("noise", "M", "r", "R"):
         with pytest.raises(ValueError, match=f"^{key} = nan: "):
             ExperimentConfig(task="logistic", seed=1, **{key: math.nan})
-    with pytest.raises(ValueError, match="^M = inf: "):
-        ExperimentConfig(task="regression", seed=1, M=math.inf)
+    for key in ("M", "r", "R"):
+        with pytest.raises(ValueError, match=f"^{key} = inf: "):
+            ExperimentConfig(task="regression", seed=1, **{key: math.inf})
+
+
+def test_a_generator_names_the_classification_family_whatever_d_is():
+    named = ExperimentConfig(task="classification", seed=1, d=3, generator="unions-of-k-intervals")
+    assert named.descriptor == "unions-of-k-intervals"
+    assert ExperimentConfig(task="logistic", seed=1, d=3).d == 3  # only classification reads d so
 
 
 def test_parse_config_takes_one_over_n_for_eps_only(tmp_path):
@@ -251,13 +265,13 @@ def test_run_results_csv_matches_golden_digest(tmp_path, job):
 #: pinv-identity residue); the logistic report is pinned by the layout test
 #: below instead.
 REPORT_GOLDEN = {
-    "classification d=1": "6f372408d5e19f32159e2325b1a86fc0f7336436df0709040a5e87dc8ada2aac",
-    "classification d=2": "1ddcb7050c688af1613c5d706d4e1bb93ed25109bcc9d7941c33ade3dabb6146",
-    "classification d=4 n=30": "bc13d85be7a76fc4e4ca99cd1689d0065ff6dae74bef906ec4e7145bb9983df4",
-    "regression": "c9577a9af5efe8986a0dda0d4b30d9d2a581e56425187f5c8d145e82c5cae87e",
-    "density eps=0": "de44bda714100a799f67b64b9ff15aa2fd558bac38fc0e9fea13449df3432d50",
-    "density eps=1/n": "ea62f37a007d303b3da0e9ec9d33d6d203e3ca1f14d1e8f927da4155799442ea",
-    "vaw": "1f89c67ffd098ac1ceddff7685695657d47e98c87d2e809d67495a59aa33c360",
+    "classification d=1": "b620ca257b9727706ae006997e68a95c3579f1802df9b6040dc0608dcb489e2b",
+    "classification d=2": "30e28f1ba840044b32932b2065cc7318a39ebc076ac2de5a38de992323e9bde1",
+    "classification d=4 n=30": "7dfc1881e882686a64fef890b998eee2defe4b4fb1e081790c4ed4969c6f5aef",
+    "regression": "b0b6a54159a7a0c318191cac51ce2afb2ed61075a0fc39a4f2f45308fd0854ce",
+    "density eps=0": "f976d0582c4607c2cfb082d4bcc8fa4d45f0644a2e8c0387f588712c8c49cbf4",
+    "density eps=1/n": "fa0775327762aae17ff016581ca307f2a67736ba39c61127dbcc9fbdd49e173c",
+    "vaw": "cc39a5346912e18732952bfde49ecaebfc91da894f67f8505ed35cc34512b6b3",
 }
 
 
@@ -669,15 +683,6 @@ def test_cli_missing_seed_is_an_error(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
-def test_cli_grid_override_skips_task_certificate(tmp_path):
-    out = tmp_path / "ovr"
-    assert main(["run", "--task", "classification", "--seed", "6", "--out", str(out),
-                 "--set", "n=20", "grid_levels=40"]) == 0
-    report = (out / "report.txt").read_text()
-    assert "grid-majority-loo-bound" in report
-    assert "classification-oracle-bound" not in report
-
-
 def test_cli_gen_writes_matrices(tmp_path):
     out = tmp_path / "gen0"
     assert main(["gen", "--task", "logistic", "--seed", "8", "--out", str(out),
@@ -889,33 +894,52 @@ def test_cli_unknown_set_key_is_a_config_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "task,setting,message",
-    [
-        ("vaw", "svd_tol=1/n", "--set: svd_tol = 1/n: only eps takes 1/n"),
-        ("density", "eps=-0.5", "eps = -0.5: "),
-        ("classification", "noise=1/n", "--set: noise = 1/n: only eps takes 1/n"),
-        ("regression", "M=1/n", "--set: M = 1/n: only eps takes 1/n"),
-        # one value outside each key's range
-        ("regression", "noise=2", "noise = 2.0: noise takes a rate in [0, 1]"),
-        ("regression", "M=0", "M = 0.0: M takes a positive, finite loss bound"),
-        ("vaw", "svd_tol=-1", "svd_tol = -1.0: svd_tol takes 0 (the default) or a positive"),
-        ("vaw", "n=0", "n = 0: n takes a positive count"),
-        ("regression", "class_size=0", "class_size = 0: class_size takes a positive count"),
-        ("density", "space_size=-3", "space_size = -3: space_size takes a positive count"),
-        ("vaw", "threads=0", "threads = 0: threads takes a positive count"),
-        ("logistic", "mc_samples=99", "mc_samples = 99: mc_samples takes at least min_accepted"),
-        ("logistic", "min_accepted=50", "min_accepted = 50: min_accepted takes at least 100"),
-    ],
-)
+#: One refused value for every key of ``ExperimentConfig`` but ``seed`` and
+#: ``out``, and each deleted key: (task, ``--set`` setting, error message).
+BAD_SETTINGS = [
+    ("density", "eps=-0.5", "eps = -0.5: "),
+    ("classification", "noise=1/n", "--set: noise = 1/n: only eps takes 1/n"),
+    ("regression", "M=1/n", "--set: M = 1/n: only eps takes 1/n"),
+    # one value outside each key's range
+    ("regression", "noise=2", "noise = 2.0: noise takes a rate in [0, 1]"),
+    ("regression", "M=0", "M = 0.0: M takes a positive, finite loss bound"),
+    ("vaw", "n=0", "n = 0: n takes a positive count"),
+    ("regression", "class_size=0", "class_size = 0: class_size takes a positive count"),
+    ("density", "space_size=-3", "space_size = -3: space_size takes a positive count"),
+    ("vaw", "threads=0", "threads = 0: threads takes a positive count"),
+    ("logistic", "mc_samples=99", "mc_samples = 99: mc_samples takes at least 100 draws"),
+    ("vaw", "task=bogus", "unknown task 'bogus'"),
+    ("classification", "d=3", "d = 3: the classification task takes d = 1, 2 or 4"),
+    ("logistic", "d=0", "d = 0: d takes a positive count"),
+    ("regression", "loss=cubic", "loss = 'cubic': loss takes one of ('squared', 'absolute')"),
+    ("logistic", "r=-1", "r = -1.0: r takes a positive, finite radius"),
+    ("logistic", "R=inf", "R = inf: R takes a positive, finite radius"),
+    ("density", "eps=0.1", "eps = 0.1: eps takes 0 (no smoothing) or 1/n"),
+    ("classification", "generator=bogus", "generator = 'bogus': no VC dimension on record"),
+    ("classification", "generator=explicit-table", "generator = 'explicit-table': no VC dimension"),
+    ("classification", "k_intervals=0", "k_intervals = 0: k_intervals takes a positive count"),
+    ("vaw", "instances=0", "instances = 0: instances takes a positive count"),
+    # the keys that no longer exist
+    ("classification", "grid_levels=40", "--set: unknown config key 'grid_levels'"),
+    ("vaw", "svd_tol=0.1", "--set: unknown config key 'svd_tol'"),
+    ("logistic", "min_accepted=200", "--set: unknown config key 'min_accepted'"),
+]
+
+
+def test_bad_config_settings_refuse_a_value_of_every_key():
+    keys = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"seed", "out"}
+    assert keys <= {setting.split("=")[0] for _, setting, _ in BAD_SETTINGS}
+
+
+@pytest.mark.parametrize("task,setting,message", BAD_SETTINGS)
 def test_cli_bad_config_value_stops_before_any_job(tmp_path, capsys, monkeypatch, task,
                                                    setting, message):
     jobs = []
     monkeypatch.setattr(cli_module, "_run_jobs", lambda *args: jobs.append(args))
     out = tmp_path / "out"
     for command in ("run", "audit", "gen", "sweep"):
-        assert main([command, "--task", task, "--seed", "1", "--out", str(out),
-                     "--set", "n=20", setting]) == 2
+        assert main([command, "--seed", "1", "--out", str(out),
+                     "--set", f"task={task}", "n=20", setting]) == 2
         assert message in capsys.readouterr().err
     assert jobs == [] and not out.exists()
 

@@ -128,7 +128,7 @@ def test_regression_bound_constant_class_zero_loss():
     loss = builtin_losses()["squared"]
     grid = regression_grid(1.0, 2)
     output = run_mlsa(table, sample, loss, grid, MEAN_AGGREGATE)
-    cert = verify_regression_bound(output, table, sample, loss, 1.0)
+    cert = verify_regression_bound(output, table, 1.0)
     assert cert.lhs == 0.0
     assert cert.passed
 
@@ -140,7 +140,7 @@ def test_regression_bound_random_class(name):
     loss = builtin_losses()[name]
     grid = regression_grid(1.0, 32)
     output = run_mlsa(inst.table, inst.sample, loss, grid, MEAN_AGGREGATE)
-    cert = verify_regression_bound(output, inst.table, inst.sample, loss, 1.0)
+    cert = verify_regression_bound(output, inst.table, 1.0)
     assert cert.slack >= -1e-9
     audit = grid_growth_audit(inst.table, inst.sample, loss, grid)
     assert audit.good_fraction >= 0.75
@@ -152,7 +152,7 @@ def test_regression_bound_two_member_class():
     loss = builtin_losses()["squared"]
     grid = regression_grid(1.0, 2)
     output = run_mlsa(inst.table, inst.sample, loss, grid, MEAN_AGGREGATE)
-    cert = verify_regression_bound(output, inst.table, inst.sample, loss, 1.0)
+    cert = verify_regression_bound(output, inst.table, 1.0)
     assert cert.slack >= -1e-9
 
 
@@ -163,7 +163,7 @@ def test_regression_bound_grid_mismatch():
     grid = regression_grid(0.5, 8)
     output = run_mlsa(inst.table, inst.sample, loss, grid, MEAN_AGGREGATE)
     with pytest.raises(GridMismatchError):
-        verify_regression_bound(output, inst.table, inst.sample, loss, 1.0)
+        verify_regression_bound(output, inst.table, 1.0)
 
 
 def test_regression_bound_grid_length_mismatch():
@@ -175,4 +175,4 @@ def test_regression_bound_grid_length_mismatch():
     output = run_mlsa(inst.table, inst.sample, loss, grid, MEAN_AGGREGATE)
     short = dataclasses.replace(output, grid=ToleranceGrid(grid.levels[:3], gap=grid.gap))
     with pytest.raises(GridMismatchError, match="regression grid"):
-        verify_regression_bound(short, inst.table, inst.sample, loss, 0.5)
+        verify_regression_bound(short, inst.table, 0.5)
