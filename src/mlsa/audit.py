@@ -35,7 +35,6 @@ from .core import (
 )
 
 __all__ = [
-    "LevelAudit",
     "GrowthAudit",
     "BoundCertificate",
     "GridMismatchError",
@@ -53,18 +52,15 @@ class GridMismatchError(ValueError):
 
 
 @dataclass(frozen=True)
-class LevelAudit:
-    level: float
-    size_minus: int  # counting measure of the full-sample set at t - gap (clamped at 0)
-    size_plus: int  # counting measure of the full-sample set at t + gap
-    ratio: float
-    sandwich_ok: bool
-    good: bool
-
-
-@dataclass(frozen=True)
 class GrowthAudit:
-    levels: tuple[LevelAudit, ...]
+    """One tuple of Python scalars per column, entry k for level k: audits compare with ==."""
+
+    levels: tuple[float, ...]
+    size_minus: tuple[int, ...]  # count of the full-sample set at t - gap (clamped at 0)
+    size_plus: tuple[int, ...]  # count of the full-sample set at t + gap
+    ratio: tuple[float, ...]
+    sandwich_ok: tuple[bool, ...]
+    good: tuple[bool, ...]
     good_fraction: float
     c_g: float
     delta: float
@@ -299,12 +295,9 @@ def _growth_audit(lm, totals, full_order, grid, c_g) -> GrowthAudit:
 
     ratio = size_plus / size_minus
     good = sandwich_ok & (ratio <= c_g + NUMERIC_TOL)
-    columns = (levels, size_minus, size_plus, ratio, sandwich_ok, good)  # LevelAudit's fields
-    records = tuple(LevelAudit(*row) for row in zip(*(c.tolist() for c in columns)))
-    good_fraction = int(good.sum()) / levels.size
-    return GrowthAudit(
-        levels=records, good_fraction=good_fraction, c_g=c_g, delta=delta
-    )
+    columns = (levels, size_minus, size_plus, ratio, sandwich_ok, good)
+    return GrowthAudit(*(tuple(c.tolist()) for c in columns),
+                       good_fraction=int(good.sum()) / levels.size, c_g=c_g, delta=delta)
 
 
 def run_and_audit(
@@ -349,7 +342,6 @@ def verify_single_level(
     delta = loss.delta_bound
     grid = ToleranceGrid(levels=np.array([t], dtype=float), gap=delta)
     output, growth = run_and_audit(table, sample, loss, grid, agg, c_g)
-    record = growth.levels[0]
     n = table.n_samples
     rhs = c_g / n * (output.erm_loss + t + delta)
     return BoundCertificate(
@@ -357,9 +349,9 @@ def verify_single_level(
         lhs=output.loo_error,
         rhs=rhs,
         components={"erm_loss": output.erm_loss, "t": t, "delta": delta, "c_g": c_g, "n": n},
-        unmet=None if record.good else (
+        unmet=None if growth.good[0] else (
             f"level t={t} fails the growth audit "
-            f"(ratio={record.ratio:.6g}, sandwich_ok={record.sandwich_ok})"
+            f"(ratio={growth.ratio[0]:.6g}, sandwich_ok={growth.sandwich_ok[0]})"
         ),
     )
 
@@ -374,13 +366,16 @@ def verify_grid_majority_bound(
 ) -> BoundCertificate:
     """Certify the grid-majority LOO bound for a finished run on its grid.
 
-    The headline rhs uses the measured good fraction; the nominal fraction
-    ``NOMINAL_RHO`` from the task's growth guarantee (and the bound it
-    yields) is recorded alongside so both can be reported.  The bound needs
-    more than half of the levels good: at a measured fraction of 1/2 or less,
-    rhs is nan and the certificate fails with the fraction as its reason.
+    An audit of another grid raises ``GridMismatchError``.  The headline rhs
+    uses the measured good fraction; the nominal fraction ``NOMINAL_RHO``
+    from the task's growth guarantee (and the bound it yields) is recorded
+    alongside so both can be reported.  The bound needs more than half of the
+    levels good: at a measured fraction of 1/2 or less, rhs is nan and the
+    certificate fails with the fraction as its reason.
     """
     grid = output.grid
+    if audit.levels != tuple(grid.levels.tolist()) or audit.delta != grid.gap:
+        raise GridMismatchError("growth audit was not taken on the output's grid")
     rho_hat = audit.good_fraction
     majority = rho_hat > 0.5
     n = output.medians.size

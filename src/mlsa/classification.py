@@ -180,23 +180,13 @@ def _rectangle_labelings(points: np.ndarray) -> np.ndarray:
     return np.concatenate(labelings).T
 
 
-def restrict_class(
-    descriptor: str,
-    covariates,
-    k: Optional[int] = None,
-    table: Optional[np.ndarray] = None,
-) -> PredictionTable:
+def restrict_class(descriptor: str, covariates, k: Optional[int] = None) -> PredictionTable:
     """Restrict a hypothesis family to the covariates as a deduplicated table.
 
     Descriptors: ``thresholds-1d`` (d=1), ``intervals-1d`` (d=2),
-    ``unions-of-k-intervals`` (d=2k, pass k), ``axis-rectangles-2d`` (d=4),
-    and ``explicit-table`` (identity on a user matrix, multiplicity kept).
+    ``unions-of-k-intervals`` (d=2k, pass k) and ``axis-rectangles-2d`` (d=4).
     1-d families reject tied covariates.
     """
-    if descriptor == "explicit-table":
-        if table is None:
-            raise ValueError("explicit-table descriptor needs the table argument")
-        return PredictionTable(table, keep_duplicates=True)
     if descriptor == "thresholds-1d":
         x = _require_distinct_1d(covariates)
         values = _threshold_labelings(x)

@@ -29,13 +29,15 @@ one pickle round trip per chunk.  Results come back in job order, so the
 files are the same bits at any ``--threads``; a worker that dies loses only
 the chunks whose results had not come back, and every job of those chunks
 becomes an error.  Exit codes: 0 when every certificate passes, 1 when one fails
-or a job raised, 2 on a configuration error (an unknown key, a value list
-outside ``sweep``, a missing task or seed, ``1/n`` on a key other than
-``eps``, an ``eps`` other than 0 or a 1/n below 0.5, a classification ``d``
-other than 1, 2 or 4 with no ``generator``, a ``generator`` with no VC
-dimension on record, a ``loss`` that ``regression.builtin_losses`` does not
-name, or another value outside its key's range, such as a ``noise`` outside
-``[0, 1]``, ``d = 0`` or ``threads = 0``).
+or a job raised, 2 on a configuration error (an unknown key, a key given
+twice, by two of the flags, ``--set`` and the config file or by one of them,
+a value list outside ``sweep``, a missing task or seed, ``1/n`` on a key
+other than ``eps``, an ``eps`` other than 0 or a 1/n below 0.5, a
+classification ``d`` other than 1, 2 or 4 with no ``generator``, a
+``generator`` with no VC dimension on record, a ``loss`` that
+``regression.builtin_losses`` does not name, or another value outside its
+key's range, such as a ``noise`` outside ``[0, 1]``, ``d = 0`` or
+``threads = 0``).
 """
 
 import argparse
@@ -109,8 +111,8 @@ class ExperimentConfig:
             ("M", 0.0 < self.M < math.inf, "a positive, finite loss bound"),
             *((key, 0.0 < getattr(self, key) < math.inf, "a positive, finite radius")
               for key in ("r", "R")),
-            ("mc_samples", self.mc_samples >= log_mod.McConfig.min_accepted,
-             f"at least {log_mod.McConfig.min_accepted} draws"),
+            ("mc_samples", self.mc_samples >= log_mod.MIN_ACCEPTED,
+             f"at least {log_mod.MIN_ACCEPTED} draws"),
             ("loss", self.loss in losses, f"one of {losses}"),
         ]
         for key, holds, takes in ranges:
@@ -149,19 +151,42 @@ def _parse_scalar(key: str, raw: str, where: str):
     return kind(raw)
 
 
-def parse_config_file(path) -> dict:
-    """Read ``key = value`` lines; comma-separated values become lists."""
-    out: dict = {}
+def _config_entries(path):
+    """The ``(key, value, where)`` entries of a config file, in line order."""
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
+        where = f"{path}:{lineno}"
         if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+            raise ValueError(f"{where}: expected 'key = value'")
         key, raw = (part.strip() for part in line.split("=", 1))
-        values = [_parse_scalar(key, v, f"{path}:{lineno}") for v in raw.split(",")]
-        out[key] = values if len(values) > 1 else values[0]
-    return out
+        values = [_parse_scalar(key, v, where) for v in raw.split(",")]
+        yield key, (values if len(values) > 1 else values[0]), where
+
+
+def _set_entries(pairs):
+    """The ``(key, value, where)`` entries of ``--set`` pairs, in order."""
+    for pair in pairs or []:
+        if "=" not in pair:
+            raise ValueError(f"--set expects key=value, got {pair!r}")
+        key, raw = pair.split("=", 1)
+        yield key.strip(), _parse_scalar(key.strip(), raw, "--set"), f"--set {pair}"
+
+
+def _merge(entries) -> dict:
+    """The entries' values by key; a key given twice is an error naming both."""
+    params, origin = {}, {}
+    for key, value, where in entries:
+        if key in origin:
+            raise ValueError(f"{key} is given twice: by {origin[key]} and by {where}")
+        params[key], origin[key] = value, where
+    return params
+
+
+def parse_config_file(path) -> dict:
+    """Read ``key = value`` lines; comma-separated values become lists."""
+    return _merge(_config_entries(path))
 
 
 @dataclass
@@ -457,19 +482,12 @@ def _expand_sweep(params: dict) -> list[dict]:
     return combos
 
 
-def _build_config(args, overrides: dict, sweep: bool = False) -> tuple[ExperimentConfig, dict]:
-    params: dict = {}
-    if args.config:
-        params.update(parse_config_file(args.config))
-    params.update(overrides)
-    if getattr(args, "task", None):
-        params["task"] = args.task
-    if args.seed is not None:
-        params["seed"] = args.seed
-    if getattr(args, "threads", None) is not None:
-        params["threads"] = args.threads
-    if args.out:
-        params["out"] = args.out
+def _build_config(args, sweep: bool = False) -> tuple[ExperimentConfig, dict]:
+    """The config of the config file, ``--set`` and the flags, each key from one."""
+    flags = [(key, getattr(args, key), f"--{key}") for key in ("task", "seed", "threads", "out")
+             if getattr(args, key) is not None]
+    config_file = _config_entries(args.config) if args.config else ()
+    params = _merge([*config_file, *_set_entries(args.set), *flags])
     if "task" not in params:
         raise ValueError("a task is required (flag --task or config key)")
     if "seed" not in params:
@@ -486,7 +504,7 @@ def _build_config(args, overrides: dict, sweep: bool = False) -> tuple[Experimen
 
 
 def _cmd_gen(args) -> int:
-    config, _ = _build_config(args, _parse_sets(args.set))
+    config, _ = _build_config(args)
     if config.instances != 1:
         raise ValueError(
             f"instances = {config.instances}: `mlsa gen` writes one instance; "
@@ -606,7 +624,7 @@ def _cmd_run(args) -> int:
     ``run`` and ``audit`` are the one-combo case; ``audit`` adds the deep
     checks.  A job that raises is reported, and the others' rows still written.
     """
-    config, params = _build_config(args, _parse_sets(args.set), sweep=args.command == "sweep")
+    config, params = _build_config(args, sweep=args.command == "sweep")
     combos = [ExperimentConfig(**combo) for combo in _expand_sweep(params)]
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -663,26 +681,13 @@ def _cmd_report(args) -> int:
     return 1 if failures else 0
 
 
-def _parse_sets(pairs) -> dict:
-    overrides = {}
-    for pair in pairs or []:
-        if "=" not in pair:
-            raise ValueError(f"--set expects key=value, got {pair!r}")
-        key, raw = pair.split("=", 1)
-        overrides[key.strip()] = _parse_scalar(key.strip(), raw, "--set")
-    return overrides
-
-
-def _add_common(parser, with_task=True):
-    if with_task:
-        parser.add_argument("--task", choices=TASKS)
+def _add_common(parser):
+    parser.add_argument("--task", choices=TASKS)
     parser.add_argument("--config", help="path to a key = value config file")
     parser.add_argument("--seed", type=int, help="64-bit master seed (mandatory)")
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--threads", type=int, help="parallel instance workers")
-    parser.add_argument(
-        "--set", nargs="*", metavar="KEY=VALUE", help="config overrides"
-    )
+    parser.add_argument("--set", nargs="*", metavar="KEY=VALUE", help="config keys")
 
 
 def main(argv=None) -> int:

@@ -14,7 +14,7 @@ distribution otherwise) caps M at log(1/eps) + min(log |P|, log |X|).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,7 +49,7 @@ class DensityClass:
     """Rows are probability vectors over a finite space; M is derived, not declared."""
 
     probs: np.ndarray
-    log_ratio_bound: float = None  # type: ignore[assignment]  # computed below
+    log_ratio_bound: float = field(init=False)
 
     def __post_init__(self) -> None:
         probs = np.asarray(self.probs, dtype=float)
@@ -218,11 +218,16 @@ def verify_smoothed_density(
     lhs is the LOO error of the run on the smoothed class; rhs references the
     original class's best loss:
     (8/n) * best + (112/n) * ln|P| * min(ln|P|, ln|X|) + (112/n) * ln|P| * ln n.
+    More than one density: a run off the smoothed class's grid raises ``GridMismatchError``.
     """
     obs = _check_observations(original, observations)
     n = obs.size
     if not math.isclose(epsilon, 1.0 / n, rel_tol=1e-12):
         raise ValueError("the smoothed certificate is stated for epsilon = 1/n")
+    if original.n_densities >= 2:
+        smoothed = smooth_class(original, epsilon)
+        _check_grid(output.grid, density_grid(smoothed.log_ratio_bound, smoothed.n_densities),
+                    "density grid for the smoothed class")
     log_p = math.log(original.n_densities)
     log_x = math.log(original.space_size)
     erm = _erm_loss(original, obs)

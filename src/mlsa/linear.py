@@ -79,21 +79,25 @@ def fit_transductive_vaw(X: np.ndarray, y: np.ndarray) -> LinearLooResult:
     )
 
 
-def verify_pinv_identity(X: np.ndarray, tolerance: float = 1e-10) -> BoundCertificate:
+#: the largest entrywise difference ``verify_pinv_identity`` accepts
+_PINV_TOL = 1e-10
+
+
+def verify_pinv_identity(X: np.ndarray) -> BoundCertificate:
     """Check pinv(X) = pinv(X'X) X' entrywise, via two independent routes.
 
     Both sides are computed with numpy's pseudoinverse on different matrices
     (X itself versus the Gram matrix), so agreement is a genuine consistency
     check rather than an algebraic tautology.  The certificate
     ``pinv-identity`` holds the largest entrywise difference against
-    ``tolerance``, compared with no further tolerance.
+    ``_PINV_TOL``, compared with no further tolerance.
     """
     X = np.asarray(X, dtype=float)
     rcond = _default_svd_tol(*X.shape)
     x_pinv = np.linalg.pinv(X, rcond=rcond)
     a_pinv = np.linalg.pinv(X.T @ X, rcond=rcond, hermitian=True)
     diff = float(np.max(np.abs(x_pinv - a_pinv @ X.T))) if X.size else 0.0
-    return BoundCertificate("pinv-identity", lhs=diff, rhs=tolerance, tolerance=0.0)
+    return BoundCertificate("pinv-identity", lhs=diff, rhs=_PINV_TOL, tolerance=0.0)
 
 
 def load_design(path) -> tuple[np.ndarray, np.ndarray]:

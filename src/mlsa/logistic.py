@@ -48,6 +48,7 @@ from .core import (
 __all__ = [
     "LogisticProblem",
     "LogisticGeometry",
+    "MIN_ACCEPTED",
     "McConfig",
     "McWorkspace",
     "LogisticRun",
@@ -399,19 +400,20 @@ def sample_muB(geometry: LogisticGeometry, k: int, seed: int) -> np.ndarray:
     return _ellipsoid_draws(geometry, k, geometry.R_B, np.random.default_rng(seed))
 
 
+#: the fewest accepted draws that any Monte-Carlo estimate is trusted with
+MIN_ACCEPTED = 100
+
+
 @dataclass(frozen=True)
 class McConfig:
     """Sampling budget for the Monte-Carlo level-set machinery."""
 
     samples_per_level: int
     seed: int = 0
-    min_accepted: int = 100
 
     def __post_init__(self) -> None:
-        if self.min_accepted < 100:
-            raise ValueError("min_accepted must be at least 100")
-        if self.samples_per_level < self.min_accepted:
-            raise ValueError("samples_per_level must be at least min_accepted")
+        if self.samples_per_level < MIN_ACCEPTED:
+            raise ValueError(f"samples_per_level must be at least {MIN_ACCEPTED}")
 
 
 @dataclass(frozen=True)
@@ -505,7 +507,6 @@ class LogisticRun:
     geometry: LogisticGeometry
     workspace: McWorkspace
     problem: LogisticProblem
-    mc: McConfig
 
 
 def run_mlsa_logistic(problem: LogisticProblem, mc: McConfig) -> LogisticRun:
@@ -523,18 +524,18 @@ def run_mlsa_logistic(problem: LogisticProblem, mc: McConfig) -> LogisticRun:
     if workspace.totals.size == 0:
         raise InsufficientAcceptanceError(
             f"the pool is empty: none of the {workspace.k} draws lies in H_A "
-            f"(samples_per_level={mc.samples_per_level}, need {mc.min_accepted}); "
+            f"(samples_per_level={mc.samples_per_level}, need {MIN_ACCEPTED}); "
             "increase samples_per_level"
         )
     counts, sums = _loo_level_sums(
         workspace.losses.T, workspace.totals, workspace.sig.T, grid.levels, workspace.ref_excl
     )
-    short = counts < mc.min_accepted
+    short = counts < MIN_ACCEPTED
     if short.any():
         i, bad = np.argwhere(short.T)[0]
         raise InsufficientAcceptanceError(
             f"only {counts[bad, i]} of {workspace.k} samples accepted at "
-            f"t={grid.levels[bad]:.6g}, i={i} (need {mc.min_accepted}); "
+            f"t={grid.levels[bad]:.6g}, i={i} (need {MIN_ACCEPTED}); "
             "increase samples_per_level"
         )
     per_level = sums / counts
@@ -542,9 +543,7 @@ def run_mlsa_logistic(problem: LogisticProblem, mc: McConfig) -> LogisticRun:
     loo = float(np.mean(-np.log(medians)))
     output = MlsaOutput(per_level=per_level, medians=medians, loo_error=loo,
                         erm_loss=geometry.erm_loss, grid=grid)
-    return LogisticRun(
-        output=output, geometry=geometry, workspace=workspace, problem=problem, mc=mc
-    )
+    return LogisticRun(output=output, geometry=geometry, workspace=workspace, problem=problem)
 
 
 @dataclass(frozen=True)
@@ -632,7 +631,7 @@ def verify_volume_lower_bound(
     rR = problem.r * problem.R
     totals = _loss_totals(problem, thetas[_in_HA(geometry, problem.r, thetas, rR + 1e-12)])
     count = int(np.sum(totals <= geometry.erm_loss + rR))
-    if count < mc.min_accepted:
+    if count < MIN_ACCEPTED:
         raise InsufficientAcceptanceError(
             f"only {count} of {mc.samples_per_level} samples hit the level set at rR; "
             "increase samples_per_level to resolve the volume bound"

@@ -7,8 +7,8 @@ import pytest
 
 from mlsa.audit import (
     BoundCertificate,
+    GridMismatchError,
     GrowthAudit,
-    LevelAudit,
     check_aggregation_stability,
     grid_growth_audit,
     simulate_generalization,
@@ -87,7 +87,7 @@ def test_growth_audit_singleton_class_all_good():
     grid = classification_grid(1, 3)
     audit = grid_growth_audit(table, sample, zero_one_loss(), grid)
     assert audit.good_fraction == 1.0
-    assert all(rec.ratio == 1.0 for rec in audit.levels)
+    assert audit.ratio == (1.0,) * len(grid)
 
 
 def test_growth_audit_thresholds_meets_nominal_fraction():
@@ -109,23 +109,24 @@ def test_growth_audit_matches_bruteforce_enumeration():
     m = table.n_hypotheses
     totals = [empirical_loss(table, sample, loss, j) for j in range(m)]
     best = min(totals)
-    for rec in audit.levels:
-        minus = {j for j in range(m) if totals[j] <= best + max(rec.level - 1.0, 0.0)}
-        plus = {j for j in range(m) if totals[j] <= best + rec.level + 1.0}
-        assert rec.size_minus == len(minus)
-        assert rec.size_plus == len(plus)
-        assert rec.ratio == pytest.approx(len(plus) / len(minus))
+    assert audit.levels == tuple(grid.levels.tolist())
+    for k, t in enumerate(audit.levels):
+        minus = {j for j in range(m) if totals[j] <= best + max(t - 1.0, 0.0)}
+        plus = {j for j in range(m) if totals[j] <= best + t + 1.0}
+        assert audit.size_minus[k] == len(minus)
+        assert audit.size_plus[k] == len(plus)
+        assert audit.ratio[k] == pytest.approx(len(plus) / len(minus))
         sandwich = True
         for i in range(6):
-            inner = set(level_set(table, sample, loss, rec.level, exclude=i).tolist())
-            if rec.level - 1.0 >= 0:
+            inner = set(level_set(table, sample, loss, t, exclude=i).tolist())
+            if t - 1.0 >= 0:
                 lower = {
-                    j for j in range(m) if totals[j] <= best + rec.level - 1.0
+                    j for j in range(m) if totals[j] <= best + t - 1.0
                 }
                 sandwich &= lower <= inner
             sandwich &= inner <= plus
-        assert rec.sandwich_ok == sandwich
-        assert rec.good == (sandwich and rec.ratio <= 2.0 + 1e-9)
+        assert audit.sandwich_ok[k] == sandwich
+        assert audit.good[k] == (sandwich and audit.ratio[k] <= 2.0 + 1e-9)
 
 
 def test_growth_audit_invariant_under_column_permutation():
@@ -139,8 +140,7 @@ def test_growth_audit_invariant_under_column_permutation():
     shuffled = grid_growth_audit(
         PredictionTable(values[:, perm], keep_duplicates=True), sample, loss, grid
     )
-    assert base.levels == shuffled.levels
-    assert base.good_fraction == shuffled.good_fraction
+    assert base == shuffled
 
 
 def test_growth_audit_rejects_nan_growth_constant():
@@ -168,7 +168,7 @@ def test_single_level_builds_one_loss_matrix(loss_matrix_calls):
     inst = make_classification_instance("thresholds-1d", 15, 0.2, np.random.default_rng(6))
     loss = zero_one_loss()
     audit = grid_growth_audit(inst.table, inst.sample, loss, classification_grid(1, 15))
-    t = next(rec.level for rec in audit.levels if rec.good)
+    t = audit.levels[audit.good.index(True)]
     loss_matrix_calls.clear()
     cert = verify_single_level(inst.table, inst.sample, loss, MAJORITY_VOTE, t=t)
     assert len(loss_matrix_calls) == 1
@@ -183,10 +183,10 @@ def test_single_level_realizable_thresholds_all_good_levels():
     loss = zero_one_loss()
     grid = classification_grid(1, 15)
     audit = grid_growth_audit(inst.table, inst.sample, loss, grid)
-    for rec in audit.levels[:10]:
-        if not rec.good:
+    for t, good in zip(audit.levels[:10], audit.good):
+        if not good:
             continue
-        cert = verify_single_level(inst.table, inst.sample, loss, MAJORITY_VOTE, t=rec.level)
+        cert = verify_single_level(inst.table, inst.sample, loss, MAJORITY_VOTE, t=t)
         assert cert.slack >= -1e-9
 
 
@@ -235,9 +235,13 @@ def test_single_level_rejects_bad_level():
 # ------------------------------------------------------- grid-majority bound
 
 
-def _fake_audit(good_fraction, c_g=2.0, delta=1.0):
-    rec = LevelAudit(level=1.0, size_minus=1, size_plus=1, ratio=1.0, sandwich_ok=True, good=True)
-    return GrowthAudit(levels=(rec,), good_fraction=good_fraction, c_g=c_g, delta=delta)
+def _fake_audit(output, good_fraction, c_g=2.0):
+    """An audit on the output's grid, whose every level is good but whose
+    good fraction is the given one."""
+    levels = tuple(output.grid.levels.tolist())
+    ones, good = (1,) * len(levels), (True,) * len(levels)
+    return GrowthAudit(levels, ones, ones, (1.0,) * len(levels), good, good,
+                       good_fraction=good_fraction, c_g=c_g, delta=output.grid.gap)
 
 
 def test_grid_majority_multiplier_at_nominal_parameters():
@@ -246,7 +250,7 @@ def test_grid_majority_multiplier_at_nominal_parameters():
     loss = zero_one_loss()
     grid = classification_grid(1, 12)
     output = run_mlsa(inst.table, inst.sample, loss, grid, MAJORITY_VOTE)
-    cert = verify_grid_majority_bound(output, _fake_audit(0.75), erm=3.0)
+    cert = verify_grid_majority_bound(output, _fake_audit(output, 0.75), erm=3.0)
     # 2 * c_g / ((2 rho - 1) n) with rho=3/4, c_g=2 is 8/n
     assert cert.components["multiplier"] == pytest.approx(8.0 / 12.0)
     assert cert.rhs == pytest.approx(8.0 / 12.0 * (3.0 + grid.t_max + 1.0))
@@ -275,12 +279,28 @@ def test_grid_majority_failure_detected():
     grid = classification_grid(1, 10)
     output = run_mlsa(inst.table, inst.sample, zero_one_loss(), grid, MAJORITY_VOTE)
     for rho in (0.5, 0.25, 0.0):
-        cert = verify_grid_majority_bound(output, _fake_audit(rho), erm=0.0)
+        cert = verify_grid_majority_bound(output, _fake_audit(output, rho), erm=0.0)
         assert not cert.passed
         assert cert.reason == f"grid-majority failure: measured good fraction {rho:.4f} <= 1/2"
         assert math.isnan(cert.rhs) and cert.components["rho_hat"] == rho
     # just above 1/2 the bound applies again
-    assert verify_grid_majority_bound(output, _fake_audit(0.51), erm=0.0).reason is None
+    assert verify_grid_majority_bound(output, _fake_audit(output, 0.51), erm=0.0).reason is None
+
+
+def test_grid_majority_refuses_an_audit_of_another_grid():
+    # an audit of the first 5 of the run's 89 levels used to be certified
+    # against the run, with good fraction 0.40 in place of 0.97 and rhs nan
+    inst = make_classification_instance("thresholds-1d", 40, 0.1, np.random.default_rng(7))
+    loss = zero_one_loss()
+    grid = classification_grid(1, 40)
+    output = run_mlsa(inst.table, inst.sample, loss, grid, MAJORITY_VOTE)
+    audit = grid_growth_audit(inst.table, inst.sample, loss, grid)
+    assert len(grid) == 89 and verify_grid_majority_bound(output, audit, output.erm_loss).passed
+    others = [ToleranceGrid(grid.levels[:5], gap=grid.gap), ToleranceGrid(grid.levels, gap=0.5)]
+    for other in others:
+        short = grid_growth_audit(inst.table, inst.sample, loss, other)
+        with pytest.raises(GridMismatchError, match="growth audit was not taken on the output's"):
+            verify_grid_majority_bound(output, short, output.erm_loss)
 
 
 @pytest.mark.parametrize(

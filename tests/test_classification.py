@@ -207,12 +207,6 @@ def test_rectangles_match_bruteforce():
     assert got == _bruteforce_rectangle_labelings([tuple(p) for p in points])
 
 
-def test_explicit_table_passthrough_is_identity():
-    values = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
-    table = restrict_class("explicit-table", None, table=values)
-    assert np.array_equal(table.values, values)  # duplicates kept
-
-
 @pytest.mark.parametrize(
     "descriptor,covariates",
     [
@@ -231,7 +225,7 @@ def test_geometric_families_restrict_to_bool_tables(descriptor, covariates):
 
 def test_explicit_float_zero_one_table_is_stored_as_bool():
     values = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
-    table = restrict_class("explicit-table", None, table=values)
+    table = PredictionTable(values, keep_duplicates=True)
     assert table.values.dtype == bool
     assert np.array_equal(table.values, values == 1.0)
     assert table.values.T.flags.c_contiguous
@@ -269,9 +263,8 @@ def test_deduplicated_bool_tables_are_hypothesis_major_with_the_same_outputs():
 
     def outputs(t):
         out = run_mlsa(t, sample, loss, grid, MAJORITY_VOTE)
-        records = grid_growth_audit(t, sample, loss, grid).levels
         return [out.per_level.tobytes(), out.medians.tobytes(), out.loo_error, out.erm_loss,
-                records]
+                grid_growth_audit(t, sample, loss, grid)]
 
     assert outputs(table) == outputs(row_major)
     # a float table keeps the layout its column sums were rounded in

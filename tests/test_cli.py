@@ -149,6 +149,14 @@ def test_parse_config_rejects_unknown_keys(tmp_path):
         parse_config_file(cfg)
 
 
+def test_parse_config_refuses_a_key_on_two_lines(tmp_path):
+    # the last of the two values used to be kept without a word
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("n = 20\ntask = vaw\nn = 30, 40\n")
+    with pytest.raises(ValueError, match=f"n is given twice: by {cfg}:1 and by {cfg}:3"):
+        parse_config_file(cfg)
+
+
 def test_experiment_config_validation():
     with pytest.raises(ValueError, match="unknown task"):
         ExperimentConfig(task="nope", seed=1)
@@ -894,6 +902,35 @@ def test_cli_unknown_set_key_is_a_config_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args,lines,message", [
+    # the first command used to run vaw at seed 1, the --set values unread
+    (["--task", "vaw", "--seed", "1", "--set", "task=density", "seed=7", "n=20"], "",
+     "task is given twice: by --set task=density and by --task"),
+    (["--task", "vaw", "--seed", "1", "--threads", "2"], "threads = 1\n",
+     "threads is given twice: by {cfg}:1 and by --threads"),
+    (["--task", "vaw", "--seed", "1"], "out = elsewhere\n",
+     "out is given twice: by {cfg}:1 and by --out"),
+    (["--task", "vaw", "--set", "seed=2"], "n = 20\nseed = 1\n",
+     "seed is given twice: by {cfg}:2 and by --set seed=2"),
+    (["--task", "vaw", "--seed", "1", "--set", "n=20", "n=30"], "",
+     "n is given twice: by --set n=20 and by --set n=30"),
+    (["--seed", "1"], "task = vaw\nn = 20\n# n = 10\nn = 30\n",
+     "n is given twice: by {cfg}:2 and by {cfg}:4"),
+], ids=["flag-and-set", "flag-and-file", "out-flag-and-file", "set-and-file", "set-twice",
+        "file-twice"])
+def test_cli_key_given_twice_is_a_config_error(tmp_path, capsys, monkeypatch, args, lines,
+                                                message):
+    jobs = []
+    monkeypatch.setattr(cli_module, "_run_jobs", lambda *a: jobs.append(a))
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text(lines)
+    out = tmp_path / "out"
+    for command in ("run", "audit", "gen", "sweep"):
+        assert main([command, *args, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error ({command}): {message.format(cfg=cfg)}\n"
+    assert jobs == [] and not out.exists()
+
+
 #: One refused value for every key of ``ExperimentConfig`` but ``seed`` and
 #: ``out``, and each deleted key: (task, ``--set`` setting, error message).
 BAD_SETTINGS = [
@@ -937,9 +974,12 @@ def test_cli_bad_config_value_stops_before_any_job(tmp_path, capsys, monkeypatch
     jobs = []
     monkeypatch.setattr(cli_module, "_run_jobs", lambda *args: jobs.append(args))
     out = tmp_path / "out"
+    # a setting of task or n takes the place of the base one: each key is given once
+    key = setting.split("=")[0]
+    base = [pair for pair in (f"task={task}", "n=20") if pair.split("=")[0] != key]
     for command in ("run", "audit", "gen", "sweep"):
         assert main([command, "--seed", "1", "--out", str(out),
-                     "--set", f"task={task}", "n=20", setting]) == 2
+                     "--set", *base, setting]) == 2
         assert message in capsys.readouterr().err
     assert jobs == [] and not out.exists()
 

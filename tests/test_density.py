@@ -131,6 +131,13 @@ def test_density_grid_degenerate_class():
 # ------------------------------------------------------------------ smoothing
 
 
+def test_log_ratio_bound_is_derived_not_an_argument():
+    # a given bound used to be overwritten by the derived one without a word
+    with pytest.raises(TypeError, match="log_ratio_bound"):
+        DensityClass(np.full((2, 2), 0.5), log_ratio_bound=7.0)
+    assert DensityClass(np.full((2, 2), 0.5)).log_ratio_bound == 0.0
+
+
 def test_smooth_class_mixes_with_class_average():
     smoothed = smooth_class(DensityClass(TWO_BY_TWO), 0.1)
     # |X| >= |P| so the reference is the average row (0.5, 0.5)
@@ -226,6 +233,25 @@ def test_smoothed_pipeline_certificates():
     assert cert.slack >= -1e-9
     inflation = smoothing_inflation(inst.dclass, smoothed, inst.observations, eps)
     assert inflation.passed
+
+
+def test_smoothed_certificate_refuses_a_run_off_the_smoothed_grid():
+    # a smoothed run cut to its first 3 levels used to pass the smoothed
+    # certificate, which verify_density_bound refuses on the same run
+    inst = make_density_instance(4, 8, 30, np.random.default_rng(4), floor=0.0)
+    eps = 1.0 / 30
+    smoothed = smooth_class(inst.dclass, eps)
+    output = mlsa_for_density(smoothed, inst.observations)
+    grid = output.grid
+    short = dataclasses.replace(output, grid=ToleranceGrid(grid.levels[:3], gap=grid.gap))
+    with pytest.raises(GridMismatchError, match="density grid for this class"):
+        verify_density_bound(short, smoothed, inst.observations)
+    with pytest.raises(GridMismatchError, match="density grid for the smoothed class"):
+        verify_smoothed_density(short, inst.dclass, inst.observations, eps)
+    # a one-density class has no grid to check: its run bypasses aggregation
+    single = DensityClass(np.full((1, 4), 0.25))
+    run = mlsa_for_density(smooth_class(single, 1 / 3), [0, 1, 3])
+    assert verify_smoothed_density(run, single, [0, 1, 3], 1 / 3).passed
 
 
 def test_smoothed_certificate_requires_eps_one_over_n():

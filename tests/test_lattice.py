@@ -178,7 +178,7 @@ def test_bool_audit_reports_sandwich_failures():
     values = rng.integers(0, 2, size=(9, 30))
     labels = rng.integers(0, 2, size=9)
     _, narrow = assert_paths_agree(values, labels, np.arange(0.0, 6.0), audit_gap=0.5)
-    assert not all(rec.sandwich_ok for rec in narrow.levels)
+    assert not all(narrow.sandwich_ok)
 
 
 def test_bool_audit_with_real_valued_table():
@@ -195,7 +195,7 @@ def test_bool_audit_with_real_valued_table():
         ref = grid_growth_audit(table, sample, FLOAT_ZERO_ONE, grid)
     assert calls() == (0, [np.dtype(bool), np.dtype(float)])
     assert fast == ref
-    assert not all(rec.sandwich_ok for rec in fast.levels)
+    assert not all(fast.sandwich_ok)
 
 
 def test_lattice_matches_sorted_path_at_benchmark_size():
@@ -347,4 +347,4 @@ def test_bool_audit_of_a_deduplicated_float_table():
         ref = grid_growth_audit(table, sample, FLOAT_ZERO_ONE, grid)
     assert calls() == (0, [np.dtype(bool), np.dtype(float)])
     assert fast == ref
-    assert not all(rec.sandwich_ok for rec in fast.levels)
+    assert not all(fast.sandwich_ok)

@@ -20,6 +20,7 @@ from mlsa.logistic import (
     InsufficientAcceptanceError,
     LogisticGeometry,
     LogisticProblem,
+    MIN_ACCEPTED,
     McConfig,
     build_geometry,
     build_workspace,
@@ -543,10 +544,10 @@ def estimate_level(geometry, problem, t, exclude=None, mc=None, workspace=None):
         sample_losses = workspace.totals - workspace.losses[:, exclude]
     accepted_mask = sample_losses <= ref + t
     count = int(accepted_mask.sum())
-    if count < mc.min_accepted:
+    if count < MIN_ACCEPTED:
         raise InsufficientAcceptanceError(
             f"only {count} of {workspace.k} samples accepted at t={t:.6g}, "
-            f"exclude={exclude} (need {mc.min_accepted}); increase samples_per_level"
+            f"exclude={exclude} (need {MIN_ACCEPTED}); increase samples_per_level"
         )
     return LevelEstimate(
         estimate=count / workspace.k,
@@ -598,7 +599,7 @@ def test_estimate_level_insufficient_acceptance_names_cell():
     rng = np.random.default_rng(18)
     problem = make_logistic_problem(8, 2, 1.0, 1.0, rng)
     geo = build_geometry(problem)
-    mc = McConfig(samples_per_level=200, seed=19, min_accepted=200)
+    mc = McConfig(samples_per_level=200, seed=19)
     ws = build_workspace(geo, problem, mc)
     with pytest.raises(InsufficientAcceptanceError, match="t="):
         estimate_level(geo, problem, 0.01, exclude=2, mc=mc, workspace=ws)
@@ -614,10 +615,9 @@ def test_estimate_level_rejects_nan_tolerance():
 
 
 def test_mcconfig_validation():
-    with pytest.raises(ValueError):
-        McConfig(samples_per_level=1000, min_accepted=50)
-    with pytest.raises(ValueError):
-        McConfig(samples_per_level=50, min_accepted=100)
+    with pytest.raises(ValueError, match=f"at least {MIN_ACCEPTED}"):
+        McConfig(samples_per_level=MIN_ACCEPTED - 1)
+    McConfig(samples_per_level=MIN_ACCEPTED)
 
 
 # ---------------------------------------------------------------- aggregation
@@ -757,7 +757,7 @@ def test_run_crn_sandwich_has_no_violations():
 def test_crn_sandwich_agrees_with_naive_set_inclusion():
     rng = np.random.default_rng(48)
     problem = make_logistic_problem(5, 2, 1.0, 1.0, rng)
-    run = run_mlsa_logistic(problem, McConfig(samples_per_level=2000, seed=49, min_accepted=100))
+    run = run_mlsa_logistic(problem, McConfig(samples_per_level=2000, seed=49))
     ws = run.workspace
     levels = run.output.grid.levels
     delta = run.output.grid.gap

@@ -109,14 +109,14 @@ def test_growth_audit_sandwich_matches_brute_force_inclusion(problem, gap):
     # gaps below the loss bound 1 let the sandwich fail
     table, sample, loss, levels = problem
     audit = grid_growth_audit(table, sample, loss, ToleranceGrid(levels, gap=gap))
-    for record, t in zip(audit.levels, levels):
+    for sandwich_ok, t in zip(audit.sandwich_ok, levels):
         upper = set(level_set(table, sample, loss, t + gap).tolist())
         lower = set(level_set(table, sample, loss, t - gap).tolist()) if t >= gap else set()
         nested = True
         for i in range(table.n_samples):
             inner = set(level_set(table, sample, loss, t, exclude=i).tolist())
             nested &= lower <= inner <= upper
-        assert record.sandwich_ok == nested
+        assert sandwich_ok == nested
 
 
 def naive_crn_violations(run):
@@ -272,15 +272,15 @@ def test_growth_audit_sorts_the_totals_once(zero_one, monkeypatch):
 
     monkeypatch.setattr(core, "_stable_argsort", spy)
     grid = ToleranceGrid(np.arange(1, 41) / 4.0, gap=loss.delta_bound)
-    records = grid_growth_audit(table, sample, loss, grid).levels
+    audit = grid_growth_audit(table, sample, loss, grid)
     assert sorts == [(table.n_hypotheses,)]
     assert loss_matrix(table, sample, loss).dtype == (bool if zero_one else float)
     # the sizes read off that sort are the counting measures of the full-sample sets
     totals = loss_matrix(table, sample, loss).sum(axis=0)
-    for record in records:
-        bounds = (max(record.level - grid.gap, 0.0), record.level + grid.gap)
+    for level, size_minus, size_plus in zip(audit.levels, audit.size_minus, audit.size_plus):
+        bounds = (max(level - grid.gap, 0.0), level + grid.gap)
         sizes = [int((totals <= totals.min() + t).sum()) for t in bounds]
-        assert [record.size_minus, record.size_plus] == sizes
+        assert [size_minus, size_plus] == sizes
     for deep_audit in (False, True):
         sorts.clear()
         run_experiment(ExperimentConfig(task="classification" if zero_one else "regression",
@@ -315,8 +315,6 @@ def test_shared_evaluation_equals_separate_run_and_audit(kind):
     assert shared.medians.tobytes() == alone.medians.tobytes()
     assert shared.loo_error.hex() == alone.loo_error.hex()
     assert shared.erm_loss.hex() == alone.erm_loss.hex()
-    assert [dataclasses.astuple(r) for r in shared_audit.levels] == [
-        dataclasses.astuple(r) for r in audit.levels]
     assert shared_audit == audit
     # one grid at the loss gap cannot fail the sandwich: on a shrunk gap,
     # which fails it somewhere, the audit body reads the run's full order
@@ -328,7 +326,7 @@ def test_shared_evaluation_equals_separate_run_and_audit(kind):
     audits = [_growth_audit(lm, totals, _full_order(lm, totals, v), shrunk, 2.0)
               for v in (votes, None)]
     assert audits[0] == audits[1] == grid_growth_audit(table, sample, loss, shrunk)
-    assert not all(r.sandwich_ok for r in audits[0].levels)
+    assert not all(audits[0].sandwich_ok)
 
 
 def test_bool_job_reads_one_group_sums_call(monkeypatch):
@@ -451,10 +449,9 @@ def test_stable_argsort_keeps_every_sweep_and_audit_byte_identical(monkeypatch):
             "weighted sums": _loo_level_sums(lm, totals, weights, grid.levels)[1],
             "violations": _sandwich_violations(lm, totals, grid.levels, 0.25, totals.min()),
             **{
-                f"audit at gap {g.gap}": np.array([
-                    dataclasses.astuple(record)
-                    for record in grid_growth_audit(table, sample, loss, g).levels
-                ])
+                # the audit's six columns, one row per level
+                f"audit at gap {g.gap}": np.array(
+                    dataclasses.astuple(grid_growth_audit(table, sample, loss, g))[:6]).T
                 for g in (grid, shrunk)
             },
         }
